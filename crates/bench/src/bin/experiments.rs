@@ -12,7 +12,7 @@
 
 use staccato_bench::mem::{MemCorpus, M_MAX};
 use staccato_bench::timing::{fmt_duration, time_median};
-use staccato_bench::workload::{corpus_dictionary, table6_queries, QuerySpec};
+use staccato_bench::workload::{corpus_dictionary, table6_queries};
 use staccato_core::{approximate, tune, SizeModel, StaccatoParams, TuningConstraints};
 use staccato_ocr::{generate, Channel, ChannelConfig, CorpusKind};
 use staccato_query::exec::{Answer, Approach};
@@ -20,10 +20,10 @@ use staccato_query::invindex::{direct_posting_count, line_postings, project_eval
 use staccato_query::metrics::{evaluate_answers, ground_truth, Metrics};
 use staccato_query::sql::{lower_statement, parse_statement, quote_str};
 use staccato_query::store::LoadOptions;
-use staccato_query::{PlanPreference, Query, SqlTable, Staccato};
+use staccato_query::{PlanPreference, Query, ScanScratch, SqlTable, Staccato};
 use staccato_sfa::codec;
 use staccato_storage::Database;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 const NUM_ANS: usize = 100;
@@ -193,20 +193,22 @@ fn e_t1(ctx: &Ctx) {
             .into_iter()
             .map(|p| (p.string, p.prob))
             .collect();
-        let stac_a = approximate(&sfa, StaccatoParams::new((l / 4).max(1), 25));
-        let stac_b = approximate(&sfa, StaccatoParams::new((l / 2).max(1), 25));
+        // Each representation as the store holds it: strings, or an
+        // encoded blob the kernel decodes as part of evaluating it.
+        let stac_a = codec::encode(&approximate(&sfa, StaccatoParams::new((l / 4).max(1), 25)));
+        let stac_b = codec::encode(&approximate(&sfa, StaccatoParams::new((l / 2).max(1), 25)));
+        let full = codec::encode(&sfa);
+        let mut scratch = ScanScratch::new();
+        let mut time_blob = |blob: &[u8]| {
+            time_median(ctx.reps * 3, || {
+                let _ = q.kernel.eval_blob(&mut scratch, blob).expect("fresh blob");
+            })
+        };
+        let (t_sa, t_sb, t_full) = (time_blob(&stac_a), time_blob(&stac_b), time_blob(&full));
         let t_kmap = time_median(ctx.reps * 3, || {
-            let _ =
-                staccato_query::eval_strings(&q.dfa, kmap.iter().map(|(s, p)| (s.as_str(), *p)));
-        });
-        let t_sa = time_median(ctx.reps * 3, || {
-            let _ = staccato_query::eval_sfa(&q.dfa, &stac_a);
-        });
-        let t_sb = time_median(ctx.reps * 3, || {
-            let _ = staccato_query::eval_sfa(&q.dfa, &stac_b);
-        });
-        let t_full = time_median(ctx.reps * 3, || {
-            let _ = staccato_query::eval_sfa(&q.dfa, &sfa);
+            let _ = q
+                .kernel
+                .eval_string_group(kmap.iter().map(|(s, p)| (s.as_str(), *p)));
         });
         println!(
             "| {l} | {} | {} | {} | {} |",
@@ -1083,11 +1085,3 @@ fn e_f19(ctx: &Ctx) {
         }
     }
 }
-
-// Silence the unused warning for the QuerySpec re-export used only by t4.
-#[allow(dead_code)]
-fn _spec_holder(_: QuerySpec) {}
-
-// HashMap is used in earlier revisions of f9; keep the import exercised.
-#[allow(dead_code)]
-type _Unused = HashMap<u8, u8>;

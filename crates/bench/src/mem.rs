@@ -4,15 +4,17 @@
 //! `(m, k)` settings; loading a full RDBMS store per setting would
 //! measure mostly construction. `MemCorpus` builds the expensive full
 //! SFAs once, derives k-MAP / Staccato variants on demand (memoized), and
-//! keeps all SFA representations *encoded* — every evaluation decodes the
-//! blob first, so measured runtimes keep the data-volume-dominated shape
-//! of the paper's buffer-pool reads. Table 4's headline numbers still
-//! come from the real storage engine (experiment `t4`).
+//! keeps all SFA representations *encoded* — every evaluation runs the
+//! query's compiled [`ScanKernel`](staccato_query::ScanKernel) over the
+//! blob bytes, decode included, exactly as a filescan does per row, so
+//! measured runtimes keep the data-volume-dominated shape of the paper's
+//! buffer-pool reads. Table 4's headline numbers still come from the real
+//! storage engine (experiment `t4`).
 
 use staccato_core::{approximate, StaccatoParams};
 use staccato_ocr::{generate, Channel, ChannelConfig, CorpusKind, Dataset};
 use staccato_query::exec::{rank_answers, Answer};
-use staccato_query::{eval_sfa, eval_strings, Query};
+use staccato_query::{Query, ScanScratch};
 use staccato_sfa::{codec, k_best_paths};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -157,50 +159,17 @@ impl MemCorpus {
 
     /// MAP filescan (k-MAP with only the rank-0 string).
     pub fn eval_map(&mut self, query: &Query, num_ans: usize) -> Vec<Answer> {
-        let rep = self.kmap(1);
-        let answers = rep
-            .iter()
-            .enumerate()
-            .map(|(i, strs)| Answer {
-                data_key: i as i64,
-                probability: eval_strings(
-                    &query.dfa,
-                    strs.iter().take(1).map(|(s, p)| (s.as_str(), *p)),
-                ),
-            })
-            .collect();
-        rank_answers(answers, num_ans)
+        scan_strings(&self.kmap(1), query, num_ans)
     }
 
     /// k-MAP filescan.
     pub fn eval_kmap(&mut self, k: usize, query: &Query, num_ans: usize) -> Vec<Answer> {
-        let rep = self.kmap(k);
-        let answers = rep
-            .iter()
-            .enumerate()
-            .map(|(i, strs)| Answer {
-                data_key: i as i64,
-                probability: eval_strings(&query.dfa, strs.iter().map(|(s, p)| (s.as_str(), *p))),
-            })
-            .collect();
-        rank_answers(answers, num_ans)
+        scan_strings(&self.kmap(k), query, num_ans)
     }
 
     /// FullSFA filescan (decodes every blob, like reading it from pages).
     pub fn eval_full(&self, query: &Query, num_ans: usize) -> Vec<Answer> {
-        let answers = self
-            .full_blobs
-            .iter()
-            .enumerate()
-            .map(|(i, blob)| {
-                let sfa = codec::decode(blob).expect("stored blob");
-                Answer {
-                    data_key: i as i64,
-                    probability: eval_sfa(&query.dfa, &sfa),
-                }
-            })
-            .collect();
-        rank_answers(answers, num_ans)
+        scan_blobs(&self.full_blobs, query, num_ans)
     }
 
     /// Staccato filescan at `(m, k)`.
@@ -211,20 +180,43 @@ impl MemCorpus {
         query: &Query,
         num_ans: usize,
     ) -> Vec<Answer> {
-        let rep = self.staccato(m, k);
-        let answers = rep
-            .iter()
-            .enumerate()
-            .map(|(i, blob)| {
-                let sfa = codec::decode(blob).expect("stored blob");
-                Answer {
-                    data_key: i as i64,
-                    probability: eval_sfa(&query.dfa, &sfa),
-                }
-            })
-            .collect();
-        rank_answers(answers, num_ans)
+        scan_blobs(&self.staccato(m, k), query, num_ans)
     }
+}
+
+/// Rank every line's retained strings through the query's kernel.
+fn scan_strings(rep: &[Vec<(String, f64)>], query: &Query, num_ans: usize) -> Vec<Answer> {
+    let answers = rep
+        .iter()
+        .enumerate()
+        .map(|(i, strs)| Answer {
+            data_key: i as i64,
+            probability: query
+                .kernel
+                .eval_string_group(strs.iter().map(|(s, p)| (s.as_str(), *p)))
+                .probability,
+        })
+        .collect();
+    rank_answers(answers, num_ans)
+}
+
+/// Rank every encoded SFA through the query's kernel, one scratch for the
+/// whole scan as a filescan worker holds.
+fn scan_blobs(blobs: &[Vec<u8>], query: &Query, num_ans: usize) -> Vec<Answer> {
+    let mut scratch = ScanScratch::new();
+    let answers = blobs
+        .iter()
+        .enumerate()
+        .map(|(i, blob)| Answer {
+            data_key: i as i64,
+            probability: query
+                .kernel
+                .eval_blob(&mut scratch, blob)
+                .expect("stored blob")
+                .probability,
+        })
+        .collect();
+    rank_answers(answers, num_ans)
 }
 
 #[cfg(test)]

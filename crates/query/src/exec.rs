@@ -558,56 +558,6 @@ where
     })
 }
 
-/// Run `query` over the chosen representation with a full filescan,
-/// evaluating lines on `threads` worker threads.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Staccato::execute` with `QueryRequest::...parallelism(n)` instead"
-)]
-pub fn filescan_query_parallel(
-    store: &OcrStore,
-    approach: Approach,
-    query: &Query,
-    num_ans: usize,
-    threads: usize,
-) -> Result<Vec<Answer>, QueryError> {
-    let mut stats = ExecStats::default();
-    let mut topk = TopK::new(num_ans);
-    exec_filescan(
-        store,
-        approach,
-        query,
-        threads.max(1),
-        &mut Sink::Ranked(&mut topk),
-        &mut stats,
-    )?;
-    Ok(topk.into_ranked())
-}
-
-/// Run `query` over the chosen representation with a full filescan.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Staccato::execute` with a `QueryRequest` instead"
-)]
-pub fn filescan_query(
-    store: &OcrStore,
-    approach: Approach,
-    query: &Query,
-    num_ans: usize,
-) -> Result<Vec<Answer>, QueryError> {
-    let mut stats = ExecStats::default();
-    let mut topk = TopK::new(num_ans);
-    exec_filescan(
-        store,
-        approach,
-        query,
-        1,
-        &mut Sink::Ranked(&mut topk),
-        &mut stats,
-    )?;
-    Ok(topk.into_ranked())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -974,16 +924,5 @@ mod tests {
                 "min_prob={min_prob}"
             );
         }
-    }
-
-    #[test]
-    fn deprecated_shims_still_answer() {
-        let (store, _) = store_with(10, 5);
-        let query = Query::keyword("data").unwrap();
-        #[allow(deprecated)]
-        let a = filescan_query(&store, Approach::Map, &query, 10).unwrap();
-        #[allow(deprecated)]
-        let b = filescan_query_parallel(&store, Approach::Map, &query, 10, 4).unwrap();
-        assert_eq!(a, b);
     }
 }

@@ -19,7 +19,7 @@
 //! "Projection").
 
 use crate::error::QueryError;
-use crate::exec::{Answer, Sink, TopK};
+use crate::exec::{Answer, Sink};
 use crate::plan::ExecStats;
 use crate::query::Query;
 use crate::store::OcrStore;
@@ -385,29 +385,6 @@ pub(crate) fn exec_index_probe(
     Ok(())
 }
 
-/// Index-assisted execution of a left-anchored query.
-#[deprecated(
-    since = "0.2.0",
-    note = "register the index on a `Staccato` session and use `execute` instead"
-)]
-pub fn indexed_query(
-    store: &OcrStore,
-    index: &InvertedIndex,
-    query: &Query,
-    num_ans: usize,
-) -> Result<Vec<Answer>, QueryError> {
-    let mut stats = ExecStats::default();
-    let mut topk = TopK::new(num_ans);
-    exec_index_probe(
-        store,
-        index,
-        query,
-        &mut Sink::Ranked(&mut topk),
-        &mut stats,
-    )?;
-    Ok(topk.into_ranked())
-}
-
 /// Figure 5's counter: how many postings *direct* indexing of one chunk
 /// graph would create — the number of `(path, word-start)` pairs across
 /// all `kᵐ` retained strings. Returned as `f64` because it overflows
@@ -444,6 +421,7 @@ pub fn direct_posting_count_log10(sfa: &Sfa) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::TopK;
     use crate::plan::{PlanPreference, QueryRequest};
     use crate::session::Staccato;
     use crate::store::{LoadOptions, OcrStore};

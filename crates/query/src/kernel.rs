@@ -1,7 +1,7 @@
 //! The compiled scan kernel: per-query machinery that replaces the naive
 //! per-row evaluation loop on the filescan hot path.
 //!
-//! [`crate::eval::eval_sfa`] is the reference semantics — a forward DP
+//! [`crate::reference::eval_sfa`] is the reference semantics — a forward DP
 //! over `(SFA node, DFA state)` pairs — but its inner loop re-walks every
 //! emission label through the DFA once *per live DFA state per row*, and
 //! every row pays a fresh `Sfa` decode (nodes, adjacency `Vec`s, one
@@ -30,8 +30,8 @@
 //! replicated in the same order — same topological order (the arena
 //! reproduces `Sfa::try_topo_order`'s tie-breaking), same edge and
 //! emission order, same `dst[s2] += mass * prob` accumulation, same final
-//! summation — so `f64::to_bits` equality with [`crate::eval::eval_sfa`]
-//! / [`crate::eval::eval_strings`] holds on every row, which the
+//! summation — so `f64::to_bits` equality with [`crate::reference::eval_sfa`]
+//! / [`crate::reference::eval_strings`] holds on every row, which the
 //! differential proptests in `tests/kernel.rs` enforce.
 
 use staccato_automata::{DenseDfa, Dfa};
@@ -202,7 +202,7 @@ impl ScanKernel {
     }
 
     /// Evaluate a k-MAP group: the sum of `p` over accepted strings, in
-    /// iteration order — the accumulation [`crate::eval::eval_strings`]
+    /// iteration order — the accumulation [`crate::reference::eval_strings`]
     /// performs. `prescreened` is true when every string (of a non-empty
     /// group) was rejected by the literal test alone.
     pub fn eval_string_group<'a, I>(&self, strings: I) -> EvalOutcome
@@ -531,8 +531,8 @@ impl ScanScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_sfa, eval_strings};
     use crate::query::Query;
+    use crate::reference::{eval_sfa, eval_strings};
     use staccato_sfa::{Emission, Sfa, SfaBuilder};
 
     fn figure1() -> Sfa {

@@ -42,9 +42,13 @@
 //! * [`query`] — the compiled [`query::Query`]: a `LIKE` pattern or
 //!   regex compiled to a containment DFA, with its left anchor and length
 //!   bounds for index use;
-//! * [`eval`] — probability computation: `Pr[q]` over an SFA via the
-//!   forward dynamic program of \[Kimelfeld & Ré / Ré et al.\], and over
-//!   string sets for MAP/k-MAP (each string is a disjoint event, §3);
+//! * [`kernel`] — the compiled per-query [`ScanKernel`]: `Pr[q]` over an
+//!   SFA blob via the forward dynamic program of \[Kimelfeld & Ré / Ré et
+//!   al.\], and over string sets for MAP/k-MAP (each string is a disjoint
+//!   event, §3) — the one evaluator every executor runs;
+//! * [`mod@reference`] — the same semantics written naively
+//!   ([`eval_sfa`]/[`eval_strings`]): the differential-test oracle the
+//!   kernel is held bit-identical to, called by no product code;
 //! * [`store`] — the Table 5 schema and its streaming row cursors:
 //!   loading a corpus through the OCR channel into MasterData / kMAPData /
 //!   FullSFAData / StaccatoData / StaccatoGraph / GroundTruth tables;
@@ -64,15 +68,10 @@
 //! * [`ingest`] — the WAL-backed write path's types: [`IngestBatch`],
 //!   [`IngestReceipt`], the durable `StaccatoHistory` row, and the
 //!   batch codec replayed by [`Staccato::recover`].
-//!
-//! The pre-session free functions (`filescan_query`,
-//! `filescan_query_parallel`, `indexed_query`) and the materializing
-//! `OcrStore::scan_*` methods remain as deprecated shims for one release.
 
 pub mod agg;
 pub mod cache;
 pub mod error;
-pub mod eval;
 pub mod exec;
 pub mod ingest;
 pub mod invindex;
@@ -80,6 +79,7 @@ pub mod kernel;
 pub mod metrics;
 pub mod plan;
 pub mod query;
+pub mod reference;
 pub mod session;
 pub mod sql;
 pub mod store;
@@ -90,7 +90,6 @@ pub use agg::{
 };
 pub use cache::QueryCacheStats;
 pub use error::QueryError;
-pub use eval::{eval_sfa, eval_strings};
 pub use exec::{Answer, Approach, TopK};
 pub use ingest::{DocumentInput, HistoryRow, IngestBatch, IngestReceipt, IngestStats};
 pub use invindex::{build_index, direct_posting_count_log10, InvertedIndex};
@@ -98,11 +97,7 @@ pub use kernel::{EvalOutcome, ScanKernel, ScanScratch};
 pub use metrics::{evaluate_answers, ground_truth, Metrics};
 pub use plan::{Dialect, ExecStats, Plan, PlanPreference, QueryRequest, WalCounters};
 pub use query::Query;
+pub use reference::{eval_sfa, eval_strings};
 pub use session::{CheckpointPolicy, QueryOutput, RecoverOptions, Staccato};
 pub use sql::{PreparedQuery, SqlError, SqlTable, SqlValue};
 pub use store::{LoadOptions, OcrStore, RepresentationSizes};
-
-#[allow(deprecated)]
-pub use exec::{filescan_query, filescan_query_parallel};
-#[allow(deprecated)]
-pub use invindex::indexed_query;

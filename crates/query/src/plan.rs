@@ -309,8 +309,6 @@ pub struct WalCounters {
     /// fsyncs issued (append-side syncs plus group fsyncs this
     /// statement led).
     pub fsyncs: u64,
-    /// Batches replayed from the log (recovery only).
-    pub replays: u64,
     /// Group-commit fsyncs this statement led on behalf of every
     /// waiter (0 when it rode a flush another statement issued).
     pub group_commits: u64,

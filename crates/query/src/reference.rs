@@ -1,5 +1,12 @@
-//! Probability computation: `Pr[q]` for a containment DFA against each
-//! representation.
+//! The reference evaluators: `Pr[q]` for a containment DFA against each
+//! representation, written for clarity, not speed.
+//!
+//! This module is the **differential-test oracle**. Nothing the system
+//! ships calls it: every executor, bench harness and example evaluates
+//! through the compiled [`ScanKernel`](crate::kernel::ScanKernel), and
+//! `tests/kernel.rs`, `tests/properties.rs`, the `scan` bench's naive
+//! baseline and the repo benchmark's reference answers compare the kernel
+//! against these functions bit for bit (`f64::to_bits`).
 //!
 //! For string sets (MAP, k-MAP) each retained string is a disjoint
 //! probabilistic event, so `Pr[q] = Σ_{strings s matching q} p(s)` (§3,

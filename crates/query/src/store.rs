@@ -197,56 +197,13 @@ impl OcrStore {
         });
 
         // Phase 2: sequential inserts.
-        db.create_table(
-            "MasterData",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("DocName", ColumnType::Text),
-                ("SFANum", ColumnType::Int),
-            ]),
-        )?;
-        db.create_table(
-            "MAPData",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("Data", ColumnType::Text),
-                ("LogProb", ColumnType::Float),
-            ]),
-        )?;
-        db.create_table(
-            "kMAPData",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("LineNum", ColumnType::Int),
-                ("Data", ColumnType::Text),
-                ("LogProb", ColumnType::Float),
-            ]),
-        )?;
-        db.create_table(
-            "FullSFAData",
-            Schema::new(&[("DataKey", ColumnType::Int), ("SFABlob", ColumnType::Blob)]),
-        )?;
-        db.create_table(
-            "StaccatoData",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("ChunkNum", ColumnType::Int),
-                ("LineNum", ColumnType::Int),
-                ("Data", ColumnType::Text),
-                ("LogProb", ColumnType::Float),
-            ]),
-        )?;
-        db.create_table(
-            "StaccatoGraph",
-            Schema::new(&[
-                ("DataKey", ColumnType::Int),
-                ("GraphBlob", ColumnType::Blob),
-            ]),
-        )?;
-        db.create_table(
-            "GroundTruth",
-            Schema::new(&[("DataKey", ColumnType::Int), ("Data", ColumnType::Text)]),
-        )?;
+        db.create_table("MasterData", master_schema())?;
+        db.create_table("MAPData", map_schema())?;
+        db.create_table("kMAPData", kmap_schema())?;
+        db.create_table("FullSFAData", blob_schema("SFABlob"))?;
+        db.create_table("StaccatoData", stacd_schema())?;
+        db.create_table("StaccatoGraph", blob_schema("GraphBlob"))?;
+        db.create_table("GroundTruth", truth_schema())?;
         db.create_table("StaccatoHistory", history_schema())?;
         db.create_index("FullSFAData_pk")?;
         db.create_index("StaccatoGraph_pk")?;
@@ -512,28 +469,21 @@ impl OcrStore {
 
     /// Streaming cursor over the MAP strings: `(DataKey, string, prob)`.
     ///
-    /// One row is decoded per `next()` call; nothing is materialized. This
-    /// (and its siblings below) is what the executors consume — the
-    /// full-corpus `scan_*` vectors the first revision built are gone from
-    /// the hot path.
+    /// One row is decoded per `next()` call; nothing is materialized. The
+    /// owned-row view of [`OcrStore::map_raw_cursor`], for consumers that
+    /// want `String`s; the executors read the raw cursor directly.
     pub fn map_cursor(&self) -> Result<MapCursor<'_>, QueryError> {
-        let (schema, heap) = self.db.table("MAPData")?;
         Ok(MapCursor {
-            schema,
-            scan: heap.scan(self.db.pool()),
+            raw: self.map_raw_cursor()?,
         })
     }
 
     /// Streaming cursor over k-MAP strings grouped by line:
-    /// `(DataKey, [(string, prob)])`. Rows are stored clustered by
-    /// DataKey, so grouping is a single buffered pass.
+    /// `(DataKey, [(string, prob)])` — the owned-row view of
+    /// [`OcrStore::kmap_raw_cursor`], which does the grouping.
     pub fn kmap_cursor(&self) -> Result<KmapCursor<'_>, QueryError> {
-        let (schema, heap) = self.db.table("kMAPData")?;
         Ok(KmapCursor {
-            schema,
-            scan: heap.scan(self.db.pool()),
-            pending: None,
-            done: false,
+            raw: self.kmap_raw_cursor()?,
         })
     }
 
@@ -549,9 +499,9 @@ impl OcrStore {
     }
 
     /// Streaming cursor over raw `kMAPData` rows grouped by line:
-    /// `(DataKey, [row bytes])`. The borrowed-decode sibling of
-    /// [`OcrStore::kmap_cursor`]; rows are clustered by DataKey so
-    /// grouping is a single buffered pass.
+    /// `(DataKey, [row bytes])`. Rows are stored clustered by DataKey, so
+    /// grouping is a single buffered pass — the one grouping state
+    /// machine, which [`OcrStore::kmap_cursor`] decodes on top of.
     pub fn kmap_raw_cursor(&self) -> Result<KmapRawCursor<'_>, QueryError> {
         let (_, heap) = self.db.table("kMAPData")?;
         Ok(KmapRawCursor {
@@ -639,42 +589,6 @@ impl OcrStore {
         })
     }
 
-    /// Materialized MAP scan.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `map_cursor` (or `Staccato::execute`) instead"
-    )]
-    pub fn scan_map(&self) -> Result<Vec<(i64, String, f64)>, QueryError> {
-        self.map_cursor()?.collect()
-    }
-
-    /// Materialized k-MAP scan.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `kmap_cursor` (or `Staccato::execute`) instead"
-    )]
-    pub fn scan_kmap(&self) -> Result<Vec<KmapGroup>, QueryError> {
-        self.kmap_cursor()?.collect()
-    }
-
-    /// Materialized full-SFA scan.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `full_sfa_cursor` (or `Staccato::execute`) instead"
-    )]
-    pub fn scan_full_sfa(&self) -> Result<Vec<(i64, Sfa)>, QueryError> {
-        self.full_sfa_cursor()?.collect()
-    }
-
-    /// Materialized Staccato graph scan.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `staccato_cursor` (or `Staccato::execute`) instead"
-    )]
-    pub fn scan_staccato(&self) -> Result<Vec<(i64, Sfa)>, QueryError> {
-        self.staccato_cursor()?.collect()
-    }
-
     /// Point-fetch one Staccato graph through its primary-key B+-tree —
     /// the access path of index-assisted queries.
     pub fn get_staccato_graph(&self, key: i64) -> Result<Sfa, QueryError> {
@@ -715,24 +629,19 @@ impl OcrStore {
     }
 }
 
-/// Streaming cursor over `MAPData`: yields `(DataKey, string, prob)`.
+/// Streaming cursor over `MAPData`: yields `(DataKey, string, prob)` by
+/// decoding each [`MapRawCursor`] row into an owned `String`.
 pub struct MapCursor<'s> {
-    schema: Schema,
-    scan: HeapScan<'s>,
+    raw: MapRawCursor<'s>,
 }
 
 impl Iterator for MapCursor<'_> {
     type Item = Result<(i64, String, f64), QueryError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let item = self.scan.next()?;
-        Some(item.map_err(QueryError::from).and_then(|(_, bytes)| {
-            let row = staccato_storage::row::decode_row(&self.schema, &bytes)?;
-            Ok((
-                row[0].as_int().expect("schema"),
-                row[1].as_text().expect("schema").to_string(),
-                row[2].as_float().expect("schema").exp(),
-            ))
+        Some(self.raw.next()?.and_then(|(key, row)| {
+            let (s, p) = decode_map_row(&row)?;
+            Ok((key, s.to_string(), p))
         }))
     }
 }
@@ -740,55 +649,24 @@ impl Iterator for MapCursor<'_> {
 /// One k-MAP line group: `(DataKey, [(string, prob)])`.
 pub type KmapGroup = (i64, Vec<(String, f64)>);
 
-/// Streaming cursor over `kMAPData`, grouping clustered rows by DataKey:
-/// yields `(DataKey, [(string, prob)])`. Buffers one line's strings at a
-/// time — never the corpus.
+/// Streaming cursor over `kMAPData`: yields `(DataKey, [(string, prob)])`
+/// by decoding each line group [`KmapRawCursor`] assembles. Buffers one
+/// line's strings at a time — never the corpus.
 pub struct KmapCursor<'s> {
-    schema: Schema,
-    scan: HeapScan<'s>,
-    pending: Option<KmapGroup>,
-    done: bool,
+    raw: KmapRawCursor<'s>,
 }
 
 impl Iterator for KmapCursor<'_> {
     type Item = Result<KmapGroup, QueryError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            match self.scan.next() {
-                None => {
-                    self.done = true;
-                    return self.pending.take().map(Ok);
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e.into()));
-                }
-                Some(Ok((_, bytes))) => {
-                    let row = match staccato_storage::row::decode_row(&self.schema, &bytes) {
-                        Ok(row) => row,
-                        Err(e) => {
-                            self.done = true;
-                            return Some(Err(e.into()));
-                        }
-                    };
-                    let key = row[0].as_int().expect("schema");
-                    let s = row[2].as_text().expect("schema").to_string();
-                    let p = row[3].as_float().expect("schema").exp();
-                    match &mut self.pending {
-                        Some((k, v)) if *k == key => v.push((s, p)),
-                        Some(_) => {
-                            let group = self.pending.replace((key, vec![(s, p)]));
-                            return group.map(Ok);
-                        }
-                        None => self.pending = Some((key, vec![(s, p)])),
-                    }
-                }
-            }
-        }
+        Some(self.raw.next()?.and_then(|(key, rows)| {
+            let strings = rows
+                .iter()
+                .map(|row| decode_kmap_row(row).map(|(s, p)| (s.to_string(), p)))
+                .collect::<Result<_, _>>()?;
+            Ok((key, strings))
+        }))
     }
 }
 
@@ -811,10 +689,10 @@ fn kmap_schema_static() -> &'static Schema {
     S.get_or_init(kmap_schema)
 }
 
-/// Decode a raw `MAPData` row borrowed: `(string, prob)`. Performs the
-/// full [`RowReader`] validation [`MapCursor`] would, including the
-/// trailing-bytes check, and converts the stored log-prob with the same
-/// `exp()` so probabilities are bit-identical to the owned cursor's.
+/// Decode a raw `MAPData` row borrowed: `(string, prob)`, with the full
+/// [`RowReader`] validation including the trailing-bytes check. The one
+/// place a stored log-prob becomes a probability (`exp()`), so every
+/// consumer of the row sees bit-identical values.
 pub(crate) fn decode_map_row(bytes: &[u8]) -> Result<(&str, f64), QueryError> {
     let mut r = RowReader::new(map_schema_static(), bytes);
     r.int()?;
@@ -1025,19 +903,6 @@ mod tests {
         assert_eq!(store.full_sfa_cursor().unwrap().count(), 12);
         assert_eq!(store.staccato_cursor().unwrap().count(), 12);
         assert_eq!(store.ground_truth_lines().unwrap().len(), 12);
-    }
-
-    #[test]
-    fn deprecated_scans_equal_cursors() {
-        let store = tiny_store();
-        #[allow(deprecated)]
-        let via_scan = store.scan_map().unwrap();
-        let via_cursor: Vec<_> = store
-            .map_cursor()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(via_scan, via_cursor);
     }
 
     #[test]

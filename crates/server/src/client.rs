@@ -102,12 +102,6 @@ impl HttpClient {
         self.read_response()
     }
 
-    /// Send raw bytes on the wire (tests use this to speak malformed
-    /// or partial HTTP on purpose).
-    pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.stream.write_all(bytes)
-    }
-
     fn read_response(&mut self) -> io::Result<HttpResponse> {
         let head_end = loop {
             if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {

@@ -21,7 +21,7 @@
 //! truncated blob produces a typed error instead of an OOM or panic.
 
 use crate::error::SfaError;
-use crate::model::{Emission, Sfa};
+use crate::model::{Emission, Sfa, SfaBuilder};
 
 const MAGIC: &[u8; 4] = b"SFA1";
 
@@ -90,9 +90,7 @@ impl<'a> Reader<'a> {
 
     /// One whole emission record — `u16` label length, label bytes, and
     /// the `f64` probability — under two bounds checks total. Decoding
-    /// pays this per emission, so the fused read matters; both [`decode`]
-    /// and [`decode_into_arena`] must use it so corrupt blobs keep
-    /// producing identical errors.
+    /// pays this per emission, so the fused read matters.
     fn emission(&mut self) -> Result<(&'a [u8], f64), SfaError> {
         let rem = &self.buf[self.pos..];
         if rem.len() < 2 {
@@ -113,92 +111,42 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Deserialize an SFA previously produced by [`encode`]. Structural
-/// invariants are re-validated, so a decoded blob is as trustworthy as a
-/// freshly built SFA.
+/// Deserialize an SFA previously produced by [`encode`] into an owned
+/// [`Sfa`]: [`decode_into_arena`] parses and validates the bytes — the
+/// format is read in exactly one place — and the arena is then
+/// materialised through [`SfaBuilder`], so a decoded blob is as
+/// trustworthy as a freshly built SFA and the two decoders cannot
+/// disagree on which blobs they accept or which error they report.
 pub fn decode(buf: &[u8]) -> Result<Sfa, SfaError> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(SfaError::BadMagic);
+    // The arena is per thread and reused: a fresh one per call is a dozen
+    // short-lived buffers, and concurrent index probes (one owned decode
+    // per candidate line) paid for that churn in the allocator.
+    thread_local! {
+        static ARENA: std::cell::RefCell<DecodeArena> = std::cell::RefCell::default();
     }
-    let nodes = r.u32()?;
-    // Each live node needs at least one incident edge entry; a count far
-    // beyond the blob size is corruption.
-    if nodes as usize > buf.len() {
-        return Err(SfaError::CorruptCount {
-            what: "node",
-            count: nodes as u64,
-        });
-    }
-    let start = r.u32()?;
-    let finish = r.u32()?;
-    let edge_count = r.u32()?;
-    if edge_count as u64 * 12 > r.remaining() as u64 {
-        return Err(SfaError::CorruptCount {
-            what: "edge",
-            count: edge_count as u64,
-        });
-    }
-    let mut b = crate::model::SfaBuilder::new();
-    for _ in 0..nodes {
-        b.add_node();
-    }
-    if start >= nodes || finish >= nodes {
-        return Err(SfaError::InvalidNode(start.max(finish)));
-    }
-    for edge_idx in 0..edge_count {
-        let from = r.u32()?;
-        let to = r.u32()?;
-        if from >= nodes || to >= nodes {
-            return Err(SfaError::InvalidNode(from.max(to)));
+    ARENA.with(|arena| {
+        let arena = &mut *arena.borrow_mut();
+        decode_into_arena(buf, arena)?;
+        let mut b = SfaBuilder::new();
+        for _ in 0..arena.nodes {
+            b.add_node();
         }
-        let n_em = r.u32()?;
-        if n_em as u64 * 10 > r.remaining() as u64 {
-            return Err(SfaError::CorruptCount {
-                what: "emission",
-                count: n_em as u64,
-            });
+        for e in &arena.edges {
+            let emissions = arena.emissions[e.em_start as usize..e.em_end as usize]
+                .iter()
+                .map(|em| Emission {
+                    label: std::str::from_utf8(&buf[em.label_range()])
+                        .expect("label validated by decode_into_arena")
+                        .to_string(),
+                    prob: em.prob,
+                })
+                .collect();
+            // Endpoints, labels and probabilities were all checked by the
+            // arena decode, so the builder's own checks cannot fire.
+            b.add_edge(e.from, e.to, emissions);
         }
-        let mut emissions = Vec::with_capacity(n_em as usize);
-        for _ in 0..n_em {
-            let (label_bytes, prob) = r.emission()?;
-            let label = std::str::from_utf8(label_bytes)
-                .map_err(|_| SfaError::BadLabel)?
-                .to_string();
-            if label.is_empty() {
-                return Err(SfaError::EmptyLabel { edge: edge_idx });
-            }
-            if !prob.is_finite() || !(0.0..=1.0 + 1e-9).contains(&prob) {
-                return Err(SfaError::BadProbability {
-                    edge: edge_idx,
-                    prob,
-                });
-            }
-            emissions.push(Emission { label, prob });
-        }
-        // Route through the checked Sfa::add_edge rather than the panicking
-        // builder helper: blobs are untrusted input.
-        if emissions.is_empty() {
-            return Err(SfaError::CorruptCount {
-                what: "emission",
-                count: 0,
-            });
-        }
-        b.try_add_edge(from, to, emissions)?;
-    }
-    b.build(start, finish)
-}
-
-impl crate::model::SfaBuilder {
-    /// Checked edge insertion for untrusted inputs (used by the codec).
-    pub fn try_add_edge(
-        &mut self,
-        from: u32,
-        to: u32,
-        emissions: Vec<Emission>,
-    ) -> Result<u32, SfaError> {
-        self.inner_mut().add_edge(from, to, emissions)
-    }
+        b.build(arena.start, arena.finish)
+    })
 }
 
 /// One emission decoded into a [`DecodeArena`]: a byte range into the
@@ -235,13 +183,14 @@ pub struct ArenaEdge {
     pub em_end: u32,
 }
 
-/// Reusable, allocation-free decode target for SFA blobs.
+/// Reusable, allocation-free decode target for SFA blobs — what
+/// [`decode_into_arena`], the one parser of the blob format, fills.
 ///
-/// [`decode`] builds a fresh [`Sfa`] per blob: a `Vec` of nodes, a `Vec`
-/// per adjacency list, and one `String` per emission label. On a filescan
-/// that is the dominant allocation cost — millions of tiny `Vec`s and
-/// `String`s that live for exactly one row. `DecodeArena` decodes the same
-/// format into flat buffers that are cleared (not freed) between rows:
+/// An owned [`Sfa`] is a `Vec` of nodes, a `Vec` per adjacency list, and
+/// one `String` per emission label. On a filescan that is the dominant
+/// allocation cost — millions of tiny `Vec`s and `String`s that live for
+/// exactly one row. `DecodeArena` holds the decoded blob in flat buffers
+/// that are cleared (not freed) between rows:
 ///
 /// * emission labels stay **borrowed** — stored as byte ranges into the
 ///   source blob (the codec validated them as UTF-8);
@@ -252,13 +201,13 @@ pub struct ArenaEdge {
 ///   ascending, then FIFO following edge-index order), so evaluation over
 ///   the arena visits nodes in the same order as over a decoded [`Sfa`].
 ///
-/// Every validation [`decode`] performs is replicated — header and count
-/// checks, UTF-8 and probability checks, and the structural invariants of
-/// `SfaBuilder::build` (acyclicity, distinct start/finish with no
-/// in-/out-edges respectively, full start→finish reachability) — with the
-/// same [`SfaError`] values, so the arena path accepts exactly the blobs
-/// the allocating path accepts. After an error the arena contents are
-/// unspecified; the next decode resets it.
+/// Every check on untrusted bytes lives in [`decode_into_arena`] — header
+/// and count checks, UTF-8 and probability checks, and the structural
+/// invariants of `SfaBuilder::build` (acyclicity, distinct start/finish
+/// with no in-/out-edges respectively, full start→finish reachability).
+/// [`decode`] materialises its [`Sfa`] from a filled arena, so both accept
+/// exactly the same blobs with the same [`SfaError`] values. After an
+/// error the arena contents are unspecified; the next decode resets it.
 #[derive(Debug, Default)]
 pub struct DecodeArena {
     nodes: u32,
@@ -337,9 +286,9 @@ impl DecodeArena {
     }
 }
 
-/// Deserialize an SFA blob into a reusable [`DecodeArena`], performing the
-/// same validation as [`decode`] without per-row allocation. See
-/// [`DecodeArena`] for the equivalence guarantees.
+/// Parse and validate an SFA blob into a reusable [`DecodeArena`] without
+/// per-row allocation. This is the only reader of the blob format; see
+/// [`DecodeArena`] for the ordering guarantees.
 pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaError> {
     arena.edges.clear();
     arena.emissions.clear();
@@ -396,7 +345,6 @@ pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaE
             // valid UTF-8 by construction; labels are a few bytes, so a
             // branchless OR-fold beats the library `is_ascii` call and
             // only genuinely multi-byte labels pay the full validator.
-            // Accepts exactly the labels `decode` accepts.
             let ascii = label_bytes.iter().fold(0u8, |acc, &b| acc | b) < 0x80;
             if !ascii && std::str::from_utf8(label_bytes).is_err() {
                 return Err(SfaError::BadLabel);

@@ -422,12 +422,6 @@ impl SfaBuilder {
         self.sfa.as_mut().expect("builder already consumed")
     }
 
-    /// Crate-internal access to the graph under construction (used by the
-    /// codec's checked insertion path).
-    pub(crate) fn inner_mut(&mut self) -> &mut Sfa {
-        self.inner()
-    }
-
     /// Add a node and return its id.
     pub fn add_node(&mut self) -> NodeId {
         self.inner().add_node()

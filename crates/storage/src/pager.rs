@@ -27,7 +27,9 @@
 //! 3. re-check `strong_count == 1`: a reader that pinned in the window
 //!    between the candidate scan and the drain is now visible. If it
 //!    raced us, restore the victim and try the next candidate;
-//! 4. only then write back (if dirty) and reuse the slot.
+//! 4. only then write back (if dirty) and reuse the slot; if the write
+//!    fails, restore the victim as in step 3 — its frame holds the only
+//!    copy of the bytes — and return the error.
 //!
 //! The dirty flag rides the same drain: hitters set it inside the
 //! reader gate (`Release`), so once the drain completes the evictor's
@@ -257,7 +259,16 @@ impl Shard {
             // dirty flag anymore (the drain flushed in-gate setters).
             if frame.dirty.load(AtomicOrdering::Acquire) {
                 let buf = frame.data.read();
-                disk.lock().write_page(frame.pid, &buf[..])?;
+                let written = disk.lock().write_page(frame.pid, &buf[..]);
+                drop(buf);
+                if let Err(e) = written {
+                    // The only copy of these bytes is this frame: put it
+                    // back (still dirty) so a later flush or eviction
+                    // can retry the write, then report the failure.
+                    inner.frames.insert(slot, frame);
+                    self.publish(inner);
+                    return Err(e);
+                }
                 Shard::bump(&self.writebacks);
             }
             Shard::bump(&self.evictions);
@@ -348,17 +359,23 @@ impl BufferPool {
     /// The dirty flag is cleared *before* the bytes are copied (swap,
     /// then read): a hitter that re-dirties the page concurrently
     /// leaves the flag set for the next flush instead of being lost.
-    /// A write guard already handed out before this flush is — as in
-    /// every prior revision — the caller's to order; the checkpoint
-    /// path holds the session writer latch for exactly that reason.
+    /// A failed write sets the flag again before the error is returned,
+    /// so the page is still written by the next flush. A write guard
+    /// already handed out before this flush is — as in every prior
+    /// revision — the caller's to order; the checkpoint path holds the
+    /// session writer latch for exactly that reason.
     pub fn flush_all(&self) -> Result<(), StorageError> {
         for shard in &self.shards {
             let inner = shard.inner.lock();
             for frame in &inner.frames {
                 if frame.dirty.swap(false, AtomicOrdering::AcqRel) {
                     let buf = frame.data.read();
-                    self.disk.lock().write_page(frame.pid, &buf[..])?;
+                    let written = self.disk.lock().write_page(frame.pid, &buf[..]);
                     drop(buf);
+                    if let Err(e) = written {
+                        frame.dirty.store(true, AtomicOrdering::Release);
+                        return Err(e);
+                    }
                     Shard::bump(&shard.writebacks);
                 }
             }

@@ -11,7 +11,7 @@
 use staccato::approx::{approximate, StaccatoParams};
 use staccato::ocr::{ChannelConfig, Dataset, Document};
 use staccato::query::store::LoadOptions;
-use staccato::query::{eval_sfa, Query};
+use staccato::query::{Query, ScanScratch};
 use staccato::sfa::{codec, map_string, total_mass, Emission, SfaBuilder};
 use staccato::storage::Database;
 use staccato::{Approach, QueryRequest, Staccato};
@@ -50,8 +50,14 @@ fn main() {
     println!("  -> a plain-text search for 'Ford' finds nothing.");
 
     // Figure 1(C): SELECT ... WHERE DocData LIKE '%Ford%'
+    // The query compiles to a scan kernel that evaluates stored blobs.
     let query = Query::like("%Ford%").expect("valid LIKE pattern");
-    let p = eval_sfa(&query.dfa, &sfa);
+    let mut scratch = ScanScratch::new();
+    let mut pr = |blob: &[u8]| {
+        let out = query.kernel.eval_blob(&mut scratch, blob);
+        out.expect("a blob encoded here").probability
+    };
+    let p = pr(&codec::encode(&sfa));
     println!("Pr[DocData LIKE '%Ford%'] over the full SFA = {p:.3}");
     println!("  -> the claim is found with probability ~0.12, as in the paper.");
 
@@ -64,7 +70,7 @@ fn main() {
         codec::encoded_size(&stac),
         codec::encoded_size(&sfa),
     );
-    let p_stac = eval_sfa(&query.dfa, &stac);
+    let p_stac = pr(&codec::encode(&stac));
     println!("Pr[... LIKE '%Ford%'] over the approximation = {p_stac:.3}");
     for (s, p) in stac.enumerate_strings(16) {
         println!("  retained string {s:?} (p = {p:.3})");

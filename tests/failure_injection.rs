@@ -8,12 +8,15 @@ use staccato::query::store::LoadOptions;
 use staccato::query::{Query, QueryError, RecoverOptions};
 use staccato::server::{HttpClient, Server, ServerConfig};
 use staccato::sfa::codec;
-use staccato::storage::{BlobStore, ColumnType, Database, Schema, StorageError, Value};
+use staccato::storage::{
+    BlobStore, BufferPool, ColumnType, Database, Disk, MemDisk, PageId, Schema, StorageError,
+    Value, PAGE_SIZE,
+};
 use staccato::{Approach, DocumentInput, IngestBatch, QueryRequest, Staccato, SyncPolicy};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn tiny_session() -> Staccato {
@@ -539,4 +542,91 @@ fn pool_too_small_for_pins_reports_exhaustion() {
         db.pool().fetch_read(p2),
         Err(StorageError::PoolExhausted)
     ));
+}
+
+/// A [`MemDisk`] whose `fail_on`-th `write_page` returns `EIO` without
+/// touching the page; every other operation, and every later write,
+/// goes through. The platter is shared so a test can read what really
+/// reached the device, past the pool's cache.
+struct FailingDisk {
+    platter: Arc<Mutex<MemDisk>>,
+    writes: u64,
+    fail_on: u64,
+}
+
+impl FailingDisk {
+    /// A device of `pages` zeroed pages, and a handle on its platter.
+    fn new(pages: usize, fail_on: u64) -> (FailingDisk, Arc<Mutex<MemDisk>>) {
+        let mut disk = MemDisk::new();
+        for _ in 0..pages {
+            disk.allocate().expect("page");
+        }
+        let platter = Arc::new(Mutex::new(disk));
+        let failing = FailingDisk {
+            platter: Arc::clone(&platter),
+            writes: 0,
+            fail_on,
+        };
+        (failing, platter)
+    }
+}
+
+impl Disk for FailingDisk {
+    fn read_page(&mut self, pid: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.platter.lock().unwrap().read_page(pid, buf)
+    }
+    fn write_page(&mut self, pid: PageId, buf: &[u8]) -> Result<(), StorageError> {
+        self.writes += 1;
+        if self.writes == self.fail_on {
+            return Err(std::io::Error::other("injected EIO").into());
+        }
+        self.platter.lock().unwrap().write_page(pid, buf)
+    }
+    fn allocate(&mut self) -> Result<PageId, StorageError> {
+        self.platter.lock().unwrap().allocate()
+    }
+    fn page_count(&self) -> u64 {
+        self.platter.lock().unwrap().page_count()
+    }
+    fn sync(&mut self) -> Result<(), StorageError> {
+        self.platter.lock().unwrap().sync()
+    }
+}
+
+/// First byte of page `pid` as the device holds it.
+fn on_platter(platter: &Mutex<MemDisk>, pid: PageId) -> u8 {
+    let mut buf = vec![0u8; PAGE_SIZE];
+    platter
+        .lock()
+        .unwrap()
+        .read_page(pid, &mut buf)
+        .expect("page");
+    buf[0]
+}
+
+#[test]
+fn failed_flush_leaves_the_page_dirty_for_the_next_flush() {
+    let (disk, platter) = FailingDisk::new(2, 1);
+    let pool = BufferPool::new(Box::new(disk), 4);
+    pool.fetch_write(0).expect("page")[0] = 0xAB;
+    assert!(matches!(pool.flush_all(), Err(StorageError::Io(_))));
+    assert_eq!(on_platter(&platter, 0), 0, "the failed write wrote nothing");
+    // The page is not touched again: only the flag the failed flush put
+    // back can make the healed device receive it.
+    pool.flush_all().expect("the device has healed");
+    assert_eq!(on_platter(&platter, 0), 0xAB);
+}
+
+#[test]
+fn failed_eviction_writeback_keeps_the_dirty_page() {
+    let (disk, platter) = FailingDisk::new(4, 1);
+    let pool = BufferPool::new(Box::new(disk), 2);
+    pool.fetch_write(0).expect("page")[0] = 0xCD;
+    pool.fetch_read(1).expect("second frame");
+    // Page 0 is the LRU victim; its write-back is the injected failure.
+    assert!(matches!(pool.fetch_read(2), Err(StorageError::Io(_))));
+    assert_eq!(on_platter(&platter, 0), 0, "the failed write wrote nothing");
+    assert_eq!(pool.fetch_read(0).expect("still resident")[0], 0xCD);
+    pool.flush_all().expect("the device has healed");
+    assert_eq!(on_platter(&platter, 0), 0xCD);
 }

@@ -7,8 +7,10 @@ use staccato::query::store::LoadOptions;
 use staccato::server::{HttpClient, Json, RateLimit, Server, ServerConfig, ServerHandle};
 use staccato::storage::Database;
 use staccato::Staccato;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn session(lines: usize) -> Arc<Staccato> {
     let dataset = generate(CorpusKind::CongressActs, lines, 11);
@@ -479,4 +481,73 @@ fn graceful_shutdown_drains_the_in_flight_query() {
             assert!(client.get("/healthz").is_err());
         }
     }
+}
+
+/// Everything the server sends on `stream` until it closes it.
+fn read_until_close(stream: &mut TcpStream) -> String {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut text = String::new();
+    stream
+        .read_to_string(&mut text)
+        .expect("the server closes the connection itself");
+    text
+}
+
+#[test]
+fn stalled_request_body_times_out_without_holding_the_worker() {
+    let deadline = Duration::from_millis(200);
+    let config = ServerConfig {
+        workers: 1,
+        request_deadline: deadline,
+        ..test_config()
+    };
+    let server = boot(session(8), config);
+
+    // The head promises 64 body bytes; only a few ever arrive.
+    let sent = Instant::now();
+    let mut stalled = TcpStream::connect(server.addr()).expect("connect");
+    stalled
+        .write_all(b"POST /query HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"sql\":")
+        .expect("send");
+
+    // The only worker parks the stalled connection instead of waiting
+    // on it: another connection is served before the deadline expires.
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+
+    let answer = read_until_close(&mut stalled);
+    assert!(sent.elapsed() >= deadline, "{:?}", sent.elapsed());
+    assert!(answer.starts_with("HTTP/1.1 408 "), "{answer}");
+    assert!(answer.contains("REQUEST_TIMEOUT"), "{answer}");
+    assert!(answer.contains("Connection: close"), "{answer}");
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn idle_keep_alive_connection_is_closed_and_fresh_ones_still_serve() {
+    let idle = Duration::from_millis(150);
+    let config = ServerConfig {
+        idle_timeout: idle,
+        ..test_config()
+    };
+    let server = boot(session(8), config);
+
+    let mut quiet = TcpStream::connect(server.addr()).expect("connect");
+    quiet
+        .write_all(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+        .expect("send");
+    let answered = Instant::now();
+    // One keep-alive answer, then silence from the client: the read
+    // ends only when the server hangs up.
+    let answer = read_until_close(&mut quiet);
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+    assert!(answer.contains("Connection: keep-alive"), "{answer}");
+    assert!(answered.elapsed() >= idle, "{:?}", answered.elapsed());
+
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    server.shutdown();
 }

@@ -6,8 +6,8 @@ use staccato::approx::{approximate, StaccatoParams};
 use staccato::automata::{parse, Dfa, Nfa};
 use staccato::query::{eval_sfa, Query};
 use staccato::sfa::{
-    check_structure, check_unique_paths, codec, string_probability, total_mass, Emission, Sfa,
-    SfaBuilder,
+    check_structure, check_unique_paths, codec, string_probability, total_mass, DecodeArena,
+    Emission, Sfa, SfaBuilder,
 };
 use std::collections::HashSet;
 
@@ -79,6 +79,27 @@ proptest! {
             prop_assert_eq!(sa, sb);
             prop_assert!((pa - pb).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn owned_decode_is_the_stored_graph_in_the_arena_order(sfa in sfa_strategy()) {
+        let blob = codec::encode(&sfa);
+        let back = codec::decode(&blob).unwrap();
+        // `encode` stores the compacted graph: the owned decode returns
+        // exactly it, edge for edge and emission for emission.
+        let stored = sfa.compact();
+        prop_assert_eq!(
+            (back.start(), back.finish(), back.num_node_slots()),
+            (stored.start(), stored.finish(), stored.num_node_slots())
+        );
+        prop_assert_eq!(
+            back.edges().collect::<Vec<_>>(),
+            stored.edges().collect::<Vec<_>>()
+        );
+        // And it visits nodes in the order the scan kernel's arena does.
+        let mut arena = DecodeArena::new();
+        codec::decode_into_arena(&blob, &mut arena).unwrap();
+        prop_assert_eq!(back.topo_order(), arena.topo());
     }
 
     #[test]

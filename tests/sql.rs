@@ -13,7 +13,9 @@ use staccato::query::sql::{
 use staccato::query::store::LoadOptions;
 use staccato::query::Dialect;
 use staccato::storage::Database;
-use staccato::{AggregateFunc, Approach, Plan, QueryRequest, SqlTable, SqlValue, Staccato};
+use staccato::{
+    AggregateFunc, Approach, Plan, QueryRequest, SqlTable, SqlValue, Staccato, SyncPolicy,
+};
 
 fn session(lines: usize, seed: u64) -> Staccato {
     let dataset = generate(CorpusKind::CongressActs, lines, seed);
@@ -551,6 +553,28 @@ fn insert_and_history_execute_end_to_end() {
         let err = s.sql(sql).expect_err(sql);
         assert!(err.to_string().contains(needle), "{sql}: {err}");
     }
+}
+
+#[test]
+fn insert_reports_its_wal_work_in_exec_stats() {
+    let dir = std::env::temp_dir().join(format!("staccato_sql_wal_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let s = session(8, 223);
+    s.attach_wal(&dir, SyncPolicy::Commit).expect("attach");
+    let out = s
+        .sql("INSERT INTO StaccatoData (DocName, Data) VALUES ('memo.png', 'a durable memo')")
+        .expect("insert");
+    let (wal, receipt) = (out.stats.wal, out.ingest.expect("receipt"));
+    let _ = std::fs::remove_dir_all(&dir);
+    // One batch is one log record; the statement's counters are that
+    // record's, and the ack means some fsync covered it — the appender's
+    // own or a group flush this statement led.
+    assert_eq!(wal.records_appended, 1);
+    assert!(wal.bytes_logged > 0);
+    assert_eq!(wal.bytes_logged, receipt.wal_bytes);
+    assert!(wal.fsyncs + wal.group_commits >= 1, "{wal:?}");
+    assert!(wal.group_commits <= wal.fsyncs, "{wal:?}");
+    assert!(wal.flush_wait <= out.stats.exec_wall, "{wal:?}");
 }
 
 #[test]
