@@ -48,7 +48,13 @@ fn bench_index(c: &mut Criterion) {
         b.iter(|| black_box(session.execute(&request).unwrap()))
     });
     // Per-line posting extraction (Algorithms 3–4), the construction unit.
-    let graph = session.store().get_staccato_graph(0).unwrap();
+    let (_, graph) = session
+        .store()
+        .staccato_cursor()
+        .unwrap()
+        .next()
+        .expect("non-empty store")
+        .unwrap();
     let blob = codec::encode(&graph);
     group.bench_function("line_postings_one_graph", |b| {
         b.iter(|| {

@@ -16,7 +16,7 @@ use staccato_bench::workload::{corpus_dictionary, table6_queries};
 use staccato_core::{approximate, tune, SizeModel, StaccatoParams, TuningConstraints};
 use staccato_ocr::{generate, Channel, ChannelConfig, CorpusKind};
 use staccato_query::exec::{Answer, Approach};
-use staccato_query::invindex::{direct_posting_count, line_postings, project_eval, Posting};
+use staccato_query::invindex::{direct_posting_count, line_postings};
 use staccato_query::metrics::{evaluate_answers, ground_truth, Metrics};
 use staccato_query::sql::{lower_statement, parse_statement, quote_str};
 use staccato_query::store::LoadOptions;
@@ -772,8 +772,15 @@ fn e_f9(ctx: &Ctx) {
     let via_sql = session.sql(&statement).expect("sql probe");
     assert!(via_sql.plan.is_index_probe());
     assert_eq!(via_sql.answers.len(), a_idx.len());
-    let same: BTreeSet<i64> = a_scan.iter().map(|a| a.data_key).collect();
-    let same2: BTreeSet<i64> = a_idx.iter().map(|a| a.data_key).collect();
+    // Fig. 9's precondition: both plans return the same answer *set*.
+    // Compared without the LIMIT, which ranks by each plan's own
+    // probabilities and may cut the two lists at different keys.
+    let all_keys = |request: &staccato_query::QueryRequest| -> BTreeSet<i64> {
+        let unlimited = request.clone().num_ans(session.store().line_count());
+        let out = session.execute(&unlimited).expect("key-set check");
+        out.answers.iter().map(|a| a.data_key).collect()
+    };
+    let sets_equal = all_keys(&scan_request) == all_keys(&probe_request);
     println!(
         "RDBMS path (m=40, k=25): dictionary {} terms ({} trie states), {posting_count} postings, \
          built in {}. Query issued as `{statement}`.",
@@ -793,7 +800,11 @@ fn e_f9(ctx: &Ctx) {
         "| index probe + projection | {} | {} | {} |",
         fmt_duration(t_idx),
         a_idx.len(),
-        same == same2
+        sets_equal
+    );
+    assert!(
+        sets_equal,
+        "f9: index probe and filescan answer key sets differ for {pattern:?}"
     );
     let expected = session
         .sql(&format!(
@@ -827,31 +838,32 @@ fn e_f9(ctx: &Ctx) {
     };
     for &(m, k) in combos {
         let rep = corpus.staccato(m, k);
-        // Build the per-term postings for this setting.
-        let mut candidates: Vec<(usize, Vec<Posting>)> = Vec::new();
+        // Build the per-term postings for this setting: the posted edge
+        // ids of every line holding the anchor.
+        let mut candidates: Vec<(usize, Vec<u32>)> = Vec::new();
         for (i, blob) in rep.iter().enumerate() {
             let g = codec::decode(blob).expect("blob");
-            let posts: Vec<Posting> = line_postings(&trie, &g)
+            let edges: Vec<u32> = line_postings(&trie, &g)
                 .into_iter()
                 .filter(|(t, _)| trie.term(*t) == "public")
-                .map(|(_, p)| p)
+                .map(|(_, p)| p.edge)
                 .collect();
-            if !posts.is_empty() {
-                candidates.push((i, posts));
+            if !edges.is_empty() {
+                candidates.push((i, edges));
             }
         }
         let selectivity = candidates.len() as f64 / lines as f64;
-        let depth = query.max_span().unwrap_or(usize::MAX);
-        let t_probe = time_median(ctx.reps, || {
+        let depth = query.max_span().unwrap_or(usize::MAX).saturating_add(1);
+        // The probe as the executor runs it: one arena decode and one
+        // projection per candidate blob, one scratch per statement.
+        let probe = || -> Vec<Answer> {
+            let mut scratch = ScanScratch::new();
             let mut answers = Vec::new();
-            for (i, posts) in &candidates {
-                let g = codec::decode(&rep[*i]).expect("blob");
-                let mut best = 0.0f64;
-                for p in posts {
-                    if let Some(e) = g.edge(p.edge) {
-                        best = best.max(project_eval(&g, &query, e.from, depth + 1));
-                    }
-                }
+            for (i, edges) in &candidates {
+                let best = query
+                    .kernel
+                    .eval_projection(&mut scratch, &rep[*i], edges, depth)
+                    .expect("stored blob");
                 if best > 0.0 {
                     answers.push(Answer {
                         data_key: *i as i64,
@@ -859,7 +871,17 @@ fn e_f9(ctx: &Ctx) {
                     });
                 }
             }
-            let _ = staccato_query::exec::rank_answers(answers, NUM_ANS);
+            answers
+        };
+        let keys =
+            |answers: &[Answer]| -> BTreeSet<i64> { answers.iter().map(|a| a.data_key).collect() };
+        assert_eq!(
+            keys(&probe()),
+            keys(&corpus.eval_staccato(m, k, &query, lines)),
+            "f9: probe and scan answer key sets differ at m={m}, k={k}"
+        );
+        let t_probe = time_median(ctx.reps, || {
+            let _ = staccato_query::exec::rank_answers(probe(), NUM_ANS);
         });
         let t_scan = time_median(ctx.reps, || {
             let _ = corpus.eval_staccato(m, k, &query, NUM_ANS);

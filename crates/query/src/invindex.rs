@@ -13,13 +13,18 @@
 //! Postings live in a relational B+-tree (`term ␀ DataKey seq → packed
 //! location`), mirroring "we implement the index as a relational table
 //! with a B+-tree on top of it" (§5.3). Probing takes a query's left
-//! anchor (§2.1), fetches candidate lines point-wise through the primary
-//! key, and evaluates only a *projection* of each graph — the nodes
-//! reachable within the pattern's span from the posted start (§4,
-//! "Projection").
+//! anchor (§2.1), fetches each candidate line's encoded graph point-wise
+//! through the primary key as borrowed bytes, and evaluates only a
+//! *projection* of it — the nodes within the pattern's span of the posted
+//! start (§4, "Projection") — on the compiled scan kernel
+//! ([`ScanKernel::eval_projection`](crate::kernel::ScanKernel::eval_projection)),
+//! the same arena decode and label resolution the filescan runs. The
+//! naive projection it replaced is the test oracle
+//! [`crate::reference::project_eval`].
 
 use crate::error::QueryError;
 use crate::exec::{Answer, Sink};
+use crate::kernel::ScanScratch;
 use crate::plan::ExecStats;
 use crate::query::Query;
 use crate::store::OcrStore;
@@ -268,77 +273,16 @@ pub fn probe_term(
     Ok(grouped)
 }
 
-/// §4's *projection*: evaluate the match probability starting from the
-/// posted location, over only the nodes reachable within `depth` edges —
-/// an (over)estimate of how far the pattern can extend.
-pub fn project_eval(sfa: &Sfa, query: &Query, from: NodeId, depth: usize) -> f64 {
-    // BFS the projected node set.
-    let mut dist: HashMap<NodeId, usize> = HashMap::new();
-    dist.insert(from, 0);
-    let mut frontier = vec![from];
-    while let Some(v) = frontier.pop() {
-        let d = dist[&v];
-        if d >= depth {
-            continue;
-        }
-        for &eid in sfa.out_edges(v) {
-            let to = sfa.edge(eid).expect("live").to;
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(to) {
-                e.insert(d + 1);
-                frontier.push(to);
-            }
-        }
-    }
-    // DP over the projection, starting the DFA fresh at `from`. Mass that
-    // reaches an accepting state is collected once and not propagated
-    // (accepting states are absorbing).
-    let dfa = &query.dfa;
-    let q = dfa.state_count();
-    let mut vectors: HashMap<NodeId, Vec<f64>> = HashMap::new();
-    let mut v0 = vec![0.0; q];
-    v0[dfa.start() as usize] = 1.0;
-    vectors.insert(from, v0);
-    let mut matched = 0.0;
-    for v in sfa.topo_order() {
-        if !dist.contains_key(&v) {
-            continue;
-        }
-        let Some(src) = vectors.remove(&v) else {
-            continue;
-        };
-        for &eid in sfa.out_edges(v) {
-            let edge = sfa.edge(eid).expect("live");
-            if !dist.contains_key(&edge.to) {
-                continue;
-            }
-            for em in &edge.emissions {
-                if em.prob <= 0.0 {
-                    continue;
-                }
-                for (s, &mass) in src.iter().enumerate() {
-                    if mass == 0.0 || dfa.is_accept(s as u32) {
-                        continue;
-                    }
-                    let s2 = dfa.run_from(s as u32, &em.label);
-                    let add = mass * em.prob;
-                    if dfa.is_accept(s2) {
-                        matched += add;
-                    } else {
-                        vectors.entry(edge.to).or_insert_with(|| vec![0.0; q])[s2 as usize] += add;
-                    }
-                }
-            }
-        }
-    }
-    matched.min(1.0)
-}
-
 /// Index-assisted execution of a left-anchored query (§5.3's protocol):
-/// look up the anchor, fetch candidate lines point-wise, evaluate on the
-/// projection, rank, counting work into `stats`. The returned *answer
-/// set* equals a Staccato filescan for anchored patterns; probabilities
-/// are the projection's (over)estimate conditioned on the match starting
-/// at a posted location.
+/// check the anchor against the dictionary, look up its postings, fetch
+/// each candidate line's encoded graph point-wise as borrowed bytes, and
+/// evaluate §4's projection from the posted edges on the scan kernel
+/// ([`ScanKernel::eval_projection`](crate::kernel::ScanKernel::eval_projection))
+/// — one decode into the statement's [`ScanScratch`] arena per candidate,
+/// no owned `Sfa`. Counts work into `stats`. The returned *answer set*
+/// equals a Staccato filescan for anchored patterns; probabilities are the
+/// projection's (over)estimate conditioned on the match starting at a
+/// posted location.
 pub(crate) fn exec_index_probe(
     store: &OcrStore,
     index: &InvertedIndex,
@@ -348,38 +292,30 @@ pub(crate) fn exec_index_probe(
 ) -> Result<(), QueryError> {
     let anchor = query
         .anchor
-        .clone()
+        .as_deref()
         .ok_or_else(|| QueryError::NotAnchored(query.pattern.clone()))?;
-    if index
-        .dict
-        .get(store.db().pool(), anchor.as_bytes())?
-        .is_none()
-    {
-        return Err(QueryError::TermNotInDictionary(anchor));
+    if !index.contains_term(store.db().pool(), anchor)? {
+        return Err(QueryError::TermNotInDictionary(anchor.to_string()));
     }
-    let depth = query.max_span().unwrap_or(usize::MAX);
-    for (data_key, posts) in probe_term(store, index, &anchor)? {
+    // The pattern spans at most `max_span` edges past the posted one.
+    let depth = query.max_span().unwrap_or(usize::MAX).saturating_add(1);
+    let mut reader = store.staccato_point_reader()?;
+    let mut scratch = ScanScratch::new();
+    let mut start_edges: Vec<u32> = Vec::new();
+    for (data_key, posts) in probe_term(store, index, anchor)? {
         stats.postings_probed += posts.len() as u64;
-        let graph = store.get_staccato_graph(data_key)?;
+        start_edges.clear();
+        start_edges.extend(posts.iter().map(|p| p.edge));
+        let probability = reader.with_blob(data_key, |blob| {
+            query
+                .kernel
+                .eval_projection(&mut scratch, blob, &start_edges, depth)
+        })??;
         stats.rows_scanned += 1;
         stats.lines_evaluated += 1;
-        let mut best = 0.0f64;
-        let mut seen_nodes: HashSet<NodeId> = HashSet::new();
-        for p in posts {
-            let Some(edge) = graph.edge(p.edge) else {
-                continue;
-            };
-            // Distinct start nodes only; several postings on one edge
-            // evaluate identically from its source.
-            if !seen_nodes.insert(edge.from) {
-                continue;
-            }
-            let score = project_eval(&graph, query, edge.from, depth.saturating_add(1));
-            best = best.max(score);
-        }
         sink.offer(Answer {
             data_key,
-            probability: best,
+            probability,
         });
     }
     Ok(())
@@ -523,8 +459,22 @@ mod tests {
         assert!(direct_posting_count_log10(&build(60, 50)) > 19.0);
     }
 
+    fn keys(answers: &[Answer]) -> std::collections::BTreeSet<i64> {
+        answers.iter().map(|a| a.data_key).collect()
+    }
+
     fn anchored_store() -> OcrStore {
-        let dataset = generate(CorpusKind::CongressActs, 60, 31);
+        let mut dataset = generate(CorpusKind::CongressActs, 60, 31);
+        // One line long enough that its chunk graph spans several blob
+        // pages, so point fetches take the assembled-buffer arm too.
+        dataset.docs.push(staccato_ocr::Document {
+            name: "long-line".to_string(),
+            lines: vec![format!(
+                "{}the President signed Public Law 89 of the Commission{}",
+                "whereas it is further enacted and provided that ".repeat(14),
+                " and for other purposes as amended by the Congress".repeat(14),
+            )],
+        });
         let db = Database::in_memory(1024).unwrap();
         let opts = LoadOptions {
             channel: ChannelConfig::compact(31),
@@ -555,15 +505,99 @@ mod tests {
                 )
                 .unwrap();
             assert!(!scan.plan.is_index_probe());
-            let keys = |answers: &[Answer]| -> std::collections::BTreeSet<i64> {
-                answers.iter().map(|a| a.data_key).collect()
-            };
             assert_eq!(
                 keys(&scan.answers),
                 keys(&probe.answers),
                 "answer sets differ for {pattern:?}"
             );
         }
+    }
+
+    /// Auto-planned probe answers equal a probe rebuilt from the public
+    /// pieces and the reference evaluator — keys and `to_bits`
+    /// probabilities, in rank order — with the parent's work counters,
+    /// and still equal the filescan as a key set.
+    #[test]
+    fn probe_equals_reference_probe_bit_for_bit() {
+        use crate::reference::project_eval;
+        use staccato_storage::blob::BLOB_PAYLOAD;
+
+        let session = Staccato::open(anchored_store());
+        let trie = Trie::build(["public", "president", "commission", "the"]);
+        session.register_index(&trie, "inv").unwrap();
+        let index = session.index("inv").unwrap();
+        let store = session.store();
+        let graphs: HashMap<i64, Sfa> = store
+            .staccato_cursor()
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let blob_len: HashMap<i64, usize> = store
+            .staccato_blobs()
+            .unwrap()
+            .map(|item| item.map(|(k, b)| (k, b.len())))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let (mut single_page, mut multi_page) = (0, 0);
+
+        for pattern in ["President", r"Public Law (8|9)\d", "the (\\x)*of"] {
+            let request = QueryRequest::regex(pattern).num_ans(1000);
+            let probe = session.execute(&request).unwrap();
+            assert!(probe.plan.is_index_probe(), "{pattern:?} should auto-probe");
+
+            let query = Query::regex(pattern).unwrap();
+            let depth = query.max_span().unwrap_or(usize::MAX).saturating_add(1);
+            let candidates = probe_term(store, &index, query.anchor.as_deref().unwrap()).unwrap();
+            assert!(!candidates.is_empty(), "{pattern:?} has no candidates");
+            let mut postings = 0u64;
+            let mut expected = Vec::new();
+            for (data_key, posts) in &candidates {
+                postings += posts.len() as u64;
+                if blob_len[data_key] <= BLOB_PAYLOAD {
+                    single_page += 1;
+                } else {
+                    multi_page += 1;
+                }
+                let graph = &graphs[data_key];
+                let sources: HashSet<NodeId> = posts
+                    .iter()
+                    .filter_map(|p| graph.edge(p.edge))
+                    .map(|e| e.from)
+                    .collect();
+                let probability = sources
+                    .into_iter()
+                    .map(|from| project_eval(&query.dfa, graph, from, depth))
+                    .fold(0.0f64, f64::max);
+                expected.push(Answer {
+                    data_key: *data_key,
+                    probability,
+                });
+            }
+            let expected = crate::exec::rank_answers(expected, 1000);
+            assert_eq!(probe.answers.len(), expected.len(), "{pattern:?}");
+            for (got, want) in probe.answers.iter().zip(&expected) {
+                assert_eq!(got.data_key, want.data_key, "{pattern:?}");
+                assert_eq!(
+                    got.probability.to_bits(),
+                    want.probability.to_bits(),
+                    "{pattern:?} line {}",
+                    got.data_key
+                );
+            }
+            assert_eq!(probe.stats.postings_probed, postings);
+            assert_eq!(probe.stats.rows_scanned, candidates.len() as u64);
+            assert_eq!(probe.stats.lines_evaluated, candidates.len() as u64);
+
+            let scan = session
+                .execute(&request.plan_preference(PlanPreference::ForceFileScan))
+                .unwrap();
+            assert_eq!(keys(&scan.answers), keys(&probe.answers), "{pattern:?}");
+        }
+        // Both arms of the borrowed blob fetch were exercised.
+        assert!(
+            single_page > 0 && multi_page > 0,
+            "single-page {single_page}, multi-page {multi_page}"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The compiled scan kernel: per-query machinery that replaces the naive
-//! per-row evaluation loop on the filescan hot path.
+//! per-row evaluation loop on the filescan and index-probe hot paths.
 //!
 //! [`crate::reference::eval_sfa`] is the reference semantics — a forward DP
 //! over `(SFA node, DFA state)` pairs — but its inner loop re-walks every
@@ -33,6 +33,11 @@
 //! summation — so `f64::to_bits` equality with [`crate::reference::eval_sfa`]
 //! / [`crate::reference::eval_strings`] holds on every row, which the
 //! differential proptests in `tests/kernel.rs` enforce.
+//!
+//! The index probe enters through [`ScanKernel::eval_projection`]: the
+//! same arena decode, then §4's depth-bounded projection DP from each
+//! posted start node, held bit-identical to
+//! [`crate::reference::project_eval`] the same way.
 
 use staccato_automata::{DenseDfa, Dfa};
 use staccato_sfa::{codec, DecodeArena, SfaError};
@@ -268,6 +273,7 @@ impl ScanKernel {
             dests,
             vectors,
             free,
+            ..
         } = scratch;
         // A scratch carries transition vectors composed against one
         // kernel's DFA; rebind (and drop the memo) if it last served a
@@ -486,6 +492,159 @@ impl ScanKernel {
             prescreened: false,
         })
     }
+
+    /// Evaluate §4's *projection* of an encoded chunk graph: the index
+    /// probe's per-candidate evaluator. `start_edges` are the posted edge
+    /// ids of one line; the result is the maximum, over their distinct
+    /// source nodes, of the probability that a fresh DFA started there
+    /// accepts within `depth` edges (shortest distance; `usize::MAX` for
+    /// unbounded), with absorbing accepts and the total clamped to `1.0`
+    /// — bit-identical to folding [`crate::reference::project_eval`] with
+    /// `f64::max` from `+0.0` over those nodes.
+    ///
+    /// The blob is decoded once per call; each start node then runs its
+    /// own bounded DP (the score is a `max`, so the DPs do not merge).
+    /// Labels are walked in place through the dense table rather than
+    /// through the label memo: a projection touches a fraction of a
+    /// line's emissions once or twice, so interning all of them would
+    /// cost more than the walks it saves — the `state → state` function
+    /// is the same either way. Edge ids that are not edges of the blob —
+    /// a stale or corrupt posting — are skipped; with no usable start
+    /// edge the result is `+0.0`.
+    pub fn eval_projection(
+        &self,
+        scratch: &mut ScanScratch,
+        blob: &[u8],
+        start_edges: &[u32],
+        depth: usize,
+    ) -> Result<f64, SfaError> {
+        codec::decode_into_arena(blob, &mut scratch.arena)?;
+        let n = scratch.arena.node_count() as usize;
+        scratch.started.clear();
+        scratch.started.resize(n, false);
+        let mut best = 0.0f64;
+        for &eid in start_edges {
+            let Some(edge) = scratch.arena.edges().get(eid as usize) else {
+                continue;
+            };
+            let from = edge.from;
+            // Distinct start nodes only; several postings on one edge (or
+            // on edges sharing a source) evaluate identically from it.
+            if std::mem::replace(&mut scratch.started[from as usize], true) {
+                continue;
+            }
+            best = best.max(self.project_from(scratch, blob, from, depth));
+        }
+        Ok(best)
+    }
+
+    /// One projection DP over the decoded line held in `scratch` — the
+    /// loop of [`crate::reference::project_eval`] in the
+    /// same accumulation order (topo → out-edge → emission → ascending
+    /// source state), over the arena's CSR with pooled vectors.
+    fn project_from(&self, scratch: &mut ScanScratch, blob: &[u8], from: u32, depth: usize) -> f64 {
+        const UNREACHED: u32 = u32::MAX;
+        let ScanScratch {
+            arena,
+            pairs,
+            dests,
+            vectors,
+            free,
+            dist,
+            queue,
+            ..
+        } = scratch;
+        let n = arena.node_count() as usize;
+
+        // The projected node set: shortest edge distance ≤ `depth`, by
+        // level-order BFS with a per-node depth stamp.
+        dist.clear();
+        dist.resize(n, UNREACHED);
+        dist[from as usize] = 0;
+        queue.clear();
+        queue.push(from);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let d = dist[v as usize];
+            if d as usize >= depth {
+                continue;
+            }
+            for &eid in arena.out_edges(v) {
+                let to = arena.edges()[eid as usize].to as usize;
+                if dist[to] == UNREACHED {
+                    dist[to] = d + 1;
+                    queue.push(to as u32);
+                }
+            }
+        }
+
+        let q = self.dense.state_count();
+        if vectors.len() < n {
+            vectors.resize_with(n, Vec::new);
+        }
+        let mut start_vec = zeroed(free, q);
+        start_vec[self.dense.start() as usize] = 1.0;
+        vectors[from as usize] = start_vec;
+        let mut matched = 0.0f64;
+        // Vectors only ever land on projected nodes downstream of `from`,
+        // and each is consumed when the walk reaches its node, so none is
+        // left behind for the next start node or row.
+        for &v in arena.topo() {
+            if vectors[v as usize].is_empty() {
+                continue;
+            }
+            let src = std::mem::take(&mut vectors[v as usize]);
+            pairs.clear();
+            for (s, &mass) in src.iter().enumerate() {
+                if mass != 0.0 && !self.dense.is_accept(s as u32) {
+                    pairs.push((s as u32, mass));
+                }
+            }
+            free.push(src);
+            if pairs.is_empty() {
+                continue;
+            }
+            for &eid in arena.out_edges(v) {
+                let e = arena.edges()[eid as usize];
+                if dist[e.to as usize] == UNREACHED {
+                    continue;
+                }
+                for em in &arena.emissions()[e.em_start as usize..e.em_end as usize] {
+                    if em.prob <= 0.0 {
+                        continue;
+                    }
+                    dests.clear();
+                    dests.extend(pairs.iter().map(|&(s, _)| s));
+                    self.dense.advance_states(dests, &blob[em.label_range()]);
+                    for (&(_, mass), &d) in pairs.iter().zip(dests.iter()) {
+                        let add = mass * em.prob;
+                        if self.dense.is_accept(d) {
+                            // Absorbing: collected once, not propagated.
+                            matched += add;
+                        } else {
+                            let dst = &mut vectors[e.to as usize];
+                            if dst.is_empty() {
+                                *dst = zeroed(free, q);
+                            }
+                            dst[d as usize] += add;
+                        }
+                    }
+                }
+            }
+        }
+        matched.min(1.0)
+    }
+}
+
+/// A zeroed `q`-length DP state vector, recycled from `free` when one is
+/// spare.
+#[inline]
+fn zeroed(free: &mut Vec<Vec<f64>>, q: usize) -> Vec<f64> {
+    let mut v = free.pop().unwrap_or_default();
+    v.clear();
+    v.resize(q, 0.0);
+    v
 }
 
 /// Per-worker mutable scan state: the decode arena, the label-transition
@@ -513,6 +672,12 @@ pub struct ScanScratch {
     vectors: Vec<Vec<f64>>,
     /// Pool of spent state vectors.
     free: Vec<Vec<f64>>,
+    /// Projection: per-node shortest edge distance from the start node.
+    dist: Vec<u32>,
+    /// Projection: the BFS queue.
+    queue: Vec<u32>,
+    /// Projection: nodes already evaluated as a start node for this line.
+    started: Vec<bool>,
 }
 
 impl ScanScratch {

@@ -44,11 +44,13 @@
 //!   bounds for index use;
 //! * [`kernel`] — the compiled per-query [`ScanKernel`]: `Pr[q]` over an
 //!   SFA blob via the forward dynamic program of \[Kimelfeld & Ré / Ré et
-//!   al.\], and over string sets for MAP/k-MAP (each string is a disjoint
-//!   event, §3) — the one evaluator every executor runs;
+//!   al.\], over string sets for MAP/k-MAP (each string is a disjoint
+//!   event, §3), and §4's projection from posted edges for index probes
+//!   — the one evaluator every executor runs;
 //! * [`mod@reference`] — the same semantics written naively
-//!   ([`eval_sfa`]/[`eval_strings`]): the differential-test oracle the
-//!   kernel is held bit-identical to, called by no product code;
+//!   ([`eval_sfa`]/[`eval_strings`]/[`reference::project_eval`]): the
+//!   differential-test oracle the kernel is held bit-identical to,
+//!   called by no product code;
 //! * [`store`] — the Table 5 schema and its streaming row cursors:
 //!   loading a corpus through the OCR channel into MasterData / kMAPData /
 //!   FullSFAData / StaccatoData / StaccatoGraph / GroundTruth tables;
@@ -64,7 +66,8 @@
 //!   streaming accumulator behind SQL aggregate plans;
 //! * [`invindex`] — §4's dictionary-based inverted index: construction
 //!   (Algorithms 3–4), the direct-indexing blow-up counter (Figure 5),
-//!   probing with left anchors, and BFS projection;
+//!   and the probe executor: left-anchor lookup, borrowed point fetch of
+//!   each candidate blob, projection on the kernel;
 //! * [`ingest`] — the WAL-backed write path's types: [`IngestBatch`],
 //!   [`IngestReceipt`], the durable `StaccatoHistory` row, and the
 //!   batch codec replayed by [`Staccato::recover`].

@@ -17,9 +17,14 @@
 //! matrix-multiplication algorithm of \[45\] specialised to a deterministic
 //! query automaton — linear in the data size and (at most) quadratic in
 //! the number of DFA states, matching Table 1's cost model.
+//!
+//! [`project_eval`] is the same DP restricted to §4's *projection* — the
+//! oracle for [`ScanKernel::eval_projection`](crate::kernel::ScanKernel::eval_projection),
+//! the evaluator behind every index probe.
 
 use staccato_automata::Dfa;
-use staccato_sfa::Sfa;
+use staccato_sfa::{NodeId, Sfa};
+use std::collections::{HashMap, VecDeque};
 
 /// Probability that a string drawn from the (sub-stochastic) set matches
 /// the query DFA.
@@ -82,6 +87,72 @@ pub fn eval_sfa(dfa: &Dfa, sfa: &Sfa) -> f64 {
         .filter(|&s| dfa.is_accept(s as u32))
         .map(|s| fin.get(s).copied().unwrap_or(0.0))
         .sum()
+}
+
+/// §4's *projection*: the match probability of a fresh DFA started at
+/// node `from`, evaluated over only the nodes within `depth` edges of it
+/// (shortest edge distance) — an (over)estimate of how far the pattern
+/// can extend from a posted term start. Accepting states are absorbing:
+/// mass that reaches one is collected once and not propagated, and the
+/// total is clamped to `1.0`.
+pub fn project_eval(dfa: &Dfa, sfa: &Sfa, from: NodeId, depth: usize) -> f64 {
+    // Level-order BFS: a node is stamped with its shortest distance, so
+    // the projected set does not depend on exploration order when paths
+    // of different lengths reconverge.
+    let mut dist: HashMap<NodeId, usize> = HashMap::new();
+    dist.insert(from, 0);
+    let mut frontier = VecDeque::from([from]);
+    while let Some(v) = frontier.pop_front() {
+        let d = dist[&v];
+        if d >= depth {
+            continue;
+        }
+        for &eid in sfa.out_edges(v) {
+            let to = sfa.edge(eid).expect("live adjacency").to;
+            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(to) {
+                e.insert(d + 1);
+                frontier.push_back(to);
+            }
+        }
+    }
+    let q = dfa.state_count();
+    let mut vectors: HashMap<NodeId, Vec<f64>> = HashMap::new();
+    let mut v0 = vec![0.0; q];
+    v0[dfa.start() as usize] = 1.0;
+    vectors.insert(from, v0);
+    let mut matched = 0.0;
+    for v in sfa.topo_order() {
+        if !dist.contains_key(&v) {
+            continue;
+        }
+        let Some(src) = vectors.remove(&v) else {
+            continue;
+        };
+        for &eid in sfa.out_edges(v) {
+            let edge = sfa.edge(eid).expect("live adjacency");
+            if !dist.contains_key(&edge.to) {
+                continue;
+            }
+            for em in &edge.emissions {
+                if em.prob <= 0.0 {
+                    continue;
+                }
+                for (s, &mass) in src.iter().enumerate() {
+                    if mass == 0.0 || dfa.is_accept(s as u32) {
+                        continue;
+                    }
+                    let s2 = dfa.run_from(s as u32, &em.label);
+                    let add = mass * em.prob;
+                    if dfa.is_accept(s2) {
+                        matched += add;
+                    } else {
+                        vectors.entry(edge.to).or_insert_with(|| vec![0.0; q])[s2 as usize] += add;
+                    }
+                }
+            }
+        }
+    }
+    matched.min(1.0)
 }
 
 #[cfg(test)]
@@ -211,5 +282,29 @@ mod tests {
             .retain(|e| e.label != "o");
         let pruned = eval_sfa(&Query::keyword("Ford").unwrap().dfa, &sfa);
         assert!(full > 0.0 && pruned == 0.0);
+    }
+
+    #[test]
+    fn projection_uses_shortest_edge_distance() {
+        // s→x, s→a, a→b, b→y, x→y, y→z: `y` is two edges from `s` (via
+        // `x`) and three via `a, b`, so `z` is within depth 3 and the
+        // match completing on y→z must count whichever path is explored
+        // first.
+        let mut bld = SfaBuilder::new();
+        let [s, x, a, b, y, z] = std::array::from_fn(|_| bld.add_node());
+        bld.add_edge(s, x, vec![Emission::new("F", 0.5)]);
+        bld.add_edge(s, a, vec![Emission::new("q", 0.5)]);
+        bld.add_edge(a, b, vec![Emission::new("q", 1.0)]);
+        bld.add_edge(b, y, vec![Emission::new("q", 1.0)]);
+        bld.add_edge(x, y, vec![Emission::new("or", 1.0)]);
+        bld.add_edge(y, z, vec![Emission::new("d", 1.0)]);
+        let sfa = bld.build(s, z).unwrap();
+        let q = Query::keyword("Ford").unwrap();
+        assert_eq!(project_eval(&q.dfa, &sfa, s, 3), 0.5);
+        // One edge short of `z`: nothing completes.
+        assert_eq!(project_eval(&q.dfa, &sfa, s, 2), 0.0);
+        // Unbounded depth is the whole graph downstream of `from`.
+        assert_eq!(project_eval(&q.dfa, &sfa, s, usize::MAX), 0.5);
+        assert_eq!(project_eval(&q.dfa, &sfa, x, usize::MAX), 0.0);
     }
 }

@@ -589,18 +589,18 @@ impl OcrStore {
         })
     }
 
-    /// Point-fetch one Staccato graph through its primary-key B+-tree —
-    /// the access path of index-assisted queries.
-    pub fn get_staccato_graph(&self, key: i64) -> Result<Sfa, QueryError> {
-        let pk = self.db.index("StaccatoGraph_pk")?;
-        let rid = pk
-            .get(self.db.pool(), &key.to_be_bytes())?
-            .ok_or(QueryError::MissingRepresentation("StaccatoGraph row"))?;
+    /// Point access to Staccato graph blobs through the primary-key
+    /// B+-tree — the access path of index-assisted queries. Resolves the
+    /// catalog once; one reader serves a whole statement.
+    pub(crate) fn staccato_point_reader(&self) -> Result<StaccatoPointReader<'_>, QueryError> {
         let (schema, heap) = self.db.table("StaccatoGraph")?;
-        let bytes = heap.get(self.db.pool(), Rid::from_u64(rid))?;
-        let row = staccato_storage::row::decode_row(&schema, &bytes)?;
-        let data = BlobStore::get(self.db.pool(), row[1].as_blob().expect("schema"))?;
-        Ok(codec::decode(&data)?)
+        Ok(StaccatoPointReader {
+            pool: self.db.pool(),
+            pk: self.db.index("StaccatoGraph_pk")?,
+            heap,
+            schema,
+            blob_buf: Vec::new(),
+        })
     }
 
     /// Ground-truth clean lines: `(DataKey, text)`.
@@ -626,6 +626,46 @@ impl OcrStore {
     /// Create (or reopen) a named auxiliary B+-tree, e.g. for indexes.
     pub fn create_index(&self, name: &str) -> Result<BTree, QueryError> {
         Ok(self.db.create_index(name)?)
+    }
+}
+
+/// Borrowed point fetch of `StaccatoGraph` blobs (see
+/// [`OcrStore::staccato_point_reader`]).
+pub(crate) struct StaccatoPointReader<'s> {
+    pool: &'s BufferPool,
+    pk: BTree,
+    heap: HeapFile,
+    schema: Schema,
+    /// Assembly buffer for multi-page blobs, reused fetch to fetch.
+    blob_buf: Vec<u8>,
+}
+
+impl StaccatoPointReader<'_> {
+    /// Hand line `key`'s encoded graph to `f` as borrowed bytes: pk
+    /// B+-tree → heap row → blob, read straight off its buffer-pool page
+    /// when it fits one (`f` only reads, so holding the page's read latch
+    /// across it is fine) and assembled into the reusable buffer when it
+    /// spans several.
+    pub(crate) fn with_blob<R>(
+        &mut self,
+        key: i64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, QueryError> {
+        let rid = self
+            .pk
+            .get(self.pool, &key.to_be_bytes())?
+            .ok_or(QueryError::MissingRepresentation("StaccatoGraph row"))?;
+        let row = self.heap.get(self.pool, Rid::from_u64(rid))?;
+        let mut r = RowReader::new(&self.schema, &row);
+        r.int()?;
+        let blob = r.blob()?;
+        r.finish()?;
+        Ok(BlobStore::with_blob(
+            self.pool,
+            blob,
+            &mut self.blob_buf,
+            f,
+        )?)
     }
 }
 
@@ -980,7 +1020,12 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         let (key, via_scan) = &all[7];
-        let via_pk = store.get_staccato_graph(*key).unwrap();
+        let via_pk = store
+            .staccato_point_reader()
+            .unwrap()
+            .with_blob(*key, codec::decode)
+            .unwrap()
+            .unwrap();
         assert_eq!(codec::encode(via_scan), codec::encode(&via_pk));
     }
 

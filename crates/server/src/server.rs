@@ -7,12 +7,16 @@
 //! Accepted connections land on a closable `ConnQueue`; a worker
 //! pops a connection, serves **one** request (or gives up after the
 //! socket's short poll timeout), then parks the connection back on the
-//! queue. Connections outnumber workers by design — 32 keep-alive
-//! clients are served by 4 workers because nobody owns a socket for
-//! longer than one request. The cost is polling latency bounded by
-//! `poll_interval × connections / workers` when everything is idle;
-//! under load the next request's bytes are already buffered when the
-//! connection is popped, so the poll never waits.
+//! queue — unless no other connection is waiting there, in which case
+//! it keeps the connection for another turn (parking it would only wake
+//! a second worker to pop it: a thread hand-off per request, which on a
+//! two-core box was a third of a cheap statement's latency).
+//! Connections outnumber workers by design — 32 keep-alive clients are
+//! served by 4 workers because nobody owns a socket for longer than one
+//! request while another connection waits. The cost is polling latency
+//! bounded by `poll_interval × connections / workers` when everything
+//! is idle; under load the next request's bytes are already buffered
+//! when the connection is popped, so the poll never waits.
 //!
 //! Per-connection state (prepared statements) travels *with* the
 //! connection through the queue, so any worker can serve any
@@ -151,6 +155,13 @@ impl ConnQueue {
         }
     }
 
+    /// No connection is parked and the queue is open — a worker that
+    /// holds a connection may keep it.
+    fn is_idle(&self) -> bool {
+        let state = self.state.lock().expect("queue poisoned");
+        state.conns.is_empty() && !state.closed
+    }
+
     /// Close: wake every worker, drop every parked connection.
     fn close(&self) {
         let mut state = self.state.lock().expect("queue poisoned");
@@ -287,7 +298,14 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 
 fn worker_loop(shared: &Shared) {
     while let Some(mut client) = shared.queue.pop() {
-        match serve_one(shared, &mut client) {
+        let mut turn = serve_one(shared, &mut client);
+        // Nobody is waiting for a worker: keep the connection for its
+        // next turn. Parking it would only wake another worker to pop
+        // it — a thread hand-off per request.
+        while matches!(turn, Turn::Park) && shared.queue.is_idle() {
+            turn = serve_one(shared, &mut client);
+        }
+        match turn {
             Turn::Park => shared.queue.push(client),
             Turn::Close => drop(client),
         }

@@ -119,8 +119,8 @@ impl<'a> Reader<'a> {
 /// disagree on which blobs they accept or which error they report.
 pub fn decode(buf: &[u8]) -> Result<Sfa, SfaError> {
     // The arena is per thread and reused: a fresh one per call is a dozen
-    // short-lived buffers, and concurrent index probes (one owned decode
-    // per candidate line) paid for that churn in the allocator.
+    // short-lived buffers, and concurrent callers pay for that churn in
+    // the allocator.
     thread_local! {
         static ARENA: std::cell::RefCell<DecodeArena> = std::cell::RefCell::default();
     }

@@ -54,7 +54,17 @@ impl BlobStore {
     /// instead of allocating (and growing) a fresh `Vec` per row.
     pub fn get_into(pool: &BufferPool, id: PageId, out: &mut Vec<u8>) -> Result<(), StorageError> {
         out.clear();
-        let mut pid = id;
+        Self::append_chain(pool, id, id, out)
+    }
+
+    /// Append the payloads of blob `id`'s chain from page `from` on.
+    fn append_chain(
+        pool: &BufferPool,
+        id: PageId,
+        from: PageId,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StorageError> {
+        let mut pid = from;
         let mut hops: u64 = 0;
         let limit = pool.page_count() + 1;
         while pid != NO_PAGE {
@@ -87,7 +97,7 @@ impl BlobStore {
         buf: &mut Vec<u8>,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, StorageError> {
-        {
+        let rest = {
             let page = pool.fetch_read(id)?;
             let next = u64::from_le_bytes(page[0..8].try_into().expect("len"));
             let len = u32::from_le_bytes(page[8..12].try_into().expect("len")) as usize;
@@ -97,8 +107,13 @@ impl BlobStore {
             if next == NO_PAGE {
                 return Ok(f(&page[HEADER..HEADER + len]));
             }
-        }
-        Self::get_into(pool, id, buf)?;
+            // The first page is in hand: copy it out and follow the chain
+            // from the second.
+            buf.clear();
+            buf.extend_from_slice(&page[HEADER..HEADER + len]);
+            next
+        };
+        Self::append_chain(pool, id, rest, buf)?;
         Ok(f(buf))
     }
 

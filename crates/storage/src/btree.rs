@@ -8,13 +8,15 @@
 //!
 //! Nodes are read-modify-written whole: a node is deserialized into an
 //! entry vector, mutated, and written back — simple, obviously correct,
-//! and plenty fast at 8 KiB pages. Splits are size-balanced so any node
+//! and plenty fast at 8 KiB pages. Reads do not pay for that: point
+//! lookups and scans walk a node's entries in place on its pool page
+//! (`EntryWalk`) and copy out only what they return. Splits are size-balanced so any node
 //! that fit before an insert fits after a split. Deletion is by key
 //! removal without rebalancing (lazy deletion), which matches the
 //! append-then-query workload of the paper.
 
 use crate::error::StorageError;
-use crate::pager::BufferPool;
+use crate::pager::{BufferPool, PageRead};
 use crate::{PageId, NO_PAGE, PAGE_SIZE};
 
 /// Maximum key length in bytes.
@@ -90,40 +92,126 @@ impl Node {
     }
 
     fn read(page: PageId, buf: &[u8; PAGE_SIZE]) -> Result<Node, StorageError> {
-        let corrupt = |reason| StorageError::CorruptPage { page, reason };
-        let tag = buf[0];
-        let n = u16::from_le_bytes(buf[1..3].try_into().expect("len")) as usize;
-        let head = u64::from_le_bytes(buf[3..11].try_into().expect("len"));
-        let mut pos = 11usize;
-        let mut read_entries = |n: usize| -> Result<Vec<(Vec<u8>, u64)>, StorageError> {
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                if pos + 2 > PAGE_SIZE {
-                    return Err(corrupt("entry header out of range"));
-                }
-                let klen = u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("len")) as usize;
-                pos += 2;
-                if klen > MAX_KEY || pos + klen + 8 > PAGE_SIZE {
-                    return Err(corrupt("entry body out of range"));
-                }
-                let key = buf[pos..pos + klen].to_vec();
-                pos += klen;
-                let val = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("len"));
-                pos += 8;
-                entries.push((key, val));
-            }
-            Ok(entries)
-        };
-        match tag {
-            LEAF => Ok(Node::Leaf {
+        let (tag, head, walk) = EntryWalk::open(page, buf)?;
+        let mut entries = Vec::with_capacity(walk.left);
+        for entry in walk {
+            let (k, v) = entry?;
+            entries.push((k.to_vec(), v));
+        }
+        Ok(if tag == LEAF {
+            Node::Leaf {
                 next: head,
-                entries: read_entries(n)?,
-            }),
-            INTERNAL => Ok(Node::Internal {
+                entries,
+            }
+        } else {
+            Node::Internal {
                 leftmost: head,
-                entries: read_entries(n)?,
-            }),
-            _ => Err(corrupt("unknown node tag")),
+                entries,
+            }
+        })
+    }
+}
+
+/// Borrowed walk over a serialized node's entries in key order — the one
+/// reader of the entry encoding. [`Node::read`] collects it into owned
+/// entries for read-modify-write; lookups and scans search it in place,
+/// so a point `get` allocates nothing.
+struct EntryWalk<'a> {
+    page: PageId,
+    buf: &'a [u8; PAGE_SIZE],
+    pos: usize,
+    left: usize,
+}
+
+impl<'a> EntryWalk<'a> {
+    /// Parse a node header: `(tag, next-leaf | leftmost-child, entries)`.
+    fn open(page: PageId, buf: &'a [u8; PAGE_SIZE]) -> Result<(u8, u64, Self), StorageError> {
+        let tag = buf[0];
+        if tag != LEAF && tag != INTERNAL {
+            return Err(StorageError::CorruptPage {
+                page,
+                reason: "unknown node tag",
+            });
+        }
+        let left = u16::from_le_bytes(buf[1..3].try_into().expect("len")) as usize;
+        let head = u64::from_le_bytes(buf[3..11].try_into().expect("len"));
+        let walk = EntryWalk {
+            page,
+            buf,
+            pos: 11,
+            left,
+        };
+        Ok((tag, head, walk))
+    }
+}
+
+impl<'a> Iterator for EntryWalk<'a> {
+    type Item = Result<(&'a [u8], u64), StorageError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let corrupt = |reason| {
+            Some(Err(StorageError::CorruptPage {
+                page: self.page,
+                reason,
+            }))
+        };
+        let (buf, pos) = (self.buf, self.pos);
+        if pos + 2 > PAGE_SIZE {
+            return corrupt("entry header out of range");
+        }
+        let klen = u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("len")) as usize;
+        let key_at = pos + 2;
+        if klen > MAX_KEY || key_at + klen + 8 > PAGE_SIZE {
+            return corrupt("entry body out of range");
+        }
+        let val_at = key_at + klen;
+        let val = u64::from_le_bytes(buf[val_at..val_at + 8].try_into().expect("len"));
+        self.pos = val_at + 8;
+        Some(Ok((&buf[key_at..val_at], val)))
+    }
+}
+
+/// One step of a descent, decided in place on the page: the child of an
+/// internal node that covers `key` (rightmost separator ≤ `key`, else the
+/// leftmost child), or `None` at a leaf.
+fn child_in_place(
+    tag: u8,
+    leftmost: PageId,
+    walk: EntryWalk<'_>,
+    key: &[u8],
+) -> Result<Option<PageId>, StorageError> {
+    if tag == LEAF {
+        return Ok(None);
+    }
+    let mut child = leftmost;
+    for entry in walk {
+        let (sep, c) = entry?;
+        if sep > key {
+            break;
+        }
+        child = c;
+    }
+    Ok(Some(child))
+}
+
+/// Descend from the root to the leaf whose key range covers `key`;
+/// returns it still latched for reading.
+fn leaf_for(
+    pool: &BufferPool,
+    root: PageId,
+    key: &[u8],
+) -> Result<(PageId, PageRead), StorageError> {
+    let mut pid = root;
+    loop {
+        let page = pool.fetch_read(pid)?;
+        let (tag, head, walk) = EntryWalk::open(pid, &page)?;
+        match child_in_place(tag, head, walk, key)? {
+            Some(child) => pid = child,
+            None => return Ok((pid, page)),
         }
     }
 }
@@ -176,22 +264,21 @@ impl BTree {
         Ok(())
     }
 
-    /// Point lookup.
+    /// Point lookup. Searches each node in place on its pool page (keys
+    /// are stored in order, so the walk stops at the first larger one);
+    /// nothing is deserialized or allocated.
     pub fn get(&self, pool: &BufferPool, key: &[u8]) -> Result<Option<u64>, StorageError> {
-        let mut pid = self.root(pool)?;
-        loop {
-            match read_node(pool, pid)? {
-                Node::Internal { leftmost, entries } => {
-                    pid = child_for(&entries, leftmost, key);
-                }
-                Node::Leaf { entries, .. } => {
-                    return Ok(entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1));
-                }
+        let (leaf, page) = leaf_for(pool, self.root(pool)?, key)?;
+        let (_, _, walk) = EntryWalk::open(leaf, &page)?;
+        for entry in walk {
+            let (k, v) = entry?;
+            match k.cmp(key) {
+                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Equal => return Ok(Some(v)),
+                std::cmp::Ordering::Greater => break,
             }
         }
+        Ok(None)
     }
 
     /// Insert or overwrite; returns the previous value if any.
@@ -226,23 +313,19 @@ impl BTree {
 
     /// Delete a key; returns whether it existed. Lazy (no rebalancing).
     pub fn delete(&self, pool: &BufferPool, key: &[u8]) -> Result<bool, StorageError> {
-        let mut pid = self.root(pool)?;
-        loop {
-            match read_node(pool, pid)? {
-                Node::Internal { leftmost, entries } => {
-                    pid = child_for(&entries, leftmost, key);
-                }
-                Node::Leaf { next, mut entries } => {
-                    match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                        Ok(i) => {
-                            entries.remove(i);
-                            write_node(pool, pid, &Node::Leaf { next, entries })?;
-                            return Ok(true);
-                        }
-                        Err(_) => return Ok(false),
-                    }
-                }
+        let (pid, page) = leaf_for(pool, self.root(pool)?, key)?;
+        // Release the read latch before the leaf is rewritten.
+        drop(page);
+        let Node::Leaf { next, mut entries } = read_node(pool, pid)? else {
+            unreachable!("routed to a leaf")
+        };
+        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+            Ok(i) => {
+                entries.remove(i);
+                write_node(pool, pid, &Node::Leaf { next, entries })?;
+                Ok(true)
             }
+            Err(_) => Ok(false),
         }
     }
 
@@ -254,33 +337,32 @@ impl BTree {
         lo: &[u8],
         hi: Option<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, u64)>, StorageError> {
-        let mut pid = self.root(pool)?;
-        while let Node::Internal { leftmost, entries } = read_node(pool, pid)? {
-            pid = child_for(&entries, leftmost, lo);
-        }
+        let (mut pid, mut page) = leaf_for(pool, self.root(pool)?, lo)?;
         let mut out = Vec::new();
         loop {
-            let Node::Leaf { next, entries } = read_node(pool, pid)? else {
+            let (tag, next, walk) = EntryWalk::open(pid, &page)?;
+            if tag != LEAF {
                 return Err(StorageError::CorruptPage {
                     page: pid,
                     reason: "leaf chain reached an internal node",
                 });
-            };
-            for (k, v) in entries {
-                if k.as_slice() < lo {
+            }
+            // Only the entries in range are copied out of the page.
+            for entry in walk {
+                let (k, v) = entry?;
+                if k < lo {
                     continue;
                 }
-                if let Some(hi) = hi {
-                    if k.as_slice() >= hi {
-                        return Ok(out);
-                    }
+                if hi.is_some_and(|hi| k >= hi) {
+                    return Ok(out);
                 }
-                out.push((k, v));
+                out.push((k.to_vec(), v));
             }
             if next == NO_PAGE {
                 return Ok(out);
             }
             pid = next;
+            page = pool.fetch_read(pid)?;
         }
     }
 
@@ -330,15 +412,6 @@ fn prefix_upper_bound(prefix: &[u8]) -> Option<Vec<u8>> {
     None
 }
 
-fn child_for(entries: &[(Vec<u8>, PageId)], leftmost: PageId, key: &[u8]) -> PageId {
-    // Rightmost separator ≤ key; else leftmost child.
-    match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-        Ok(i) => entries[i].1,
-        Err(0) => leftmost,
-        Err(i) => entries[i - 1].1,
-    }
-}
-
 fn read_node(pool: &BufferPool, pid: PageId) -> Result<Node, StorageError> {
     let page = pool.fetch_read(pid)?;
     Node::read(pid, &page)
@@ -372,94 +445,145 @@ fn insert_rec(
     key: &[u8],
     value: u64,
 ) -> Result<(Option<u64>, SplitInfo), StorageError> {
-    match read_node(pool, pid)? {
-        Node::Leaf { next, mut entries } => {
-            let old = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                Ok(i) => {
-                    let old = entries[i].1;
-                    entries[i].1 = value;
-                    Some(old)
-                }
-                Err(i) => {
-                    entries.insert(i, (key.to_vec(), value));
-                    None
-                }
-            };
-            let node = Node::Leaf { next, entries };
-            if node.serialized_size() <= PAGE_SIZE {
-                write_node(pool, pid, &node)?;
-                return Ok((old, None));
+    // Route on the page itself: an internal node is deserialized only
+    // when a child split hands it a separator, a leaf only when the new
+    // entry does not fit and it has to split.
+    let child = {
+        let page = pool.fetch_read(pid)?;
+        let (tag, head, walk) = EntryWalk::open(pid, &page)?;
+        child_in_place(tag, head, walk, key)?
+    };
+    let Some(child) = child else {
+        let placed = leaf_insert_in_place(&mut *pool.fetch_write(pid)?, pid, key, value)?;
+        return match placed {
+            Some(old) => Ok((old, None)),
+            None => split_leaf(pool, pid, key, value),
+        };
+    };
+    let (old, split) = insert_rec(pool, child, key, value)?;
+    let Some((sep, new_child)) = split else {
+        return Ok((old, None));
+    };
+    let Node::Internal {
+        leftmost,
+        mut entries,
+    } = read_node(pool, pid)?
+    else {
+        unreachable!("routed through an internal node")
+    };
+    let pos = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(&sep)) {
+        Ok(i) => i + 1,
+        Err(i) => i,
+    };
+    entries.insert(pos, (sep, new_child));
+    let node = Node::Internal { leftmost, entries };
+    if node.serialized_size() <= PAGE_SIZE {
+        write_node(pool, pid, &node)?;
+        return Ok((old, None));
+    }
+    let Node::Internal {
+        leftmost,
+        mut entries,
+    } = node
+    else {
+        unreachable!()
+    };
+    let mid = split_point(&entries);
+    let mut right_entries = entries.split_off(mid);
+    // Promote the first right entry; its child becomes the right
+    // node's leftmost pointer.
+    let (promoted, right_leftmost) = right_entries.remove(0);
+    let right_pid = pool.allocate()?;
+    write_node(
+        pool,
+        right_pid,
+        &Node::Internal {
+            leftmost: right_leftmost,
+            entries: right_entries,
+        },
+    )?;
+    write_node(pool, pid, &Node::Internal { leftmost, entries })?;
+    Ok((old, Some((promoted, right_pid))))
+}
+
+/// Insert or overwrite `key` in the serialized leaf `buf` by shifting the
+/// entries after it — no deserialization, no allocation. `Some(previous
+/// value)` when done; `None` when the entry does not fit and the leaf
+/// must split (`buf` is then untouched). The bytes written are the ones
+/// [`Node::write`] would produce for the same entries.
+fn leaf_insert_in_place(
+    buf: &mut [u8; PAGE_SIZE],
+    page: PageId,
+    key: &[u8],
+    value: u64,
+) -> Result<Option<Option<u64>>, StorageError> {
+    let (_, _, mut walk) = EntryWalk::open(page, buf)?;
+    let count = walk.left;
+    // Offset of the first entry with a larger key, if any.
+    let mut slot = None;
+    loop {
+        let start = walk.pos;
+        let Some(entry) = walk.next() else {
+            break;
+        };
+        let (k, old) = entry?;
+        if slot.is_none() && k >= key {
+            if k == key {
+                let val_at = walk.pos - 8;
+                buf[val_at..val_at + 8].copy_from_slice(&value.to_le_bytes());
+                return Ok(Some(Some(old)));
             }
-            // Split.
-            let Node::Leaf { next, mut entries } = node else {
-                unreachable!()
-            };
-            let mid = split_point(&entries);
-            let right_entries = entries.split_off(mid);
-            let sep = right_entries[0].0.clone();
-            let right_pid = pool.allocate()?;
-            write_node(
-                pool,
-                right_pid,
-                &Node::Leaf {
-                    next,
-                    entries: right_entries,
-                },
-            )?;
-            write_node(
-                pool,
-                pid,
-                &Node::Leaf {
-                    next: right_pid,
-                    entries,
-                },
-            )?;
-            Ok((old, Some((sep, right_pid))))
-        }
-        Node::Internal {
-            leftmost,
-            mut entries,
-        } => {
-            let child = child_for(&entries, leftmost, key);
-            let (old, split) = insert_rec(pool, child, key, value)?;
-            let Some((sep, new_child)) = split else {
-                return Ok((old, None));
-            };
-            let pos = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(&sep)) {
-                Ok(i) => i + 1,
-                Err(i) => i,
-            };
-            entries.insert(pos, (sep, new_child));
-            let node = Node::Internal { leftmost, entries };
-            if node.serialized_size() <= PAGE_SIZE {
-                write_node(pool, pid, &node)?;
-                return Ok((old, None));
-            }
-            let Node::Internal {
-                leftmost,
-                mut entries,
-            } = node
-            else {
-                unreachable!()
-            };
-            let mid = split_point(&entries);
-            let mut right_entries = entries.split_off(mid);
-            // Promote the first right entry; its child becomes the right
-            // node's leftmost pointer.
-            let (promoted, right_leftmost) = right_entries.remove(0);
-            let right_pid = pool.allocate()?;
-            write_node(
-                pool,
-                right_pid,
-                &Node::Internal {
-                    leftmost: right_leftmost,
-                    entries: right_entries,
-                },
-            )?;
-            write_node(pool, pid, &Node::Internal { leftmost, entries })?;
-            Ok((old, Some((promoted, right_pid))))
+            slot = Some(start);
         }
     }
+    let end = walk.pos;
+    let at = slot.unwrap_or(end);
+    let need = 2 + key.len() + 8;
+    if end + need > PAGE_SIZE {
+        return Ok(None);
+    }
+    buf.copy_within(at..end, at + need);
+    buf[at..at + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+    buf[at + 2..at + 2 + key.len()].copy_from_slice(key);
+    buf[at + need - 8..at + need].copy_from_slice(&value.to_le_bytes());
+    buf[1..3].copy_from_slice(&(count as u16 + 1).to_le_bytes());
+    Ok(Some(None))
+}
+
+/// Insert a new `key` into a leaf it does not fit in: deserialize, insert,
+/// split size-balanced, and hand the separator up.
+fn split_leaf(
+    pool: &BufferPool,
+    pid: PageId,
+    key: &[u8],
+    value: u64,
+) -> Result<(Option<u64>, SplitInfo), StorageError> {
+    let Node::Leaf { next, mut entries } = read_node(pool, pid)? else {
+        unreachable!("routed to a leaf")
+    };
+    let at = entries.partition_point(|(k, _)| k.as_slice() < key);
+    entries.insert(at, (key.to_vec(), value));
+    let mid = split_point(&entries);
+    let right_entries = entries.split_off(mid);
+    let sep = right_entries[0].0.clone();
+    let right_pid = pool.allocate()?;
+    write_node(
+        pool,
+        right_pid,
+        &Node::Leaf {
+            next,
+            entries: right_entries,
+        },
+    )?;
+    write_node(
+        pool,
+        pid,
+        &Node::Leaf {
+            next: right_pid,
+            entries,
+        },
+    )?;
+    Ok((None, Some((sep, right_pid))))
 }
 
 #[cfg(test)]
@@ -550,6 +674,52 @@ mod tests {
         let ours = t.scan_range(&pool, &[], None).unwrap();
         let theirs: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
         assert_eq!(ours, theirs);
+    }
+
+    #[test]
+    fn in_place_leaf_insert_writes_what_a_rewrite_would() {
+        // One leaf, filled with variable-length keys (and overwrites)
+        // until it is full: after every step the page must hold exactly
+        // the bytes `Node::write` produces for the model's entries.
+        let mut page = Box::new([0u8; PAGE_SIZE]);
+        Node::Leaf {
+            next: 7,
+            entries: Vec::new(),
+        }
+        .write(&mut page);
+        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        for step in 0u64.. {
+            let len = rng.random_range(0..40usize);
+            let key: Vec<u8> = (0..len).map(|_| rng.random_range(b'a'..b'e')).collect();
+            let placed = leaf_insert_in_place(&mut page, 1, &key, step).unwrap();
+            let entries =
+                |m: &BTreeMap<Vec<u8>, u64>| m.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            let Some(old) = placed else {
+                // Refused: the entry really does not fit, and nothing moved.
+                let full = Node::Leaf {
+                    next: 7,
+                    entries: entries(&model),
+                };
+                assert!(full.serialized_size() + 2 + key.len() + 8 > PAGE_SIZE);
+                assert!(!model.contains_key(&key));
+                let mut want = Box::new([0u8; PAGE_SIZE]);
+                full.write(&mut want);
+                let used = full.serialized_size();
+                assert_eq!(page[..used], want[..used]);
+                assert!(model.len() > 100, "leaf filled after {} keys", model.len());
+                break;
+            };
+            assert_eq!(old, model.insert(key, step), "step {step}");
+            let node = Node::Leaf {
+                next: 7,
+                entries: entries(&model),
+            };
+            let mut want = Box::new([0u8; PAGE_SIZE]);
+            node.write(&mut want);
+            let used = node.serialized_size();
+            assert_eq!(page[..used], want[..used], "step {step}");
+        }
     }
 
     #[test]

@@ -98,11 +98,10 @@ impl HeapFile {
         }
     }
 
-    /// Fetch a tuple by RID.
+    /// Fetch a tuple by RID, under the page's read latch.
     pub fn get(&self, pool: &BufferPool, rid: Rid) -> Result<Vec<u8>, StorageError> {
-        let mut page = pool.fetch_write(rid.page)?;
-        let sp = SlottedPage::new(&mut page);
-        sp.get(rid.slot)
+        let page = pool.fetch_read(rid.page)?;
+        crate::page::read_tuple(&page, rid.slot)
             .map(|b| b.to_vec())
             .map_err(|_| StorageError::TupleNotFound {
                 page: rid.page,

@@ -22,6 +22,30 @@ const TOMBSTONE: u16 = u16::MAX;
 /// Largest tuple a single page can hold.
 pub const MAX_TUPLE: usize = PAGE_SIZE - HEADER - SLOT_BYTES;
 
+/// Read the tuple in `slot` of a slotted page held under a *read* latch
+/// ([`SlottedPage`] needs `&mut`): point reads neither take the write
+/// latch nor dirty the page.
+pub(crate) fn read_tuple(buf: &[u8; PAGE_SIZE], slot: u16) -> Result<&[u8], StorageError> {
+    let nslots = u16::from_le_bytes(buf[8..10].try_into().expect("len"));
+    if slot >= nslots {
+        return Err(StorageError::TupleNotFound { page: 0, slot });
+    }
+    let off = HEADER + slot as usize * SLOT_BYTES;
+    let o = u16::from_le_bytes(buf[off..off + 2].try_into().expect("len"));
+    let l = u16::from_le_bytes(buf[off + 2..off + 4].try_into().expect("len"));
+    if o == TOMBSTONE {
+        return Err(StorageError::TupleNotFound { page: 0, slot });
+    }
+    let (o, l) = (o as usize, l as usize);
+    if o + l > PAGE_SIZE || o < HEADER {
+        return Err(StorageError::CorruptPage {
+            page: 0,
+            reason: "slot out of range",
+        });
+    }
+    Ok(&buf[o..o + l])
+}
+
 /// A slotted-page view over a page buffer.
 pub struct SlottedPage<'a> {
     buf: &'a mut [u8; PAGE_SIZE],
@@ -123,21 +147,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Read the tuple in `slot`.
     pub fn get(&self, slot: u16) -> Result<&[u8], StorageError> {
-        if slot >= self.nslots() {
-            return Err(StorageError::TupleNotFound { page: 0, slot });
-        }
-        let (o, l) = self.slot(slot);
-        if o == TOMBSTONE {
-            return Err(StorageError::TupleNotFound { page: 0, slot });
-        }
-        let (o, l) = (o as usize, l as usize);
-        if o + l > PAGE_SIZE || o < HEADER {
-            return Err(StorageError::CorruptPage {
-                page: 0,
-                reason: "slot out of range",
-            });
-        }
-        Ok(&self.buf[o..o + l])
+        read_tuple(self.buf, slot)
     }
 
     /// Tombstone a slot. Space is not reclaimed.

@@ -69,6 +69,107 @@ fn corrupt_sfa_blob_surfaces_typed_error() {
         .expect("STACCATO still works");
 }
 
+/// `tiny_session` with the §4 index registered over 'data', plus the
+/// lines that hold the anchor and one that does not.
+fn probed_session() -> (Staccato, Vec<i64>, i64) {
+    let session = tiny_session();
+    session
+        .register_index(&staccato::automata::Trie::build(["data"]), "inv")
+        .expect("index");
+    let index = session.index("inv").expect("registered");
+    let holding: Vec<i64> = staccato::query::invindex::probe_term(session.store(), &index, "data")
+        .expect("probe")
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
+    let without = (0..session.store().line_count() as i64)
+        .find(|key| !holding.contains(key))
+        .expect("a line without the anchor");
+    assert!(!holding.is_empty());
+    (session, holding, without)
+}
+
+/// Plant a posting for 'data' on line `key` that names an edge no stored
+/// graph has — what a stale or corrupt index entry looks like.
+fn plant_hostile_posting(session: &Staccato, key: i64) {
+    let store = session.store();
+    let postings = store.db().index("inv_postings").expect("postings tree");
+    let mut k = b"data\0".to_vec();
+    k.extend_from_slice(&key.to_be_bytes());
+    k.extend_from_slice(&u32::MAX.to_be_bytes());
+    // Packed location: edge in the high 32 bits.
+    postings
+        .insert(store.db().pool(), &k, 1_000_000u64 << 32)
+        .expect("insert");
+}
+
+#[test]
+fn probe_skips_postings_whose_edge_is_not_in_the_graph() {
+    let (session, holding, _) = probed_session();
+    let request = QueryRequest::keyword("data").num_ans(100);
+    let before = session.execute(&request).expect("probe");
+    assert!(before.plan.is_index_probe());
+    plant_hostile_posting(&session, holding[0]);
+    let after = session
+        .execute(&request)
+        .expect("probe over a stale posting");
+    assert_eq!(
+        after.stats.postings_probed,
+        before.stats.postings_probed + 1
+    );
+    assert_eq!(after.stats.rows_scanned, before.stats.rows_scanned);
+    // The line's usable postings still decide its score.
+    assert_eq!(after.answers.len(), before.answers.len());
+    for (a, b) in after.answers.iter().zip(&before.answers) {
+        assert_eq!(a.data_key, b.data_key);
+        assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+    }
+}
+
+#[test]
+fn probe_drops_a_line_with_no_usable_posting() {
+    let (session, _, without) = probed_session();
+    let request = QueryRequest::keyword("data").num_ans(100);
+    let before = session.execute(&request).expect("probe");
+    plant_hostile_posting(&session, without);
+    let after = session
+        .execute(&request)
+        .expect("probe over a hostile posting");
+    // The line is fetched and evaluated — to probability +0.0, which no
+    // sink accepts — so the answers are exactly the old ones.
+    assert_eq!(after.stats.rows_scanned, before.stats.rows_scanned + 1);
+    assert_eq!(
+        after.stats.lines_evaluated,
+        before.stats.lines_evaluated + 1
+    );
+    assert!(after.answers.iter().all(|a| a.data_key != without));
+    assert_eq!(after.answers.len(), before.answers.len());
+}
+
+#[test]
+fn corrupt_candidate_blob_fails_the_probe_with_a_typed_error() {
+    let (session, holding, _) = probed_session();
+    let store = session.store();
+    // Stomp the magic of a candidate line's stored chunk graph.
+    let (schema, heap) = store.table("StaccatoGraph").expect("table");
+    let blob_page = heap
+        .scan(store.db().pool())
+        .map(|item| item.expect("scan").1)
+        .map(|bytes| staccato::storage::row::decode_row(&schema, &bytes).expect("row"))
+        .find(|row| row[0].as_int() == Some(holding[0]))
+        .expect("candidate row")[1]
+        .as_blob()
+        .expect("blob id");
+    {
+        let mut page = store.db().pool().fetch_write(blob_page).expect("page");
+        page[12..16].copy_from_slice(b"XXXX");
+    }
+    let request = QueryRequest::keyword("data").num_ans(100);
+    assert!(session.plan(&request).expect("plan").is_index_probe());
+    let err = session.execute(&request).unwrap_err();
+    assert!(matches!(err, QueryError::Sfa(_)), "got {err:?}");
+}
+
 #[test]
 fn truncated_blob_chain_is_detected() {
     let db = Database::in_memory(128).expect("db");

@@ -3,11 +3,13 @@
 //! the naive reference evaluators (`eval_sfa` / `eval_strings`), across
 //! random SFAs, random patterns, and all four representations — and a
 //! prescreen skip must only ever happen on rows whose exact probability
-//! under the full DP is zero.
+//! under the full DP is zero. The index probe's projection entry
+//! (`eval_projection`) is held to `reference::project_eval` the same way.
 
 use proptest::prelude::*;
 use staccato::approx::{approximate, StaccatoParams};
 use staccato::query::kernel::ScanScratch;
+use staccato::query::reference::project_eval;
 use staccato::query::{eval_sfa, eval_strings, Query};
 use staccato::sfa::{codec, Emission, Sfa, SfaBuilder};
 
@@ -92,8 +94,147 @@ fn assert_blob_identity(q: &Query, blob: &[u8], scratch: &mut ScanScratch) {
     }
 }
 
+/// Assert `eval_projection` over `blob` from `start_edges` equals the
+/// reference projection folded with `max` over the distinct source nodes
+/// of the start edges that exist, bit for bit.
+fn assert_projection_identity(
+    q: &Query,
+    blob: &[u8],
+    start_edges: &[u32],
+    depth: usize,
+    scratch: &mut ScanScratch,
+) {
+    let sfa = codec::decode(blob).unwrap();
+    let sources: std::collections::BTreeSet<u32> = start_edges
+        .iter()
+        .filter_map(|&eid| sfa.edge(eid))
+        .map(|e| e.from)
+        .collect();
+    let want = sources
+        .into_iter()
+        .map(|from| project_eval(&q.dfa, &sfa, from, depth))
+        .fold(0.0f64, f64::max);
+    let got = q
+        .kernel
+        .eval_projection(scratch, blob, start_edges, depth)
+        .unwrap();
+    assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "pattern {:?} from edges {start_edges:?} depth {depth}: kernel={got} reference={want}",
+        q.pattern
+    );
+}
+
+/// The reconvergent graph that separates shortest-distance projection
+/// from first-discovery order: `y` is two edges from `s` via `x` and
+/// three via `a, b`, so at depth 3 the match completing on `y→z` counts.
+#[test]
+fn projection_reaches_every_node_within_depth() {
+    let mut bld = SfaBuilder::new();
+    let [s, x, a, b, y, z] = std::array::from_fn(|_| bld.add_node());
+    bld.add_edge(s, x, vec![Emission::new("F", 0.5)]);
+    bld.add_edge(s, a, vec![Emission::new("q", 0.5)]);
+    bld.add_edge(a, b, vec![Emission::new("q", 1.0)]);
+    bld.add_edge(b, y, vec![Emission::new("q", 1.0)]);
+    bld.add_edge(x, y, vec![Emission::new("or", 1.0)]);
+    bld.add_edge(y, z, vec![Emission::new("d", 1.0)]);
+    let blob = codec::encode(&bld.build(s, z).unwrap());
+    let q = Query::keyword("Ford").unwrap();
+    let mut scratch = ScanScratch::new();
+    // Edges 0 and 1 both leave `s`.
+    for (depth, want) in [(2, 0.0), (3, 0.5), (usize::MAX, 0.5)] {
+        let got = q
+            .kernel
+            .eval_projection(&mut scratch, &blob, &[0, 1], depth)
+            .unwrap();
+        assert_eq!(got, want, "depth {depth}");
+        assert_projection_identity(&q, &blob, &[0, 1], depth, &mut scratch);
+    }
+}
+
+thread_local! {
+    /// One scratch for every case of the projection proptest, so state
+    /// leaking from one row, kernel or entry point into the next shows.
+    static SHARED_SCRATCH: std::cell::RefCell<ScanScratch> = std::cell::RefCell::default();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The probe's projection against its oracle: random graphs × random
+    // and hand-picked patterns × random start-edge sets, on one scratch
+    // shared by all cases and interleaved with `eval_blob`.
+    #[test]
+    fn kernel_projection_is_bit_identical(
+        sfa in sfa_strategy(),
+        pattern in pattern_strategy(),
+        cut in (any::<u16>(), 1usize..4),
+        pattern_kind in 0usize..4,
+        picks in prop::collection::vec(any::<u32>(), 0..6),
+        depth_kind in 0usize..4,
+    ) {
+        // A piece of the most likely string, so the patterns below match
+        // somewhere in the graph more often than a random word would.
+        let (map, _) = staccato::sfa::map_string(&sfa).expect("non-empty SFA");
+        let at = cut.0 as usize % map.len();
+        let word = &map[at..(at + cut.1).min(map.len())];
+        let q = match pattern_kind {
+            0 => Query::regex(&pattern),
+            1 => Query::keyword(word),
+            // No `max_span`: the probe runs it at unbounded depth.
+            2 => Query::regex(&format!(r"{word}(\x)*\x")),
+            // More than 64 DFA states (the bitset prescreen is off).
+            _ => Query::regex(&format!(r"({word}|[a-m]\x\x\x\x\x\x[n-z0-9])")),
+        }
+        .unwrap();
+        if pattern_kind == 2 {
+            assert_eq!(q.max_span(), None);
+        }
+        if pattern_kind == 3 {
+            assert!(q.dfa.state_count() > 64);
+        }
+        let depth = match depth_kind {
+            0 => 0,
+            1 => 1,
+            2 => q.max_span().unwrap_or(usize::MAX).saturating_add(1),
+            _ => usize::MAX,
+        };
+        SHARED_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let graphs = [
+                sfa.clone(),
+                approximate(&sfa, StaccatoParams::new(3, 2)),
+                approximate(&sfa, StaccatoParams::new(8, 4)),
+            ];
+            for graph in &graphs {
+                let blob = codec::encode(graph);
+                let stored = codec::decode(&blob).unwrap();
+                let edge_count = stored.edge_count() as u32;
+                // Random picks, two of every `edge_count + 2` out of
+                // range (stale postings); then a duplicate, every edge
+                // leaving the first pick's source node, and the edge into
+                // the finish node.
+                let mut start_edges: Vec<u32> =
+                    picks.iter().map(|p| p % (edge_count + 2)).collect();
+                if let Some(first) = start_edges.first().and_then(|&eid| stored.edge(eid)) {
+                    let from = first.from;
+                    start_edges.push(start_edges[0]);
+                    start_edges.extend(stored.out_edges(from));
+                }
+                start_edges.extend(
+                    stored
+                        .edges()
+                        .filter(|(_, e)| e.to == stored.finish())
+                        .map(|(id, _)| id),
+                );
+                assert_blob_identity(&q, &blob, scratch);
+                assert_projection_identity(&q, &blob, &start_edges, depth, scratch);
+                assert_projection_identity(&q, &blob, &[], depth, scratch);
+                assert_blob_identity(&q, &blob, scratch);
+            }
+        });
+    }
 
     // FullSFA and Staccato blobs under random regex patterns. The
     // Staccato approximations exercise multi-character chunk labels and
