@@ -27,9 +27,9 @@
 //! `--write-pct P` turns the workload into a mixed read/write stream:
 //! a deterministic `P%` of each client's statements become single-row
 //! `INSERT INTO StaccatoData` batches with thread-unique document
-//! names, so writers contend on the ingest latch and every write
-//! invalidates the compiled-query cache under the readers — the
-//! worst-case interaction the latch design has to absorb.
+//! names, so writers contend on the ingest latch and the apply latch
+//! under the readers — the worst-case interaction the latch design has
+//! to absorb.
 
 use staccato_bench::timing::fmt_duration;
 use staccato_core::StaccatoParams;

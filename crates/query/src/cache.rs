@@ -1,119 +1,71 @@
-//! The compiled-query cache: repeated traffic skips lex/parse/DFA
-//! compilation *and* re-planning.
+//! The compiled-query cache: repeated patterns skip lex/parse/DFA
+//! compilation.
 //!
-//! Compiling a pattern (regex/`LIKE` → AST → NFA → containment DFA) and
-//! choosing its access path (which probes index dictionaries through the
-//! buffer pool) together dominate the cost of small repeated queries —
-//! exactly the shape of concurrent retrieval traffic. The session keys a
-//! bounded LRU on the parts of a [`QueryRequest`] that determine the
-//! compiled [`Query`] and the [`Plan`] (pattern, dialect, approach,
-//! parallelism, plan preference, aggregate — *not*
-//! `num_ans`/`offset`/`min_prob`, which only parameterize execution),
-//! and stores the compiled query
-//! behind an `Arc` so concurrent executions share one DFA.
+//! Compiling a pattern (regex/`LIKE` → AST → NFA → containment DFA →
+//! [`ScanKernel`](crate::kernel::ScanKernel)) is most of the cost of a
+//! small repeated statement. The session keeps a bounded LRU of compiled
+//! [`Query`]s keyed by `(pattern, dialect)` — the only [`QueryRequest`]
+//! fields [`QueryRequest::compile`] reads — behind an `Arc`, so
+//! concurrent executions share one DFA.
 //!
-//! # Sharding and the lock-free lookup path
+//! An entry never goes stale: a `Query` is immutable and depends on no
+//! stored row or registered index (the kernel's label memo lives in the
+//! per-statement `ScanScratch`). The plan is *not* cached; the session
+//! derives it again every statement, so an ingest or an index
+//! registration is visible to the next statement and nothing here has
+//! to be dropped for it.
 //!
-//! The table is split into up to [`MAX_CACHE_SHARDS`] segments by key
-//! hash; caches smaller than 64 entries stay unsharded so tiny caches
-//! keep exact global LRU order. Each shard publishes its map as an RCU
-//! snapshot ([`RcuCell`]): `get` — the per-statement hot path — is a
-//! gate-protected hash lookup with **no lock** (stale-epoch entries are
-//! an exception: pruning one takes the shard lock once, then the key
-//! misses lock-free until re-inserted). The per-shard mutex is held
-//! only by `insert` (clone-map-update-publish, with per-shard LRU
-//! eviction). Hit/miss/eviction counters are relaxed atomics, so
-//! `EXPLAIN ANALYZE` cache attribution never serializes statements.
-//!
-//! # Invalidation
-//!
-//! Registering an index can legally flip any anchored Staccato plan from
-//! `FileScan` to `IndexProbe`, so `invalidate` bumps a global epoch and
-//! entries from older epochs are dropped lazily on their next lookup.
-//! Correctness rests on the *get-time* check — an entry is returned only
-//! if `entry.epoch == current_epoch`, where `entry.epoch` was fixed when
-//! the plan was computed — so a plan computed against an old index set
-//! can never be served after the registration's epoch bump is visible.
-//! The insert-time check (`planned_at == current_epoch`) remains as an
-//! optimization that keeps already-stale entries from occupying a slot.
-//! The cache never stores errors — failing patterns recompile (and
-//! re-fail) each time.
+//! One `RwLock`'d map: a hit is a read lock, a lookup, an `Arc` clone and
+//! a relaxed recency store; a miss compiles outside the lock and takes
+//! the write lock to insert, evicting the globally least recently used
+//! entry at capacity. The bound stays because patterns arrive over HTTP.
+//! Errors are never cached — a failing pattern recompiles (and re-fails)
+//! each time.
 
-use crate::agg::AggregateFunc;
-use crate::exec::Approach;
-use crate::plan::{Dialect, Plan, PlanPreference, QueryRequest};
+use crate::error::QueryError;
+use crate::plan::{Dialect, QueryRequest};
 use crate::query::Query;
-use parking_lot::Mutex;
-use staccato_storage::RcuCell;
+use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-/// Default number of cached compiled queries per session.
-pub const DEFAULT_QUERY_CACHE_CAPACITY: usize = 256;
+/// Compiled queries held per session.
+const DEFAULT_QUERY_CACHE_CAPACITY: usize = 256;
 
-/// Upper bound on cache segments.
-pub const MAX_CACHE_SHARDS: usize = 8;
+/// The request fields compilation reads: pattern and dialect.
+type CacheKey = (String, Dialect);
 
-/// The request fields that determine the compiled query and its plan.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct CacheKey {
-    pattern: String,
-    dialect: Dialect,
-    approach: Approach,
-    parallelism: usize,
-    preference: PlanPreference,
-    aggregate: Option<AggregateFunc>,
-}
-
-impl CacheKey {
-    pub(crate) fn of(request: &QueryRequest) -> CacheKey {
-        CacheKey {
-            pattern: request.pattern.clone(),
-            dialect: request.dialect,
-            approach: request.approach,
-            parallelism: request.parallelism,
-            preference: request.preference,
-            aggregate: request.aggregate,
-        }
-    }
+fn key_of(request: &QueryRequest) -> CacheKey {
+    (request.pattern.clone(), request.dialect)
 }
 
 struct Entry {
     query: Arc<Query>,
-    plan: Plan,
-    /// The invalidation epoch this entry was planned under — fixed at
-    /// plan time, compared against the live epoch on every `get`.
-    epoch: u64,
-    /// LRU recency, updated by hitters without the shard lock.
+    /// LRU recency, stored by hitters under the read lock.
     last_used: AtomicU64,
 }
-
-type EntryMap = HashMap<CacheKey, Arc<Entry>>;
 
 /// Cache effectiveness counters (monotonic over the session's lifetime).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct QueryCacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to compile and plan.
+    /// Lookups that had to compile.
     pub misses: u64,
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
-    /// Epoch bumps (index registrations).
-    pub invalidations: u64,
     /// Entries currently held.
     pub len: usize,
     /// Maximum entries held.
     pub capacity: usize,
 }
 
-/// One cache segment: an RCU-published read snapshot plus the writer
-/// lock and the relaxed counters hitters bump outside any lock.
-struct CacheShard {
-    map: RcuCell<EntryMap>,
-    write: Mutex<()>,
+/// A bounded LRU of compiled queries. Internally synchronized; all
+/// methods take `&self`.
+pub(crate) struct QueryCache {
+    map: RwLock<HashMap<CacheKey, Entry>>,
     capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -121,217 +73,98 @@ struct CacheShard {
     evictions: AtomicU64,
 }
 
-impl CacheShard {
-    fn with_capacity(capacity: usize) -> CacheShard {
-        CacheShard {
-            map: RcuCell::new(Arc::new(EntryMap::new())),
-            write: Mutex::new(()),
-            capacity,
+impl Default for QueryCache {
+    fn default() -> QueryCache {
+        QueryCache::with_capacity(DEFAULT_QUERY_CACHE_CAPACITY)
+    }
+}
+
+impl QueryCache {
+    fn with_capacity(capacity: usize) -> QueryCache {
+        QueryCache {
+            map: RwLock::new(HashMap::new()),
+            capacity: capacity.max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
-}
 
-/// A bounded, epoch-invalidated, sharded LRU of compiled queries +
-/// chosen plans. Internally synchronized; all methods take `&self`.
-pub(crate) struct QueryCache {
-    shards: Vec<CacheShard>,
-    /// log2 of `shards.len()`, for the key-hash → shard mapping.
-    shard_bits: u32,
-    /// Global invalidation epoch, bumped by `invalidate`.
-    epoch: AtomicU64,
-    invalidations: AtomicU64,
-    capacity: usize,
-}
-
-/// Shard count for a cache of `capacity` entries: largest power of two
-/// `<= MAX_CACHE_SHARDS` leaving every shard at least 32 entries. Small
-/// caches collapse to one shard and keep exact global LRU semantics.
-fn cache_shard_count(capacity: usize) -> usize {
-    let limit = (capacity / 32).clamp(1, MAX_CACHE_SHARDS);
-    1 << (usize::BITS - 1 - limit.leading_zeros())
-}
-
-impl QueryCache {
-    pub(crate) fn with_capacity(capacity: usize) -> QueryCache {
-        let capacity = capacity.max(1);
-        let n = cache_shard_count(capacity);
-        let base = capacity / n;
-        let extra = capacity % n;
-        let shards = (0..n)
-            .map(|i| CacheShard::with_capacity(base + usize::from(i < extra)))
-            .collect();
-        QueryCache {
-            shards,
-            shard_bits: n.trailing_zeros(),
-            epoch: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            capacity,
+    /// The compiled query for `request`: shared from the cache, or
+    /// compiled (outside any lock) and inserted. Counts one lookup.
+    pub(crate) fn get_or_compile(&self, request: &QueryRequest) -> Result<Arc<Query>, QueryError> {
+        let key = key_of(request);
+        if let Some(query) = self.get(&key) {
+            return Ok(query);
         }
+        let query = Arc::new(request.compile()?);
+        self.insert(key, Arc::clone(&query));
+        Ok(query)
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &CacheShard {
-        if self.shard_bits == 0 {
-            return &self.shards[0];
-        }
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        let idx = (hasher.finish() >> (64 - self.shard_bits)) as usize;
-        &self.shards[idx]
-    }
-
-    /// The cached `(compiled query, plan)` for `key`, if present and from
-    /// the current epoch. Lock-free on hit and on clean miss; a
-    /// stale-epoch entry takes the shard lock once to prune itself.
-    pub(crate) fn get(&self, key: &CacheKey) -> Option<(Arc<Query>, Plan)> {
-        let shard = self.shard_of(key);
-        // Epoch first (Acquire): pairs with invalidate's Release bump.
-        // If a registration's bump is visible, entries planned before it
-        // compare unequal below and are rejected.
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        enum Found {
-            Hit(Arc<Query>, Plan),
-            Stale,
-            Absent,
-        }
-        let found = shard.map.with(|map| match map.get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                entry.last_used.store(tick, Ordering::Relaxed);
-                Found::Hit(entry.query.clone(), entry.plan.clone())
-            }
-            Some(_) => Found::Stale,
-            None => Found::Absent,
+    fn get(&self, key: &CacheKey) -> Option<Arc<Query>> {
+        let tick = self.tick.fetch_add(1, Relaxed) + 1;
+        let found = self.map.read().get(key).map(|entry| {
+            entry.last_used.store(tick, Relaxed);
+            Arc::clone(&entry.query)
         });
-        match found {
-            Found::Hit(query, plan) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                Some((query, plan))
-            }
-            Found::Stale => {
-                // The index set changed since this was planned; drop it
-                // under the shard lock so `len` reflects reality.
-                let _w = shard.write.lock();
-                let current = shard.map.load();
-                if let Some(entry) = current.get(key) {
-                    if entry.epoch != self.epoch.load(Ordering::Acquire) {
-                        let mut next: EntryMap = (*current).clone();
-                        next.remove(key);
-                        shard.map.store(Arc::new(next));
-                    }
-                }
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Found::Absent => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Relaxed);
+        found
     }
 
-    /// The current invalidation epoch. Sample it *before* compiling and
-    /// planning, and hand it back to [`QueryCache::insert`]: if an index
-    /// registration bumped the epoch in between, the insert is dropped —
-    /// otherwise a plan computed against the old index set could occupy
-    /// a slot (it could still never be *served*: `get` re-checks the
-    /// entry's epoch against the live one).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Insert a freshly compiled and planned entry (evicting the shard's
-    /// least recently used one if full), unless the epoch moved since
-    /// `planned_at` was sampled.
-    pub(crate) fn insert(&self, key: CacheKey, query: Arc<Query>, plan: Plan, planned_at: u64) {
-        let shard = self.shard_of(&key);
-        let _w = shard.write.lock();
-        if self.epoch.load(Ordering::Acquire) != planned_at {
-            return;
+    /// Insert a freshly compiled query, evicting the least recently used
+    /// entry if the cache is full.
+    fn insert(&self, key: CacheKey, query: Arc<Query>) {
+        let last_used = AtomicU64::new(self.tick.fetch_add(1, Relaxed) + 1);
+        let mut map = self.map.write();
+        if map.len() >= self.capacity && !map.contains_key(&key) {
+            let victim = map.iter().min_by_key(|(_, e)| e.last_used.load(Relaxed));
+            let victim = victim.map(|(k, _)| k.clone()).expect("full, so non-empty");
+            map.remove(&victim);
+            self.evictions.fetch_add(1, Relaxed);
         }
-        let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let current = shard.map.load();
-        let mut next: EntryMap = (*current).clone();
-        if !next.contains_key(&key) && next.len() >= shard.capacity {
-            // Evict the shard's LRU entry (stale-epoch entries sort
-            // naturally toward the front since they stopped being
-            // touched).
-            if let Some(victim) = next
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
-            {
-                next.remove(&victim);
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        next.insert(
-            key,
-            Arc::new(Entry {
-                query,
-                plan,
-                epoch: planned_at,
-                last_used: AtomicU64::new(tick),
-            }),
-        );
-        shard.map.store(Arc::new(next));
-    }
-
-    /// Invalidate every cached plan (the index set changed). Entries are
-    /// dropped lazily on their next lookup. The Release bump pairs with
-    /// `get`'s Acquire load: a getter that observes the new epoch
-    /// rejects every entry planned before it.
-    pub(crate) fn invalidate(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        map.insert(key, Entry { query, last_used });
     }
 
     pub(crate) fn stats(&self) -> QueryCacheStats {
-        let mut s = QueryCacheStats {
+        QueryCacheStats {
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            evictions: self.evictions.load(Relaxed),
+            len: self.map.read().len(),
             capacity: self.capacity,
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            ..QueryCacheStats::default()
-        };
-        for shard in &self.shards {
-            s.hits += shard.hits.load(Ordering::Relaxed);
-            s.misses += shard.misses.load(Ordering::Relaxed);
-            s.evictions += shard.evictions.load(Ordering::Relaxed);
-            s.len += shard.map.with(|m| m.len());
         }
-        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::AggregateFunc;
+    use crate::exec::Approach;
+    use crate::plan::PlanPreference;
 
     fn key(pattern: &str) -> CacheKey {
-        CacheKey::of(&QueryRequest::keyword(pattern))
+        key_of(&QueryRequest::keyword(pattern))
     }
 
-    fn entry(pattern: &str) -> (Arc<Query>, Plan) {
-        (
-            Arc::new(Query::keyword(pattern).unwrap()),
-            Plan::FileScan {
-                approach: Approach::Staccato,
-                parallelism: 1,
-            },
-        )
+    fn query(pattern: &str) -> Arc<Query> {
+        Arc::new(Query::keyword(pattern).unwrap())
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let cache = QueryCache::with_capacity(4);
         assert!(cache.get(&key("president")).is_none());
-        let (q, p) = entry("president");
-        cache.insert(key("president"), q, p.clone(), cache.epoch());
-        let (hit_q, hit_p) = cache.get(&key("president")).expect("cached");
-        assert_eq!(hit_p, p);
-        assert_eq!(hit_q.pattern, "president");
+        cache.insert(key("president"), query("president"));
+        let hit = cache.get(&key("president")).expect("cached");
+        assert_eq!(hit.pattern, "president");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
     }
@@ -339,77 +172,38 @@ mod tests {
     #[test]
     fn key_ignores_num_ans_and_min_prob_but_not_plan_inputs() {
         let base = QueryRequest::keyword("ford");
-        assert_eq!(
-            CacheKey::of(&base.clone().num_ans(7).min_prob(0.5)),
-            CacheKey::of(&base)
-        );
+        // Execution parameters and plan inputs do not change what
+        // compiles: one key.
+        for same in [
+            base.clone().num_ans(7).min_prob(0.5),
+            base.clone().approach(Approach::Map),
+            base.clone().parallelism(4),
+            base.clone().plan_preference(PlanPreference::ForceFileScan),
+            base.clone().aggregate(AggregateFunc::CountStar),
+        ] {
+            assert_eq!(key_of(&same), key_of(&base), "{same:?}");
+        }
+        // Pattern and dialect are what compiles: distinct keys.
         assert_ne!(
-            CacheKey::of(&base.clone().approach(Approach::Map)),
-            CacheKey::of(&base)
+            key_of(&QueryRequest::like("ford")),
+            key_of(&QueryRequest::regex("ford"))
         );
-        assert_ne!(
-            CacheKey::of(&base.clone().parallelism(4)),
-            CacheKey::of(&base)
-        );
-        assert_ne!(
-            CacheKey::of(&base.clone().aggregate(AggregateFunc::CountStar)),
-            CacheKey::of(&base)
-        );
-        assert_ne!(
-            CacheKey::of(&base.plan_preference(PlanPreference::ForceFileScan)),
-            CacheKey::of(&QueryRequest::keyword("ford"))
-        );
-    }
-
-    #[test]
-    fn invalidation_drops_entries_lazily() {
-        let cache = QueryCache::with_capacity(4);
-        let (q, p) = entry("president");
-        cache.insert(key("president"), q, p, cache.epoch());
-        cache.invalidate();
-        assert!(cache.get(&key("president")).is_none(), "stale epoch");
-        assert_eq!(cache.stats().invalidations, 1);
-        assert_eq!(cache.stats().len, 0, "stale entry dropped on lookup");
+        assert_ne!(key_of(&QueryRequest::keyword("forde")), key_of(&base));
     }
 
     #[test]
     fn lru_eviction_respects_recency() {
         let cache = QueryCache::with_capacity(2);
         for pat in ["a", "b"] {
-            let (q, p) = entry(pat);
-            cache.insert(key(pat), q, p, cache.epoch());
+            cache.insert(key(pat), query(pat));
         }
         // Touch "a" so "b" is the LRU victim.
         assert!(cache.get(&key("a")).is_some());
-        let (q, p) = entry("c");
-        cache.insert(key("c"), q, p, cache.epoch());
+        cache.insert(key("c"), query("c"));
         assert!(cache.get(&key("a")).is_some());
         assert!(cache.get(&key("b")).is_none(), "evicted");
         assert!(cache.get(&key("c")).is_some());
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn insert_dropped_when_epoch_moved_but_get_still_guards() {
-        let cache = QueryCache::with_capacity(4);
-        let planned_at = cache.epoch();
-        cache.invalidate();
-        let (q, p) = entry("stale");
-        cache.insert(key("stale"), q, p, planned_at);
-        assert_eq!(cache.stats().len, 0, "stale insert dropped");
-        assert!(cache.get(&key("stale")).is_none());
-    }
-
-    #[test]
-    fn small_caches_collapse_to_one_shard_large_ones_split() {
-        assert_eq!(QueryCache::with_capacity(2).shards.len(), 1);
-        assert_eq!(QueryCache::with_capacity(63).shards.len(), 1);
-        assert_eq!(QueryCache::with_capacity(64).shards.len(), 2);
-        assert_eq!(QueryCache::with_capacity(256).shards.len(), 8);
-        assert_eq!(QueryCache::with_capacity(4096).shards.len(), 8);
-        // Shard capacities always sum to the requested capacity.
-        let c = QueryCache::with_capacity(257);
-        assert_eq!(c.shards.iter().map(|s| s.capacity).sum::<usize>(), 257);
     }
 
     #[test]
@@ -424,8 +218,7 @@ mod tests {
                     for round in 0..64usize {
                         let pat = &patterns[(t * 7 + round) % patterns.len()];
                         if cache.get(&key(pat)).is_none() {
-                            let (q, p) = entry(pat);
-                            cache.insert(key(pat), q, p, cache.epoch());
+                            cache.insert(key(pat), query(pat));
                         }
                     }
                 });

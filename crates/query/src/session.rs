@@ -19,9 +19,9 @@
 //! contention-free: buffer-pool hits are lock-free RCU lookups (the
 //! shard mutex covers misses/eviction only), the registered-index list
 //! is published as an atomically-swapped `Arc` snapshot (planning never
-//! blocks behind an index build), and the compiled-query cache is
-//! sharded with lock-free lookups. Share one session across client
-//! threads as `Arc<Staccato>` — no external locking:
+//! blocks behind an index build), and a compiled-query cache hit takes
+//! one atomic-word read latch. Share one session across client threads
+//! as `Arc<Staccato>` — no external locking:
 //!
 //! ```ignore
 //! let session = Arc::new(Staccato::load(db, &dataset, &LoadOptions::default())?);
@@ -37,12 +37,11 @@
 //!     .collect();
 //! ```
 //!
-//! Repeated statements are served from a bounded compiled-query cache
-//! (pattern → DFA + plan), which [`Staccato::register_index`] invalidates
-//! so anchored queries re-plan onto the new index.
+//! Repeated patterns reuse a compiled DFA from a bounded cache whose
+//! entries never go stale; the plan is derived again for every statement.
 
 use crate::agg::{AggregateResult, StreamingAggregate};
-use crate::cache::{CacheKey, QueryCache, QueryCacheStats, DEFAULT_QUERY_CACHE_CAPACITY};
+use crate::cache::{QueryCache, QueryCacheStats};
 use crate::error::QueryError;
 use crate::exec::{exec_filescan, Answer, Sink, TopK};
 use crate::ingest::{
@@ -278,7 +277,7 @@ impl Staccato {
             store,
             indexes: RcuCell::new(Arc::new(Vec::new())),
             index_write: Mutex::new(()),
-            cache: QueryCache::with_capacity(DEFAULT_QUERY_CACHE_CAPACITY),
+            cache: QueryCache::default(),
             writer: Mutex::new(WriterState {
                 wal: None,
                 next_seq: 1,
@@ -331,9 +330,10 @@ impl Staccato {
     /// Registration serializes on the registration latch (so two threads
     /// cannot race the same name), builds the index off to the side —
     /// planning keeps reading the previous registry snapshot, entirely
-    /// unblocked — then publishes the extended snapshot atomically and
-    /// invalidates the compiled-query cache: anchored Staccato queries
-    /// re-plan and may now route through the new index.
+    /// unblocked — then publishes the extended snapshot atomically.
+    /// Every statement plans against the snapshot current when it starts,
+    /// so anchored Staccato queries may route through the new index from
+    /// the next statement on.
     pub fn register_index(&self, trie: &Trie, name: &str) -> Result<u64, QueryError> {
         // Hold the apply latch (read side) across the build: concurrent
         // queries proceed, but no ingest batch can land mid-scan — every
@@ -355,15 +355,7 @@ impl Staccato {
             index: Arc::new(index),
             trie: trie.clone(),
         }));
-        // Publish the new registry *before* bumping the epoch: a planner
-        // that observes the new epoch is guaranteed to also observe the
-        // new snapshot (store is sequenced before the bump, and the
-        // bump's Release pairs with the planner's Acquire epoch load). A
-        // planner still on the old epoch may plan against the old
-        // snapshot, but its entry carries the old epoch and the cache's
-        // get-time check rejects it.
         self.indexes.store(Arc::new(next));
-        self.cache.invalidate();
         Ok(postings)
     }
 
@@ -417,17 +409,12 @@ impl Staccato {
     /// plan. Every surface (`plan`, `explain`, `execute`, SQL `EXPLAIN`)
     /// goes through here, so they agree by construction — and all of
     /// them share the compiled-query cache, so repeated traffic skips
-    /// pattern compilation and access-path choice entirely.
+    /// pattern compilation. The plan is chosen afresh every time: it is
+    /// request fields plus at most one dictionary lookup per registered
+    /// index, and never stale.
     fn compile_and_plan(&self, request: &QueryRequest) -> Result<(Arc<Query>, Plan), QueryError> {
-        let key = CacheKey::of(request);
-        if let Some(hit) = self.cache.get(&key) {
-            return Ok(hit);
-        }
-        let epoch = self.cache.epoch();
-        let query = Arc::new(request.compile()?);
+        let query = self.cache.get_or_compile(request)?;
         let plan = plan_request(self, request, &query)?;
-        self.cache
-            .insert(key, Arc::clone(&query), plan.clone(), epoch);
         Ok((query, plan))
     }
 
@@ -902,8 +889,6 @@ impl Staccato {
         self.totals
             .docs
             .fetch_add(batch.docs.len() as u64, Ordering::AcqRel);
-        // Plans may key on corpus statistics; force re-planning.
-        self.cache.invalidate();
         Ok(())
     }
 
@@ -1332,7 +1317,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_query_cache_hits_and_invalidates() {
+    fn compiled_query_cache_hits_and_registration_replans() {
         let s = session(30, 5);
         let req = QueryRequest::keyword("President");
         let first = s.execute(&req).unwrap();
@@ -1346,15 +1331,71 @@ mod tests {
         s.execute(&req.clone().num_ans(5).min_prob(0.1)).unwrap();
         assert!(s.query_cache_stats().hits > after.hits);
 
-        // Registering a covering index invalidates: the same request
-        // re-plans onto the probe.
+        // Registering a covering index: the same request plans onto the
+        // probe at its next statement.
         assert!(!s.plan(&req).unwrap().is_index_probe());
         s.register_index(&Trie::build(["president"]), "inv")
             .unwrap();
-        assert!(s.query_cache_stats().invalidations >= 1);
         assert!(s.plan(&req).unwrap().is_index_probe());
         let probed = s.execute(&req).unwrap();
         assert!(probed.plan.is_index_probe());
+    }
+
+    #[test]
+    fn ingest_costs_no_recompile() {
+        let s = session(30, 5);
+        s.register_index(&Trie::build(["president"]), "inv")
+            .unwrap();
+        let anchored = QueryRequest::keyword("President");
+        let map = QueryRequest::keyword("Senate").approach(Approach::Map);
+        assert!(s.execute(&anchored).unwrap().plan.is_index_probe());
+        s.execute(&map).unwrap();
+        let before = s.query_cache_stats();
+        let receipt = s
+            .ingest(IngestBatch::new().doc(DocumentInput::new("s.png", "the Senate shall convene")))
+            .unwrap();
+        assert!(s.execute(&anchored).unwrap().plan.is_index_probe());
+        let out = s.execute(&map).unwrap();
+        let after = s.query_cache_stats();
+        assert_eq!(after.misses, before.misses, "an ingest costs no recompile");
+        assert_eq!(after.hits, before.hits + 2);
+        // The cached compile still sees the new row.
+        assert!(
+            out.answers.iter().any(|a| a.data_key == receipt.first_key),
+            "{:?}",
+            out.answers
+        );
+    }
+
+    #[test]
+    fn parallelism_shares_the_compiled_query_not_the_plan() {
+        let s = session(20, 9);
+        let before = s.query_cache_stats();
+        let serial = s
+            .plan(&QueryRequest::keyword("ford").parallelism(1))
+            .unwrap();
+        let parallel = s
+            .plan(&QueryRequest::keyword("ford").parallelism(4))
+            .unwrap();
+        let after = s.query_cache_stats();
+        assert_eq!(
+            (after.misses - before.misses, after.hits - before.hits),
+            (1, 1)
+        );
+        assert_eq!(
+            serial,
+            Plan::FileScan {
+                approach: Approach::Staccato,
+                parallelism: 1
+            }
+        );
+        assert_eq!(
+            parallel,
+            Plan::FileScan {
+                approach: Approach::Staccato,
+                parallelism: 4
+            }
+        );
     }
 
     #[test]

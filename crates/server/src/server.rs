@@ -491,7 +491,6 @@ fn handle_stats(shared: &Shared) -> Response {
                 ("hits", Json::Num(cache.hits as f64)),
                 ("misses", Json::Num(cache.misses as f64)),
                 ("evictions", Json::Num(cache.evictions as f64)),
-                ("invalidations", Json::Num(cache.invalidations as f64)),
                 ("len", Json::Num(cache.len as f64)),
                 ("capacity", Json::Num(cache.capacity as f64)),
             ]),

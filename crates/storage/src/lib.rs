@@ -23,8 +23,8 @@
 //!   rotating segment files) backing the query layer's ingest path and
 //!   crash recovery;
 //! * [`rcu`] — the hand-rolled arc-swap ([`RcuCell`]) behind the
-//!   lock-free read paths: buffer-pool page hits, the query layer's
-//!   sharded compiled-query cache, and index-registry snapshots.
+//!   lock-free read paths: buffer-pool page hits and the query layer's
+//!   index-registry snapshots.
 
 pub mod blob;
 pub mod btree;

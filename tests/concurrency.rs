@@ -5,9 +5,9 @@
 //! `Arc` serves concurrent traffic with no external locking and no change
 //! in semantics: every thread sees exactly the answers, probabilities,
 //! and `explain()` text a serial run produces. One extra thread races
-//! `register_index` mid-flight to exercise the compiled-query cache's
-//! epoch invalidation — its dictionaries cover no query anchor, so plans
-//! stay stable while the registry and cache churn underneath.
+//! `register_index` mid-flight to exercise per-statement planning against
+//! a changing registry — its dictionaries cover no query anchor, so plans
+//! stay stable while the registry churns underneath.
 
 use staccato::approx::StaccatoParams;
 use staccato::automata::Trie;
@@ -76,7 +76,7 @@ fn eight_threads_see_byte_identical_results_while_an_index_registers() {
     std::thread::scope(|scope| {
         // One writer racing the readers: registers three indexes whose
         // dictionaries cover no query anchor (plans cannot change), each
-        // registration scanning the store and bumping the cache epoch.
+        // registration scanning the store and publishing a new registry.
         {
             let session = Arc::clone(&session);
             scope.spawn(move || {
@@ -121,10 +121,8 @@ fn eight_threads_see_byte_identical_results_while_an_index_registers() {
         }
     });
 
-    // The race actually exercised invalidation, and the cache served
-    // repeated traffic.
+    // The cache served repeated traffic across the registrations.
     let cache = session.query_cache_stats();
-    assert_eq!(cache.invalidations, 3, "{cache:?}");
     assert!(cache.hits > 0, "{cache:?}");
     assert_eq!(
         session.index_names(),
@@ -146,10 +144,9 @@ fn eight_threads_see_byte_identical_results_while_an_index_registers() {
 }
 
 /// The lock-free read hot path under maximum churn: sixteen readers on
-/// RCU page hits, sharded cache lookups, and registry snapshots, while
-/// one racer registers indexes (each registration swaps the registry
-/// snapshot and bumps the cache epoch) and one writer ingests batches
-/// (each apply invalidates the cache and extends the registered
+/// RCU page hits, cache lookups, and registry snapshots, while one racer
+/// registers indexes (each registration swaps the registry snapshot) and
+/// one writer ingests batches (each apply extends the registered
 /// indexes). Results must stay bit-identical to the serial baseline —
 /// answers, probabilities, order, and aggregates.
 ///
@@ -197,7 +194,7 @@ fn sixteen_threads_stay_bit_identical_under_registry_and_ingest_churn() {
 
     std::thread::scope(|scope| {
         // Registry racer: every registration builds off to the side,
-        // publishes a new snapshot, and bumps the cache epoch.
+        // and publishes a new snapshot.
         {
             let session = Arc::clone(&session);
             scope.spawn(move || {
@@ -211,8 +208,8 @@ fn sixteen_threads_stay_bit_identical_under_registry_and_ingest_churn() {
                 }
             });
         }
-        // Writer: disjoint-vocabulary documents — every apply
-        // invalidates the cache and extends all registered indexes.
+        // Writer: disjoint-vocabulary documents — every apply extends
+        // all registered indexes.
         {
             let session = Arc::clone(&session);
             scope.spawn(move || {
@@ -255,13 +252,8 @@ fn sixteen_threads_stay_bit_identical_under_registry_and_ingest_churn() {
         }
     });
 
-    // The churn actually happened: every registration and every batch
-    // bumped the epoch at least once.
+    // The churn actually happened, and the cache served through it.
     let cache = session.query_cache_stats();
-    assert!(
-        cache.invalidations >= (RACER_INDEXES + WRITER_BATCHES) as u64,
-        "{cache:?}"
-    );
     assert!(cache.hits > 0, "{cache:?}");
     assert_eq!(session.line_count(), 48 + 2 * WRITER_BATCHES);
     assert_eq!(session.index_names().len(), 1 + RACER_INDEXES);

@@ -327,7 +327,25 @@ fn error_codes_are_stable_and_bodies_are_enveloped() {
         .unwrap();
     assert!(query_stats.get("errors_4xx").unwrap().as_u64().unwrap() >= 2);
     assert!(stats.get("pool").unwrap().get("hit_rate").is_some());
-    assert!(stats.get("query_cache").unwrap().get("misses").is_some());
+    let Some(Json::Obj(cache)) = stats.get("query_cache") else {
+        panic!("query_cache is an object: {stats:?}");
+    };
+    let keys: Vec<&str> = cache.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["hits", "misses", "evictions", "len", "capacity"]);
+
+    // An ingest leaves compiled patterns cached: the repeated query hits.
+    let cache_hits = |client: &mut HttpClient| {
+        let stats = client.get("/stats").expect("stats").json().expect("json");
+        let hits = stats.get("query_cache").and_then(|c| c.get("hits"));
+        hits.and_then(Json::as_u64).expect("query_cache.hits")
+    };
+    let query = "{\"sql\": \"SELECT DataKey FROM MAPData WHERE Data LIKE '%Act%' LIMIT 5\"}";
+    assert_eq!(fresh.post("/query", query).expect("query").status, 200);
+    let hits_before = cache_hits(&mut fresh);
+    let ingest = "{\"documents\": [{\"name\": \"c.png\", \"text\": \"an Act of record\"}]}";
+    assert_eq!(fresh.post("/ingest", ingest).expect("ingest").status, 200);
+    assert_eq!(fresh.post("/query", query).expect("query").status, 200);
+    assert!(cache_hits(&mut fresh) > hits_before);
 
     server.shutdown();
 }
