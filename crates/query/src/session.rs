@@ -15,13 +15,13 @@
 //! # Sharing model
 //!
 //! Every public method takes `&self`, `Staccato` is `Send + Sync`
-//! (asserted at compile time below), and the read hot path is
-//! contention-free: buffer-pool hits are lock-free RCU lookups (the
-//! shard mutex covers misses/eviction only), the registered-index list
-//! is published as an atomically-swapped `Arc` snapshot (planning never
-//! blocks behind an index build), and a compiled-query cache hit takes
-//! one atomic-word read latch. Share one session across client threads
-//! as `Arc<Staccato>` — no external locking:
+//! (asserted at compile time below), and a read that finds what it
+//! wants takes only atomic-word read latches: a buffer-pool hit takes
+//! its shard's read side (the write side covers misses/eviction only),
+//! the registered-index list is an `Arc` snapshot cloned under a read
+//! latch (planning never blocks behind an index build), and a
+//! compiled-query cache hit takes one read latch. Share one session
+//! across client threads as `Arc<Staccato>` — no external locking:
 //!
 //! ```ignore
 //! let session = Arc::new(Staccato::load(db, &dataset, &LoadOptions::default())?);
@@ -62,7 +62,7 @@ use parking_lot::{Mutex, RwLock};
 use staccato_automata::Trie;
 use staccato_ocr::Dataset;
 use staccato_sfa::codec;
-use staccato_storage::{Database, PoolStats, RcuCell, SyncPolicy, Wal, WalFlusher};
+use staccato_storage::{Database, PoolStats, SyncPolicy, Wal, WalFlusher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
@@ -221,17 +221,17 @@ impl Drop for CheckpointerSlot {
 ///    inserting a batch's rows, history, and index postings — so a
 ///    reader observes a batch entirely or not at all, never partially.
 /// 3. `index_write` serializes registrations. *Reads* of the registry
-///    never latch: `indexes` is an RCU snapshot ([`RcuCell`]) — the
-///    planner, ingest's posting extension, and every registry getter
-///    work against the snapshot that was current when they started,
-///    while `register_index` builds the next one off to the side and
-///    publishes it atomically.
+///    never wait for a build: `indexes` holds an `Arc` snapshot that
+///    readers clone under its read side — the planner, ingest's posting
+///    extension, and every registry getter work against the snapshot
+///    that was current when they started, while `register_index` builds
+///    the next one off to the side and swaps it in under the write side.
 pub struct Staccato {
     store: OcrStore,
-    /// The registered-index snapshot. Readers clone `Arc`s out of it
-    /// lock-free; only `register_index` (under `index_write`) replaces
+    /// The registered-index snapshot. Readers clone the `Arc` under the
+    /// read side; only `register_index` (under `index_write`) replaces
     /// it.
-    indexes: RcuCell<Vec<Arc<RegisteredIndex>>>,
+    indexes: RwLock<Arc<Vec<Arc<RegisteredIndex>>>>,
     /// Serializes index registrations (duplicate-name check → build →
     /// publish must not interleave).
     index_write: Mutex<()>,
@@ -275,7 +275,7 @@ impl Staccato {
     pub fn open(store: OcrStore) -> Staccato {
         Staccato {
             store,
-            indexes: RcuCell::new(Arc::new(Vec::new())),
+            indexes: RwLock::new(Arc::new(Vec::new())),
             index_write: Mutex::new(()),
             cache: QueryCache::default(),
             writer: Mutex::new(WriterState {
@@ -342,7 +342,7 @@ impl Staccato {
         // write path: applies before index_write.
         let _apply = self.applies.read();
         let _reg = self.index_write.lock();
-        let current = self.indexes.load();
+        let current = self.index_snapshot();
         if current.iter().any(|r| r.name == name) {
             return Err(QueryError::DuplicateIndex(name.to_string()));
         }
@@ -355,29 +355,34 @@ impl Staccato {
             index: Arc::new(index),
             trie: trie.clone(),
         }));
-        self.indexes.store(Arc::new(next));
+        *self.indexes.write() = Arc::new(next);
         Ok(postings)
+    }
+
+    /// The current registry snapshot, cloned under the read side so
+    /// callers can keep it across page I/O without holding the latch.
+    fn index_snapshot(&self) -> Arc<Vec<Arc<RegisteredIndex>>> {
+        Arc::clone(&self.indexes.read())
     }
 
     /// A registered index by name.
     pub fn index(&self, name: &str) -> Option<Arc<InvertedIndex>> {
-        self.indexes.with(|v| {
-            v.iter()
-                .find(|r| r.name == name)
-                .map(|r| Arc::clone(&r.index))
-        })
+        self.indexes
+            .read()
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| Arc::clone(&r.index))
     }
 
     /// Names of all registered indexes, in registration order.
     pub fn index_names(&self) -> Vec<String> {
-        self.indexes
-            .with(|v| v.iter().map(|r| r.name.clone()).collect())
+        self.indexes.read().iter().map(|r| r.name.clone()).collect()
     }
 
-    /// Is any index registered? (Planner hook — one lock-free snapshot
-    /// peek, unlike [`Staccato::index_names`].)
+    /// Is any index registered? (Planner hook — one read-latched peek,
+    /// unlike [`Staccato::index_names`].)
     pub(crate) fn has_indexes(&self) -> bool {
-        self.indexes.with(|v| !v.is_empty())
+        !self.indexes.read().is_empty()
     }
 
     /// Compiled-query cache effectiveness counters.
@@ -392,11 +397,10 @@ impl Staccato {
     }
 
     /// The first registered index whose dictionary contains `term`
-    /// (planner hook). Clones the registry snapshot out of the cell
-    /// (`load`, not `with`) because the dictionary probe does page I/O —
-    /// too long to sit inside the RCU reader gate.
+    /// (planner hook). Works on a cloned snapshot because the dictionary
+    /// probe does page I/O — too long to hold the registry's read latch.
     pub(crate) fn index_covering(&self, term: &str) -> Result<Option<String>, QueryError> {
-        let indexes = self.indexes.load();
+        let indexes = self.index_snapshot();
         for reg in indexes.iter() {
             if reg.index.contains_term(self.store.db().pool(), term)? {
                 return Ok(Some(reg.name.clone()));
@@ -856,12 +860,12 @@ impl Staccato {
     /// of the write path. Caller holds the writer lock.
     fn apply_decoded(&self, batch: &DecodedBatch) -> Result<(), QueryError> {
         let _apply = self.applies.write();
-        // Snapshot clone (`load`): posting extension does page I/O and
-        // must not run inside the RCU reader gate. A registration racing
-        // this apply either sees the batch's lines in its build scan (it
+        // Snapshot clone: posting extension does page I/O and must not
+        // hold the registry's read latch. A registration racing this
+        // apply either sees the batch's lines in its build scan (it
         // holds `applies.read`, so it runs strictly before or after this
         // whole apply) or extends from the next batch on.
-        let indexes = self.indexes.load();
+        let indexes = self.index_snapshot();
         let pool = self.store.db().pool();
         for (i, doc) in batch.docs.iter().enumerate() {
             let key = batch.first_key + i as i64;

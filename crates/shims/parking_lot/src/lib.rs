@@ -1,21 +1,23 @@
 //! Offline stand-in for the `parking_lot` crate.
 //!
 //! Provides the surface `staccato-storage` uses: a non-poisoning
-//! [`Mutex`], and an [`RwLock`] with both borrowed (`read`/`write`) and
-//! Arc-owned (`read_arc`/`write_arc`, the `arc_lock` feature) guards.
+//! [`Mutex`], and an [`RwLock`] with both borrowed
+//! (`read`/`write`/`try_write`) and Arc-owned (`read_arc`/`write_arc`,
+//! the `arc_lock` feature) guards.
 //!
 //! The rwlock is a single atomic word (reader count, with a writer bit):
 //! acquiring or releasing a read lock is **one uncontended RMW** — no
 //! mutex, no condvar, no futex hand-off. This matters because the query
-//! layer's read hot path goes through rwlocks twice per page touch (the
-//! page-data latch) and once per statement (the batch-visibility gate);
-//! the earlier mutex+condvar implementation made every one of those a
-//! global-mutex critical section, which under concurrent clients turned
-//! into scheduler churn. Waiters spin briefly then `yield_now` —
-//! acceptable because writers (ingest applies, page writes) are rare and
-//! short in this workload; writer-preference fairness and parking-lot's
-//! adaptive parking are out of scope. Swap this crate for the registry
-//! `parking_lot` when a network is available.
+//! layer's read hot path takes two rwlocks per page touch (the buffer
+//! pool shard's read side, then the page-data latch) and one per
+//! statement (the batch-visibility gate); the earlier mutex+condvar
+//! implementation made every one of those a global-mutex critical
+//! section, which under concurrent clients turned into scheduler churn.
+//! Waiters spin briefly then `yield_now` — acceptable because writers
+//! (ingest applies, page writes) are rare and short in this workload;
+//! writer-preference fairness and parking-lot's adaptive parking are
+//! out of scope. Swap this crate for the registry `parking_lot` when a
+//! network is available.
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
@@ -52,18 +54,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             guard: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    /// Acquire the lock only if it is free right now (parking_lot's
-    /// `try_lock`, returning `Option` instead of a poison `Result`).
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(MutexGuard { guard }),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                guard: e.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
 }
@@ -175,6 +165,15 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.acquire_write();
         RwLockWriteGuard { lock: self }
+    }
+
+    /// Borrowed exclusive access only if no reader or writer holds the
+    /// lock right now (parking_lot's `try_write`).
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        self.state
+            .compare_exchange(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| RwLockWriteGuard { lock: self })
     }
 
     /// Owned shared access through an `Arc` (parking_lot's `arc_lock`).
@@ -300,14 +299,18 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_fails_while_held_and_succeeds_after() {
-        let m = Mutex::new(5);
+    fn try_write_fails_while_read_or_write_held() {
+        let l = RwLock::new(5);
         {
-            let _held = m.lock();
-            assert!(m.try_lock().is_none(), "held elsewhere");
+            let _read = l.read();
+            assert!(l.try_write().is_none(), "a reader holds it");
         }
-        *m.try_lock().expect("free now") += 1;
-        assert_eq!(*m.lock(), 6);
+        {
+            let _write = l.write();
+            assert!(l.try_write().is_none(), "a writer holds it");
+        }
+        *l.try_write().expect("free now") += 1;
+        assert_eq!(*l.read(), 6);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`pager`] — an 8 KiB-page buffer pool with LRU eviction, pinning, and
 //!   I/O statistics (the experiments' cost asymmetry between reading MAP
 //!   tuples and multi-gigabyte FullSFA blobs is an I/O-volume effect, so
-//!   the pool counts every disk read/write);
+//!   the pool counts every disk read/write), its frame table split into
+//!   shards of one read-write lock each;
 //! * [`page`] — slotted-page layout for variable-length tuples;
 //! * [`heap`] — heap files (linked page chains) with RID addressing;
 //! * [`btree`] — a page-based B+-tree over byte-string keys, used for the
@@ -21,10 +22,7 @@
 //!   persisted in the database file;
 //! * [`wal`] — an append-only write-ahead log (CRC-framed records in
 //!   rotating segment files) backing the query layer's ingest path and
-//!   crash recovery;
-//! * [`rcu`] — the hand-rolled arc-swap ([`RcuCell`]) behind the
-//!   lock-free read paths: buffer-pool page hits and the query layer's
-//!   index-registry snapshots.
+//!   crash recovery.
 
 pub mod blob;
 pub mod btree;
@@ -34,7 +32,6 @@ pub mod error;
 pub mod heap;
 pub mod page;
 pub mod pager;
-pub mod rcu;
 pub mod row;
 pub mod wal;
 
@@ -45,7 +42,6 @@ pub use disk::{Disk, FileDisk, MemDisk, PAGE_SIZE};
 pub use error::StorageError;
 pub use heap::{HeapFile, HeapScan, Rid};
 pub use pager::{BufferPool, PoolStats};
-pub use rcu::RcuCell;
 pub use row::{ColumnType, Row, RowReader, Schema, Value};
 pub use wal::{FlushTicket, SyncPolicy, Wal, WalFlusher, WalStats};
 

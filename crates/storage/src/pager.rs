@@ -1,49 +1,40 @@
 //! The buffer pool: a fixed set of in-memory frames caching disk pages,
 //! with LRU eviction, pin tracking, dirty write-back, and I/O statistics.
 //!
-//! # Contention-free hits
+//! # One lock per shard
 //!
-//! The frame table is split into up to [`MAX_SHARDS`] shards keyed by a
-//! hash of the `PageId`. Each shard publishes its `PageId → Frame` map
-//! as an RCU snapshot ([`RcuCell`]): a page *hit* — the hot case for
-//! read-heavy query traffic — is a gate-protected hash lookup plus an
-//! `Arc` pin, with **no latch at all**. The per-shard mutex is taken
-//! only on the miss path (disk reads, eviction, write-backs) and by
-//! `flush_all`. Statistics are relaxed per-shard atomics aggregated on
-//! demand by [`BufferPool::stats`], so `EXPLAIN ANALYZE` attribution
-//! never touches the fetch path either.
+//! The frame table is split into up to 16 shards keyed by a hash of the
+//! `PageId`. Each shard is one `RwLock` over its `PageId → Frame` map
+//! and capacity budget. A page *hit* — the hot case for read-heavy
+//! query traffic — takes the read side: a hash lookup, a relaxed
+//! recency store and an `Arc` pin. The write side is taken only on the
+//! miss path (disk read, eviction, write-back). `flush_all` takes the
+//! read side, so hits keep flowing during a checkpoint. Statistics are
+//! relaxed per-shard atomics aggregated on demand by
+//! [`BufferPool::stats`], so `EXPLAIN ANALYZE` attribution never
+//! touches the fetch path.
 //!
-//! # Eviction vs. lock-free pinning
+//! # Eviction
 //!
 //! Pinning is an `Arc` clone of the frame's data (`strong_count > 1` ⇔
-//! pinned), and hitters pin without a latch, so eviction cannot rely on
-//! a stable count check alone. The protocol (under the shard mutex):
+//! pinned), and a pin can only begin under one of the shard's locks.
+//! The evictor holds the write lock, which excludes every hitter, so a
+//! `strong_count == 1` check is final: the least-recently-used such
+//! frame is written back (if dirty) and only then removed. A failed
+//! write-back returns the error before the removal, so the victim stays
+//! in the map, still dirty — its frame holds the only copy of the bytes.
+//! The write lock's acquire also orders every hitter's dirty mark before
+//! the evictor reads it.
 //!
-//! 1. pick the least-recently-used candidate with `strong_count == 1`;
-//! 2. *unpublish* it — store a snapshot without the victim; the RCU
-//!    store drains all in-gate readers before returning, so after it no
-//!    new pin of the victim can begin (the miss path for its `PageId`
-//!    blocks on the shard mutex we hold);
-//! 3. re-check `strong_count == 1`: a reader that pinned in the window
-//!    between the candidate scan and the drain is now visible. If it
-//!    raced us, restore the victim and try the next candidate;
-//! 4. only then write back (if dirty) and reuse the slot; if the write
-//!    fails, restore the victim as in step 3 — its frame holds the only
-//!    copy of the bytes — and return the error.
-//!
-//! The dirty flag rides the same drain: hitters set it inside the
-//! reader gate (`Release`), so once the drain completes the evictor's
-//! `Acquire` load observes any flag set through the unpublished map.
-//!
-//! Lock order is shard → (neighbor shard, `try_lock` only) → disk; no
-//! path blocks on a second shard latch, and no path acquires a shard
-//! latch while holding the disk latch.
+//! Lock order is shard → (neighbor shard, `try_write` only) → page
+//! latch → disk; no path blocks on a second shard latch, and no path
+//! acquires a shard latch while holding the disk latch.
 //!
 //! # Exhaustion fairness
 //!
 //! A shard whose frames are all pinned no longer fails while its
 //! neighbors have room: the miss path *steals a frame of capacity* from
-//! the first neighbor shard (probed in order, `try_lock` so two shards
+//! the first neighbor shard (probed in order, `try_write` so two shards
 //! can never deadlock stealing from each other) that can evict one of
 //! its own unpinned frames. The donor shrinks by one frame, the
 //! starved shard grows by one — total pool capacity is conserved, and a
@@ -53,7 +44,6 @@
 
 use crate::disk::{Disk, PAGE_SIZE};
 use crate::error::StorageError;
-use crate::rcu::RcuCell;
 use crate::PageId;
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{Mutex, RawRwLock, RwLock};
@@ -65,7 +55,7 @@ type PageBuf = Box<[u8; PAGE_SIZE]>;
 type PageArc = Arc<RwLock<PageBuf>>;
 
 /// Upper bound on the number of frame-table shards.
-pub const MAX_SHARDS: usize = 16;
+const MAX_SHARDS: usize = 16;
 
 /// Read guard over a page's bytes.
 pub struct PageRead {
@@ -97,18 +87,26 @@ impl std::ops::DerefMut for PageWrite {
     }
 }
 
-/// One resident page. Hitters touch `last_used`/`dirty` without the
-/// shard mutex, so both are atomics; `data`'s strong count doubles as
-/// the pin count (1 = only the frame itself holds it).
+/// One resident page. Hitters touch `last_used`/`dirty` under the
+/// shard's read lock, so both are atomics; `data`'s strong count
+/// doubles as the pin count (1 = only the frame itself holds it).
 struct Frame {
-    pid: PageId,
     data: PageArc,
     dirty: AtomicBool,
     last_used: AtomicU64,
 }
 
-type FrameRef = Arc<Frame>;
-type FrameMap = HashMap<PageId, FrameRef>;
+impl Frame {
+    /// Pin the page for a fetch stamped `tick`, marking it dirty first
+    /// when the fetch is for writing.
+    fn pin(&self, dirty: bool, tick: u64) -> PageArc {
+        if dirty {
+            self.dirty.store(true, AtomicOrdering::Release);
+        }
+        self.last_used.store(tick, AtomicOrdering::Relaxed);
+        Arc::clone(&self.data)
+    }
+}
 
 /// Buffer-pool counters; the experiment harness reports these as the I/O
 /// cost of each query plan.
@@ -152,29 +150,21 @@ impl PoolStats {
     }
 }
 
-/// The mutex-protected half of a shard: the authoritative resident set
-/// and its capacity budget. The published [`FrameMap`] snapshot always
-/// mirrors `frames` exactly at mutex release.
+/// The lock-protected half of a shard: the resident set and its
+/// capacity budget.
 struct ShardInner {
-    frames: Vec<FrameRef>,
+    frames: HashMap<PageId, Frame>,
     capacity: usize,
     /// The capacity this shard was built with — the floor for donations
     /// is derived from it, so steal drift stays bounded.
     original_capacity: usize,
 }
 
-impl ShardInner {
-    fn position(&self, pid: PageId) -> Option<usize> {
-        self.frames.iter().position(|f| f.pid == pid)
-    }
-}
-
-/// One shard: RCU-published read snapshot + mutexed writer state + the
-/// relaxed statistics hitters bump outside any latch.
+/// One shard: the locked resident set + the relaxed statistics bumped
+/// outside the lock.
 struct Shard {
-    map: RcuCell<FrameMap>,
-    inner: Mutex<ShardInner>,
-    /// LRU clock; hitters bump it without the mutex.
+    inner: RwLock<ShardInner>,
+    /// LRU clock; fetches bump it before taking the lock.
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -186,9 +176,8 @@ struct Shard {
 impl Shard {
     fn with_capacity(capacity: usize) -> Shard {
         Shard {
-            map: RcuCell::new(Arc::new(FrameMap::new())),
-            inner: Mutex::new(ShardInner {
-                frames: Vec::with_capacity(capacity),
+            inner: RwLock::new(ShardInner {
+                frames: HashMap::new(),
                 capacity,
                 original_capacity: capacity,
             }),
@@ -201,17 +190,6 @@ impl Shard {
         }
     }
 
-    /// Publish the current `frames` vec as the read snapshot. Called
-    /// with the shard mutex held; returns after draining readers.
-    fn publish(&self, inner: &ShardInner) {
-        let map: FrameMap = inner
-            .frames
-            .iter()
-            .map(|f| (f.pid, Arc::clone(f)))
-            .collect();
-        self.map.store(Arc::new(map));
-    }
-
     /// Next LRU clock value (relaxed — the clock orders recency, it
     /// synchronizes nothing).
     fn next_tick(&self) -> u64 {
@@ -222,62 +200,35 @@ impl Shard {
         counter.fetch_add(1, AtomicOrdering::Relaxed);
     }
 
-    /// Evict the least-recently-used unpinned frame, following the
-    /// unpublish → drain → re-check protocol from the module docs.
-    /// Returns the freed frame's slot index, or `None` if every frame
-    /// is pinned. Writes back dirty victims. Caller holds the mutex.
+    /// Evict the least-recently-used unpinned frame, writing it back
+    /// first if dirty. Returns `false` if every frame is pinned. The
+    /// caller holds the write lock, so no pin can begin meanwhile (see
+    /// the module docs); a failed write-back leaves the victim in place.
     fn evict_one(
         &self,
         inner: &mut ShardInner,
         disk: &Mutex<Box<dyn Disk>>,
-    ) -> Result<Option<usize>, StorageError> {
-        loop {
-            let victim = inner
-                .frames
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| Arc::strong_count(&f.data) == 1)
-                .min_by_key(|(_, f)| f.last_used.load(AtomicOrdering::Relaxed))
-                .map(|(i, _)| i);
-            let Some(slot) = victim else {
-                return Ok(None);
-            };
-            let frame = Arc::clone(&inner.frames[slot]);
-            // Unpublish: after this store returns, no reader can begin a
-            // new pin of the victim (its PageId now misses, and the miss
-            // path blocks on the mutex we hold).
-            inner.frames.remove(slot);
-            self.publish(inner);
-            if Arc::strong_count(&frame.data) != 1 {
-                // A reader pinned it between the scan and the drain —
-                // put it back and look for another victim.
-                inner.frames.insert(slot, frame);
-                self.publish(inner);
-                continue;
-            }
-            // Quiescent: nobody holds the data Arc, nobody can set the
-            // dirty flag anymore (the drain flushed in-gate setters).
-            if frame.dirty.load(AtomicOrdering::Acquire) {
-                let buf = frame.data.read();
-                let written = disk.lock().write_page(frame.pid, &buf[..]);
-                drop(buf);
-                if let Err(e) = written {
-                    // The only copy of these bytes is this frame: put it
-                    // back (still dirty) so a later flush or eviction
-                    // can retry the write, then report the failure.
-                    inner.frames.insert(slot, frame);
-                    self.publish(inner);
-                    return Err(e);
-                }
-                Shard::bump(&self.writebacks);
-            }
-            Shard::bump(&self.evictions);
-            return Ok(Some(slot));
+    ) -> Result<bool, StorageError> {
+        let victim = inner
+            .frames
+            .iter()
+            .filter(|(_, f)| Arc::strong_count(&f.data) == 1)
+            .min_by_key(|(_, f)| f.last_used.load(AtomicOrdering::Relaxed));
+        let Some((&pid, frame)) = victim else {
+            return Ok(false);
+        };
+        if frame.dirty.load(AtomicOrdering::Acquire) {
+            let buf = frame.data.read();
+            disk.lock().write_page(pid, &buf[..])?;
+            Shard::bump(&self.writebacks);
         }
+        inner.frames.remove(&pid);
+        Shard::bump(&self.evictions);
+        Ok(true)
     }
 }
 
-/// The buffer pool: RCU-snapshot frame shards over one shared device.
+/// The buffer pool: locked frame shards over one shared device.
 pub struct BufferPool {
     disk: Mutex<Box<dyn Disk>>,
     shards: Vec<Shard>,
@@ -310,11 +261,6 @@ impl BufferPool {
             shards,
             shard_bits: n.trailing_zeros(),
         }
-    }
-
-    /// Number of frame-table shards (1 for small pools).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     fn shard_of(&self, pid: PageId) -> usize {
@@ -363,14 +309,15 @@ impl BufferPool {
     /// so the page is still written by the next flush. A write guard
     /// already handed out before this flush is — as in every prior
     /// revision — the caller's to order; the checkpoint path holds the
-    /// session writer latch for exactly that reason.
+    /// session writer latch for exactly that reason. Each shard is
+    /// walked under its read lock, so hits proceed during the flush.
     pub fn flush_all(&self) -> Result<(), StorageError> {
         for shard in &self.shards {
-            let inner = shard.inner.lock();
-            for frame in &inner.frames {
+            let inner = shard.inner.read();
+            for (&pid, frame) in &inner.frames {
                 if frame.dirty.swap(false, AtomicOrdering::AcqRel) {
                     let buf = frame.data.read();
-                    let written = self.disk.lock().write_page(frame.pid, &buf[..]);
+                    let written = self.disk.lock().write_page(pid, &buf[..]);
                     drop(buf);
                     if let Err(e) = written {
                         frame.dirty.store(true, AtomicOrdering::Release);
@@ -408,105 +355,73 @@ impl BufferPool {
         }
     }
 
-    /// The latch-free hit path: one gate-protected snapshot lookup.
-    /// Pins (clones the data Arc) *inside* the reader gate, so eviction's
-    /// drain orders every pin against its re-check; `dirty`/`last_used`
-    /// ride the same gate section.
-    fn try_hit(&self, shard: &Shard, pid: PageId, dirty: bool, tick: u64) -> Option<PageArc> {
-        shard.map.with(|map| {
-            let frame = map.get(&pid)?;
-            let data = Arc::clone(&frame.data);
-            if dirty {
-                // Release pairs with the evictor's Acquire after drain.
-                frame.dirty.store(true, AtomicOrdering::Release);
-            }
-            frame.last_used.store(tick, AtomicOrdering::Relaxed);
-            Some(data)
-        })
-    }
-
     fn fetch_arc(&self, pid: PageId, dirty: bool) -> Result<PageArc, StorageError> {
         let idx = self.shard_of(pid);
         let shard = &self.shards[idx];
         let tick = shard.next_tick();
-        if let Some(data) = self.try_hit(shard, pid, dirty, tick) {
+        let hit = shard
+            .inner
+            .read()
+            .frames
+            .get(&pid)
+            .map(|f| f.pin(dirty, tick));
+        if let Some(data) = hit {
             Shard::bump(&shard.hits);
             return Ok(data);
         }
 
-        // Miss path: serialize on the shard mutex. Re-check first — a
-        // racing miss on the same page may have loaded it while we
-        // waited, and caching one copy per page is the pool's invariant.
-        let mut inner = shard.inner.lock();
-        if let Some(slot) = inner.position(pid) {
-            let frame = &inner.frames[slot];
-            let data = Arc::clone(&frame.data);
-            if dirty {
-                frame.dirty.store(true, AtomicOrdering::Release);
-            }
-            frame.last_used.store(tick, AtomicOrdering::Relaxed);
+        // Miss path: take the write lock, then re-check — a racing miss
+        // on the same page may have loaded it while we waited, and
+        // caching one copy per page is the pool's invariant.
+        let mut inner = shard.inner.write();
+        if let Some(frame) = inner.frames.get(&pid) {
             Shard::bump(&shard.hits);
-            return Ok(data);
+            return Ok(frame.pin(dirty, tick));
         }
         Shard::bump(&shard.misses);
 
-        // Read the page from disk into a fresh buffer. The shard mutex
-        // is held across the read so two threads missing on the same
-        // page cannot both load it (and diverge on which copy is
-        // cached); hits on other pages of this shard proceed latch-free
-        // the whole time.
+        // The write lock is held across the disk read so two threads
+        // missing on the same page cannot both load it (and diverge on
+        // which copy is cached).
         let mut buf: PageBuf = Box::new([0u8; PAGE_SIZE]);
         self.disk.lock().read_page(pid, &mut buf[..])?;
-        let frame = Arc::new(Frame {
-            pid,
-            data: Arc::new(RwLock::new(buf)),
+        if inner.frames.len() >= inner.capacity && !shard.evict_one(&mut inner, &self.disk)? {
+            // Every local frame is pinned: borrow capacity from a
+            // neighbor before giving up (see module docs).
+            if !self.steal_capacity(idx, &mut inner) {
+                return Err(StorageError::PoolExhausted);
+            }
+            Shard::bump(&shard.steals);
+        }
+        let data = Arc::new(RwLock::new(buf));
+        let frame = Frame {
+            data: Arc::clone(&data),
             dirty: AtomicBool::new(dirty),
             last_used: AtomicU64::new(tick),
-        });
-        let data = Arc::clone(&frame.data);
-
-        if inner.frames.len() >= inner.capacity {
-            let evicted = shard.evict_one(&mut inner, &self.disk)?;
-            if evicted.is_none() {
-                // Every local frame is pinned: borrow capacity from a
-                // neighbor before giving up (see module docs).
-                if !self.steal_capacity(idx, &mut inner) {
-                    return Err(StorageError::PoolExhausted);
-                }
-                Shard::bump(&shard.steals);
-            }
-        }
-        inner.frames.push(frame);
-        shard.publish(&inner);
+        };
+        inner.frames.insert(pid, frame);
         Ok(data)
     }
 
     /// Try to move one frame of capacity from a neighbor shard into
-    /// `starved` (whose mutex guard the caller holds). Probes neighbors
-    /// in index order with `try_lock`, so two starved shards can never
+    /// `starved` (whose write guard the caller holds). Probes neighbors
+    /// in index order with `try_write`, so two starved shards can never
     /// deadlock on each other; a donor must be able to evict an unpinned
     /// frame *and* stay at or above its donation floor.
     fn steal_capacity(&self, starved: usize, inner: &mut ShardInner) -> bool {
         let n = self.shards.len();
         for step in 1..n {
-            let donor_idx = (starved + step) % n;
-            let donor = &self.shards[donor_idx];
-            let Some(mut donor_inner) = donor.inner.try_lock() else {
+            let donor = &self.shards[(starved + step) % n];
+            let Some(mut donor_inner) = donor.inner.try_write() else {
                 continue;
             };
             let floor = (donor_inner.original_capacity / 2).max(2);
             if donor_inner.capacity <= floor {
                 continue;
             }
-            let donated = if donor_inner.frames.len() >= donor_inner.capacity {
-                // Donor is full: it must free a frame to shrink.
-                match donor.evict_one(&mut donor_inner, &self.disk) {
-                    Ok(Some(_)) => true,
-                    Ok(None) | Err(_) => false,
-                }
-            } else {
-                true
-            };
+            // A full donor must free a frame to shrink.
+            let donated = donor_inner.frames.len() < donor_inner.capacity
+                || matches!(donor.evict_one(&mut donor_inner, &self.disk), Ok(true));
             if donated {
                 donor_inner.capacity -= 1;
                 inner.capacity += 1;
@@ -514,6 +429,11 @@ impl BufferPool {
             }
         }
         false
+    }
+
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     #[cfg(test)]
@@ -807,7 +727,53 @@ mod tests {
             .map(|&pid| p.fetch_read(pid).unwrap())
             .collect();
         let _extra = p.fetch_read(shard0[32]).unwrap();
-        let total: usize = p.shards.iter().map(|s| s.inner.lock().capacity).sum();
+        let total: usize = p.shards.iter().map(|s| s.inner.read().capacity).sum();
         assert_eq!(total, 64, "steals move capacity, never create it");
+    }
+
+    #[test]
+    fn dirty_writes_survive_concurrent_eviction() {
+        // Four writers stamp disjoint page sets with (pid, round) while
+        // four readers cycle through every page of a pool an eighth the
+        // size of the device. Evicted pages are re-read from disk, so a
+        // dirty mark lost to an eviction shows up as a stale stamp.
+        const PAGES: u64 = 512;
+        const WRITERS: u64 = 4;
+        const ROUNDS: u64 = 6;
+        let p = pool(64, PAGES as usize);
+        let stamp = |page: &[u8; PAGE_SIZE]| {
+            let word = |at: usize| u64::from_le_bytes(page[at..at + 8].try_into().unwrap());
+            (word(0), word(8))
+        };
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let p = &p;
+                scope.spawn(move || {
+                    for round in 1..=ROUNDS {
+                        for pid in (w..PAGES).step_by(WRITERS as usize) {
+                            let mut page = p.fetch_write(pid).unwrap();
+                            page[..8].copy_from_slice(&pid.to_le_bytes());
+                            page[8..16].copy_from_slice(&round.to_le_bytes());
+                        }
+                    }
+                });
+            }
+            for r in 0..4u64 {
+                let p = &p;
+                scope.spawn(move || {
+                    for i in 0..2 * PAGES {
+                        let pid = (i * 7 + r * 131) % PAGES;
+                        let (owner, round) = stamp(&p.fetch_read(pid).unwrap());
+                        assert!(owner == pid || (owner, round) == (0, 0), "page {pid} torn");
+                    }
+                });
+            }
+        });
+        for pid in 0..PAGES {
+            let page = p.fetch_read(pid).unwrap();
+            assert_eq!(stamp(&page), (pid, ROUNDS), "page {pid} lost a write");
+        }
+        let s = p.stats();
+        assert!(s.evictions > 0 && s.writebacks > 0, "{s:?}");
     }
 }

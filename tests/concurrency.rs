@@ -143,8 +143,8 @@ fn eight_threads_see_byte_identical_results_while_an_index_registers() {
     );
 }
 
-/// The lock-free read hot path under maximum churn: sixteen readers on
-/// RCU page hits, cache lookups, and registry snapshots, while one racer
+/// The read hot path under maximum churn: sixteen readers on read-latched
+/// page hits, cache lookups, and registry snapshots, while one racer
 /// registers indexes (each registration swaps the registry snapshot) and
 /// one writer ingests batches (each apply extends the registered
 /// indexes). Results must stay bit-identical to the serial baseline —
@@ -259,13 +259,13 @@ fn sixteen_threads_stay_bit_identical_under_registry_and_ingest_churn() {
     assert_eq!(session.index_names().len(), 1 + RACER_INDEXES);
 }
 
-/// Per-query attribution survives the lock-free restructuring exactly:
+/// Per-query attribution survives per-shard counters exactly:
 /// summing every statement's `ExecStats.pool` delta reproduces the
 /// session-global pool counters, and the cache sees precisely one
 /// lookup per relational statement. Serial on purpose — with concurrent
 /// clients the per-query deltas legitimately interleave; what this
-/// pins is that nothing on the hot path stopped being counted (or got
-/// counted twice) when the latches came off.
+/// pins is that nothing on the hot path goes uncounted (or gets counted
+/// twice) across the shards.
 #[test]
 fn per_query_pool_deltas_sum_to_the_global_counters() {
     let session = session(24, 17);
