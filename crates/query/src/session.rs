@@ -81,8 +81,9 @@ struct RegisteredIndex {
 /// The single-writer half of the session: the attached WAL (if any),
 /// the next batch sequence number, and the checkpoint-policy odometer.
 /// Held while a batch is sequenced, logged, and applied — but *not*
-/// while its durability wait runs, so concurrent writers pipeline into
-/// the group-commit flusher.
+/// while it is built or while its durability wait runs, so concurrent
+/// writers construct in parallel and pipeline into the group-commit
+/// flusher.
 struct WriterState {
     wal: Option<Wal>,
     next_seq: u64,
@@ -100,6 +101,98 @@ struct IngestTotals {
     docs: AtomicU64,
     replays: AtomicU64,
     checkpoints: AtomicU64,
+}
+
+/// Orders concurrent ingests so that they can build in parallel and
+/// still commit in key order. [`Turnstile::reserve`] hands out a ticket
+/// and a key range in one short critical section; the batch is built
+/// with no latch held; [`Ticket::wait_turn`] admits tickets to the writer
+/// latch strictly in the order they were issued; dropping the ticket
+/// passes the turn on, whether its batch committed or failed.
+#[derive(Default)]
+struct Turnstile {
+    state: StdMutex<Turns>,
+    turn: Condvar,
+}
+
+#[derive(Default)]
+struct Turns {
+    /// Tickets handed out so far (the next ticket's number).
+    issued: u64,
+    /// The ticket whose turn it is.
+    serving: u64,
+    /// First key of the next reservation: the committed tail plus the
+    /// documents of every outstanding ticket.
+    next_key: i64,
+}
+
+/// One batch's place in line. `first_key` is where its keys will land
+/// unless an earlier ticket fails; the writer re-checks it against the
+/// committed tail once its turn comes.
+struct Ticket<'a> {
+    turns: &'a Turnstile,
+    number: u64,
+    first_key: i64,
+    docs: i64,
+    committed: bool,
+}
+
+impl Turnstile {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Turns> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Take the next ticket and `docs` keys. `committed_tail` is asked
+    /// only when no ticket is outstanding — the one moment it is exact —
+    /// which also picks up lines that replay applied without tickets.
+    fn reserve(&self, docs: usize, committed_tail: impl FnOnce() -> usize) -> Ticket<'_> {
+        let mut t = self.lock();
+        if t.issued == t.serving {
+            t.next_key = committed_tail() as i64;
+        }
+        let ticket = Ticket {
+            turns: self,
+            number: t.issued,
+            first_key: t.next_key,
+            docs: docs as i64,
+            committed: false,
+        };
+        t.issued += 1;
+        t.next_key += docs as i64;
+        ticket
+    }
+
+    fn wait_for(&self, number: u64) -> std::sync::MutexGuard<'_, Turns> {
+        let mut t = self.lock();
+        while t.serving != number {
+            t = self.turn.wait(t).unwrap_or_else(|e| e.into_inner());
+        }
+        t
+    }
+}
+
+impl Ticket<'_> {
+    /// Block until every earlier ticket has passed its turn on.
+    fn wait_turn(&self) {
+        drop(self.turns.wait_for(self.number));
+    }
+}
+
+impl Drop for Ticket<'_> {
+    /// Pass the turn on — after waiting for it, so a ticket abandoned
+    /// before its turn (a panicking build) cannot overtake an earlier
+    /// one. An uncommitted batch hands its keys back: later
+    /// reservations close the gap, and tickets already issued behind it
+    /// find their range stale and rebuild.
+    fn drop(&mut self) {
+        let mut t = self.turns.wait_for(self.number);
+        t.serving += 1;
+        if !self.committed {
+            t.next_key -= self.docs;
+        }
+        drop(t);
+        self.turns.turn.notify_all();
+    }
 }
 
 /// When the background checkpointer should snapshot the store. Both
@@ -208,14 +301,22 @@ impl Drop for CheckpointerSlot {
 ///
 /// # Write-path locking
 ///
-/// Three latches order writers against readers (always acquired in this
-/// order — writer → applies → index_write):
+/// An ingest takes its turn, then three latches order writers against
+/// readers (always in this order — turn → writer → applies →
+/// index_write):
 ///
-/// 1. `writer` serializes the sequenced part of an `ingest`: artifact
-///    construction, the WAL append, and the apply happen under it — so
-///    WAL order always matches `DataKey` order. The *durability wait*
-///    runs after it is released: concurrent writers pipeline into the
-///    group-commit flusher and share fsyncs.
+/// 0. `turns` is not a latch but a queue. An ingest reserves a ticket
+///    and its key range in one short critical section, builds its
+///    artifacts (channel, k-best, `approximate`, encode) holding
+///    nothing, then waits for its ticket's turn — so writers construct
+///    in parallel and still commit in key order.
+/// 1. `writer` serializes the sequenced part of an `ingest`: the WAL
+///    append and the apply happen under it, in ticket order — so WAL
+///    order always matches `DataKey` order. If an earlier ticket failed,
+///    the batch is rebuilt here on the committed tail. The turn passes
+///    on, and the *durability wait* runs, after the latch is released:
+///    concurrent writers pipeline into the group-commit flusher and
+///    share fsyncs.
 /// 2. `applies` is the visibility gate. Queries hold its read side for
 ///    their whole execution; an ingest holds the write side while
 ///    inserting a batch's rows, history, and index postings — so a
@@ -236,6 +337,7 @@ pub struct Staccato {
     /// publish must not interleave).
     index_write: Mutex<()>,
     cache: QueryCache,
+    turns: Turnstile,
     writer: Mutex<WriterState>,
     applies: RwLock<()>,
     totals: IngestTotals,
@@ -278,6 +380,7 @@ impl Staccato {
             indexes: RwLock::new(Arc::new(Vec::new())),
             index_write: Mutex::new(()),
             cache: QueryCache::default(),
+            turns: Turnstile::default(),
             writer: Mutex::new(WriterState {
                 wal: None,
                 next_seq: 1,
@@ -749,7 +852,9 @@ impl Staccato {
     /// to the WAL (if attached), then apply it atomically — rows in all
     /// seven tables, a `StaccatoHistory` row per document, and postings
     /// appended to every registered inverted index. Readers see the whole
-    /// batch or none of it.
+    /// batch or none of it. Concurrent calls build in parallel and commit
+    /// in the order they reserved their keys; a batch with an undecodable
+    /// SFA blob is rejected before it takes a key or a sequence number.
     pub fn ingest(&self, batch: IngestBatch) -> Result<IngestReceipt, QueryError> {
         Ok(self.ingest_inner(batch)?.0)
     }
@@ -764,34 +869,69 @@ impl Staccato {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs() as i64)
             .unwrap_or(0);
-        // The writer lock serializes whole batches: sequence numbers and
-        // key ranges are assigned and consumed under it.
-        let mut writer = self.writer.lock();
-        let batch_seq = writer.next_seq;
-        let first_key = self.store.line_count() as i64;
+        // Validate before reserving: a document with a bad SFA blob
+        // consumes no key and no sequence number.
+        let sfas = batch
+            .docs
+            .iter()
+            .map(|d| {
+                d.sfa
+                    .as_deref()
+                    .map(|blob| {
+                        codec::decode(blob).map_err(|e| {
+                            QueryError::Ingest(format!("document {:?}: bad SFA blob: {e}", d.name))
+                        })
+                    })
+                    .transpose()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let opts = self.store.load_options();
-        let mut docs = Vec::with_capacity(batch.docs.len());
-        for (i, d) in batch.docs.iter().enumerate() {
-            let key = first_key + i as i64;
-            let mut art = match &d.sfa {
-                Some(blob) => {
-                    let sfa = codec::decode(blob).map_err(|e| {
-                        QueryError::Ingest(format!("document {:?}: bad SFA blob: {e}", d.name))
-                    })?;
-                    build_line_from_sfa(opts, &sfa, &d.text)
-                }
-                None => build_line(self.store.channel(), opts, &d.text, key as u64),
-            };
-            art.doc_name = d.name.clone();
-            art.sfa_num = 0;
-            docs.push(DecodedDoc {
-                art,
-                provider: d.provider.clone(),
-                confidence: d.confidence,
-                processing_time_ms: d.processing_time_ms,
-                ingested_at,
-            });
+        // The channel is seeded with the line key, so a batch is built
+        // for the key range it will occupy.
+        let build = |first_key: i64| -> Vec<DecodedDoc> {
+            batch
+                .docs
+                .iter()
+                .zip(&sfas)
+                .enumerate()
+                .map(|(i, (d, sfa))| {
+                    let mut art = match sfa {
+                        Some(sfa) => build_line_from_sfa(opts, sfa, &d.text),
+                        None => {
+                            let key = first_key + i as i64;
+                            build_line(self.store.channel(), opts, &d.text, key as u64)
+                        }
+                    };
+                    art.doc_name = d.name.clone();
+                    art.sfa_num = 0;
+                    DecodedDoc {
+                        art,
+                        provider: d.provider.clone(),
+                        confidence: d.confidence,
+                        processing_time_ms: d.processing_time_ms,
+                        ingested_at,
+                    }
+                })
+                .collect()
+        };
+        // Reserve a key range, then construct with no latch held:
+        // concurrent writers build in parallel.
+        let mut ticket = self
+            .turns
+            .reserve(batch.docs.len(), || self.store.line_count());
+        let mut docs = build(ticket.first_key);
+        // Commit in ticket order: every earlier batch has applied (or
+        // failed) before this one takes the writer latch, so the latch
+        // assigns sequence numbers and LSNs in key order.
+        ticket.wait_turn();
+        let mut writer = self.writer.lock();
+        let first_key = self.store.line_count() as i64;
+        if first_key != ticket.first_key {
+            // An earlier ticket failed and handed its keys back: rebuild
+            // on the committed tail, so keys never gap and never repeat.
+            docs = build(first_key);
         }
+        let batch_seq = writer.next_seq;
         let decoded = DecodedBatch {
             batch_seq,
             first_key,
@@ -810,6 +950,7 @@ impl Staccato {
             durability = Some((wal.flusher(), wal.last_lsn()));
         }
         self.apply_decoded(&decoded)?;
+        ticket.committed = true;
         writer.next_seq = batch_seq + 1;
         // Checkpoint-policy odometer, read under the same latch that
         // ordered the batch. The crossing ingest rings the doorbell and
@@ -831,8 +972,9 @@ impl Staccato {
         // enqueued behind it. The batch is applied (visible) but not
         // yet acknowledged; only the Ok return below promises
         // durability, and recovery replays every batch whose receipt
-        // was returned.
+        // was returned. The turn passes on right after the latch.
         drop(writer);
+        drop(ticket);
         if ckpt_due {
             let mut state = self.ckpt.signal.lock();
             state.pending = true;
@@ -857,7 +999,8 @@ impl Staccato {
 
     /// Apply one decoded batch to the store and every registered index,
     /// under the apply latch's write side — the atomic-visibility point
-    /// of the write path. Caller holds the writer lock.
+    /// of the write path. Caller holds the writer lock and its turn
+    /// (ingest), or has the session to itself (replay).
     fn apply_decoded(&self, batch: &DecodedBatch) -> Result<(), QueryError> {
         let _apply = self.applies.write();
         // Snapshot clone: posting extension does page I/O and must not
@@ -1544,6 +1687,175 @@ mod tests {
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.docs, 3);
         assert_eq!(stats.wal_records_appended, 0, "no WAL attached");
+    }
+
+    #[test]
+    fn turnstile_hands_out_dense_keys_and_turns_in_ticket_order() {
+        // A failing assertion would drop the later tickets first, and a
+        // dropped ticket waits for its turn: assert once they are gone.
+        let turns = Turnstile::default();
+        let mut a = turns.reserve(2, || 10);
+        let b = turns.reserve(1, || unreachable!("a ticket is outstanding"));
+        let c = turns.reserve(3, || unreachable!("a ticket is outstanding"));
+        let reserved = [
+            (a.number, a.first_key),
+            (b.number, b.first_key),
+            (c.number, c.first_key),
+        ];
+        let order = StdMutex::new(Vec::new());
+        let queued = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            // Later tickets queue first; neither may pass ticket 0.
+            for mut ticket in [c, b] {
+                let (order, queued) = (&order, &queued);
+                scope.spawn(move || {
+                    queued.wait();
+                    ticket.wait_turn();
+                    order.lock().unwrap().push(ticket.number);
+                    ticket.committed = true;
+                    drop(ticket);
+                });
+            }
+            queued.wait();
+            assert!(order.lock().unwrap().is_empty());
+            a.committed = true;
+            drop(a);
+        });
+        assert_eq!(reserved, [(0, 10), (1, 12), (2, 13)]);
+        assert_eq!(*order.lock().unwrap(), [1, 2]);
+        // Nothing outstanding: the next range starts at the committed tail.
+        assert_eq!(turns.reserve(1, || 16).first_key, 16);
+    }
+
+    #[test]
+    fn turnstile_failed_ticket_hands_its_keys_back() {
+        let turns = Turnstile::default();
+        let a = turns.reserve(2, || 10);
+        let mut b = turns.reserve(1, || unreachable!("a ticket is outstanding"));
+        drop(a);
+        b.wait_turn();
+        let c = turns.reserve(1, || unreachable!("a ticket is outstanding"));
+        let (stale, fresh) = (b.first_key, c.first_key);
+        b.committed = true;
+        drop(b);
+        drop(c);
+        // `b` reserved 12, but the committed tail is still 10: stale. A
+        // ticket issued after the failure is not: 10 + b's one key.
+        assert_eq!((stale, fresh), (12, 11));
+        assert_eq!(turns.reserve(1, || 11).first_key, 11);
+    }
+
+    #[test]
+    fn a_failed_predecessor_makes_its_successor_rebuild_on_the_committed_key() {
+        let doc =
+            || IngestBatch::new().doc(DocumentInput::new("r.png", "the Senate shall convene"));
+        let lone = session(10, 5);
+        let want = lone.ingest(doc()).unwrap();
+        assert_eq!((want.first_key, want.batch_seq), (10, 1));
+
+        let s = session(10, 5);
+        let doomed = s.turns.reserve(2, || s.line_count());
+        let got = std::thread::scope(|scope| {
+            let ingest = scope.spawn(|| s.ingest(doc()).unwrap());
+            // Wait until the ingest holds the range behind `doomed`.
+            while s.turns.lock().issued < 2 {
+                std::thread::yield_now();
+            }
+            drop(doomed);
+            ingest.join().unwrap()
+        });
+        assert_eq!((got.first_key, got.batch_seq), (10, 1));
+        // Rebuilt on key 10: the same line a lone writer stores, not the
+        // one the reserved key 12 seeds.
+        let blob = |s: &Staccato| {
+            s.store()
+                .full_sfa_blobs()
+                .unwrap()
+                .map(Result::unwrap)
+                .find(|(key, _)| *key == 10)
+                .unwrap()
+                .1
+        };
+        assert_eq!(blob(&s), blob(&lone));
+        let opts = s.store().load_options();
+        let at_12 = build_line(s.store().channel(), opts, "the Senate shall convene", 12);
+        assert_ne!(at_12.full_blob, blob(&s));
+        // And the sequence stays dense.
+        let next = s.ingest(doc()).unwrap();
+        assert_eq!((next.first_key, next.batch_seq), (11, 2));
+    }
+
+    #[test]
+    fn a_bad_sfa_blob_consumes_no_key_and_no_sequence_number() {
+        let s = session(10, 5);
+        let mut bad = DocumentInput::new("bad.png", "garbled");
+        bad.sfa = Some(vec![1, 2, 3]);
+        let bad = IngestBatch::new()
+            .doc(DocumentInput::new("ok.png", "the President"))
+            .doc(bad);
+        assert!(matches!(s.ingest(bad.clone()), Err(QueryError::Ingest(_))));
+        let via_sql = s
+            .sql("INSERT INTO StaccatoData (DocName, Data) VALUES ('a.png', 'the Senate')")
+            .unwrap()
+            .ingest
+            .unwrap();
+        assert_eq!((via_sql.first_key, via_sql.batch_seq), (10, 1));
+        assert!(matches!(s.ingest(bad), Err(QueryError::Ingest(_))));
+        let direct = s
+            .ingest(IngestBatch::new().doc(DocumentInput::new("b.png", "Public Law 95")))
+            .unwrap();
+        assert_eq!((direct.first_key, direct.batch_seq), (11, 2));
+        let rows = s.store().history_rows().unwrap();
+        let keys: Vec<_> = rows.iter().map(|r| (r.data_key, r.batch_seq)).collect();
+        assert_eq!(keys, [(10, 1), (11, 2)]);
+        assert_eq!(s.line_count(), 12);
+    }
+
+    #[test]
+    fn concurrent_ingests_keep_keys_and_sequence_numbers_dense() {
+        let s = session(10, 5);
+        let receipts: Vec<IngestReceipt> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4)
+                .map(|w| {
+                    let s = &s;
+                    scope.spawn(move || {
+                        (0..5)
+                            .map(|i| {
+                                let batch =
+                                    (0..1 + (w + i) % 2).fold(IngestBatch::new(), |b, d| {
+                                        b.doc(DocumentInput::new(
+                                            format!("{w}-{i}-{d}"),
+                                            "the Senate",
+                                        ))
+                                    });
+                                s.ingest(batch).unwrap()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let mut receipts = receipts;
+        receipts.sort_by_key(|r| r.batch_seq);
+        let mut next_key = 10;
+        for (i, r) in receipts.iter().enumerate() {
+            assert_eq!(r.batch_seq, i as u64 + 1);
+            assert_eq!(r.first_key, next_key, "{receipts:?}");
+            next_key += r.docs as i64;
+        }
+        assert_eq!(s.line_count() as i64, next_key);
+        let keys: Vec<i64> = s
+            .store()
+            .history_rows()
+            .unwrap()
+            .iter()
+            .map(|r| r.data_key)
+            .collect();
+        assert_eq!(keys, (10..next_key).collect::<Vec<_>>());
     }
 
     #[test]

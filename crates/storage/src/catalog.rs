@@ -15,7 +15,7 @@ use crate::pager::BufferPool;
 use crate::row::{ColumnType, Schema};
 use crate::{PageId, NO_PAGE};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"STDB";
@@ -163,6 +163,10 @@ impl Catalog {
 pub struct Database {
     pool: BufferPool,
     catalog: Mutex<Catalog>,
+    /// One heap handle per table for the life of the database, so every
+    /// [`Database::table`] caller shares its tail hint. Taken after
+    /// `catalog`.
+    heaps: Mutex<HashMap<String, HeapFile>>,
 }
 
 impl Database {
@@ -178,6 +182,7 @@ impl Database {
         Ok(Database {
             pool,
             catalog: Mutex::new(Catalog::default()),
+            heaps: Mutex::new(HashMap::new()),
         })
     }
 
@@ -211,6 +216,7 @@ impl Database {
         Ok(Database {
             pool,
             catalog: Mutex::new(catalog),
+            heaps: Mutex::new(HashMap::new()),
         })
     }
 
@@ -234,17 +240,25 @@ impl Database {
                 first_page: heap.first_page(),
             },
         );
+        self.heaps.lock().insert(name.to_string(), heap.clone());
         Ok(heap)
     }
 
-    /// Look up a table.
+    /// Look up a table. The heap handle shares its tail hint with every
+    /// other handle to the table, so appends start at the last page.
     pub fn table(&self, name: &str) -> Result<(Schema, HeapFile), StorageError> {
         let cat = self.catalog.lock();
         let def = cat
             .tables
             .get(name)
             .ok_or_else(|| StorageError::NoSuchObject(name.to_string()))?;
-        Ok((def.schema.clone(), HeapFile::open(def.first_page)))
+        let heap = self
+            .heaps
+            .lock()
+            .entry(name.to_string())
+            .or_insert_with(|| HeapFile::open(def.first_page))
+            .clone();
+        Ok((def.schema.clone(), heap))
     }
 
     /// Create a B+-tree index; errors if the name exists.

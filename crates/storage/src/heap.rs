@@ -7,6 +7,7 @@ use crate::page::SlottedPage;
 use crate::pager::BufferPool;
 use crate::{PageId, NO_PAGE};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Record id: a physical tuple address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,11 +34,17 @@ impl Rid {
     }
 }
 
-/// A heap file rooted at its first page.
+/// A heap file rooted at its first page. Clones share one tail hint, so
+/// a handle kept for the life of a database (see
+/// [`crate::Database::table`]) appends in O(1) pages.
+#[derive(Clone)]
 pub struct HeapFile {
     first: PageId,
-    /// Cached tail page for O(1) appends; lazily discovered.
-    last_hint: AtomicU64,
+    /// The last page of the chain, where every append goes. A fresh
+    /// handle starts at the first page; its first insert walks on to the
+    /// tail once under read latches, and every clone starts there from
+    /// then on. Only a hint: any page of the chain is a correct start.
+    last_hint: Arc<AtomicU64>,
 }
 
 impl HeapFile {
@@ -46,17 +53,14 @@ impl HeapFile {
         let first = pool.allocate()?;
         let mut page = pool.fetch_write(first)?;
         SlottedPage::init(&mut page);
-        Ok(HeapFile {
-            first,
-            last_hint: AtomicU64::new(first),
-        })
+        Ok(HeapFile::open(first))
     }
 
     /// Reopen a heap file by its first page (from the catalog).
     pub fn open(first: PageId) -> HeapFile {
         HeapFile {
             first,
-            last_hint: AtomicU64::new(first),
+            last_hint: Arc::new(AtomicU64::new(first)),
         }
     }
 
@@ -65,7 +69,10 @@ impl HeapFile {
         self.first
     }
 
-    /// Append a tuple, growing the chain as needed.
+    /// Append a tuple to the last page, growing the chain when it is
+    /// full. Only the tail page is write-latched (and dirtied), and rows
+    /// land in insertion order: a later row never fills a gap in an
+    /// earlier page, so rows inserted together stay clustered.
     pub fn insert(&self, pool: &BufferPool, tuple: &[u8]) -> Result<Rid, StorageError> {
         if tuple.len() > crate::page::MAX_TUPLE {
             return Err(StorageError::TupleTooLarge {
@@ -77,15 +84,18 @@ impl HeapFile {
         loop {
             let mut page = pool.fetch_write(pid)?;
             let mut sp = SlottedPage::new(&mut page);
+            let next = sp.next();
+            if next != NO_PAGE {
+                // The hint is behind the tail (a fresh handle, or another
+                // handle's append): find the tail without write-latching
+                // the pages in between.
+                drop(page);
+                pid = walk(pool, next)?.1;
+                continue;
+            }
             if let Some(slot) = sp.insert(tuple) {
                 self.last_hint.store(pid, Ordering::Relaxed);
                 return Ok(Rid { page: pid, slot });
-            }
-            let next = sp.next();
-            if next != NO_PAGE {
-                drop(page);
-                pid = next;
-                continue;
             }
             // Grow the chain.
             let new_pid = pool.allocate()?;
@@ -205,23 +215,33 @@ impl Iterator for HeapScan<'_> {
     }
 }
 
-/// Number of pages a heap file occupies (walks the chain).
+/// Number of pages a heap file occupies (walks the chain, read-only).
 pub fn chain_length(pool: &BufferPool, first: PageId) -> Result<u64, StorageError> {
-    let mut n = 0;
-    let mut pid = first;
+    if first == NO_PAGE {
+        return Ok(0);
+    }
+    Ok(walk(pool, first)?.0)
+}
+
+/// Follow a page chain from `first` under read latches: the number of
+/// pages and the last one.
+fn walk(pool: &BufferPool, first: PageId) -> Result<(u64, PageId), StorageError> {
     let limit = pool.page_count() + 1;
-    while pid != NO_PAGE {
+    let (mut n, mut pid) = (1, first);
+    loop {
+        let next = crate::page::read_next(&*pool.fetch_read(pid)?);
+        if next == NO_PAGE {
+            return Ok((n, pid));
+        }
         n += 1;
         if n > limit {
             return Err(StorageError::CorruptPage {
-                page: pid,
+                page: next,
                 reason: "page chain cycle",
             });
         }
-        let mut page = pool.fetch_write(pid)?;
-        pid = SlottedPage::new(&mut page).next();
+        pid = next;
     }
-    Ok(n)
 }
 
 #[cfg(test)]

@@ -46,6 +46,11 @@ pub(crate) fn read_tuple(buf: &[u8; PAGE_SIZE], slot: u16) -> Result<&[u8], Stor
     Ok(&buf[o..o + l])
 }
 
+/// The `next page` pointer of a page held under a read latch.
+pub(crate) fn read_next(buf: &[u8; PAGE_SIZE]) -> u64 {
+    u64::from_le_bytes(buf[0..8].try_into().expect("len"))
+}
+
 /// A slotted-page view over a page buffer.
 pub struct SlottedPage<'a> {
     buf: &'a mut [u8; PAGE_SIZE],

@@ -5,11 +5,13 @@ use staccato::approx::StaccatoParams;
 use staccato::automata::Trie;
 use staccato::ocr::{generate, ChannelConfig, CorpusKind};
 use staccato::query::metrics::{evaluate_answers, ground_truth};
+use staccato::query::reference::eval_strings;
 use staccato::query::store::LoadOptions;
 use staccato::query::Query;
+use staccato::storage::heap::chain_length;
 use staccato::storage::Database;
-use staccato::{Approach, PlanPreference, QueryRequest, Staccato};
-use std::collections::BTreeSet;
+use staccato::{Approach, DocumentInput, IngestBatch, PlanPreference, QueryRequest, Staccato};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn load(kind: CorpusKind, lines: usize, seed: u64, m: usize, k: usize) -> Staccato {
     let dataset = generate(kind, lines, seed);
@@ -279,4 +281,136 @@ fn tuning_produces_feasible_parameters_end_to_end() {
     // And the tuned representation actually exists / decodes.
     let rep = corpus.staccato(o.m, o.k);
     codec::decode(&rep[0]).expect("tuned representation decodes");
+}
+
+/// A line's k-MAP rows stay clustered in `kMAPData` however the store
+/// grew: the cursor yields every `DataKey` once, and a k-MAP filescan
+/// answers each line once with the sum over that line's matching
+/// strings. (Appends that fill gaps in earlier pages split a line's rows
+/// into several groups.)
+#[test]
+fn kmap_rows_stay_clustered_across_ingest() {
+    let seed = 11;
+    let dataset = generate(CorpusKind::CongressActs, 40, seed);
+    let opts = LoadOptions {
+        channel: ChannelConfig {
+            seed,
+            ..ChannelConfig::default()
+        },
+        kmap_k: 25,
+        staccato: StaccatoParams::new(4, 2),
+        parallelism: 2,
+    };
+    let session =
+        Staccato::load(Database::in_memory(4096).expect("db"), &dataset, &opts).expect("load");
+    let texts: Vec<&str> = dataset.lines().map(|(_, _, text)| text).collect();
+    for (b, pair) in texts.chunks(2).cycle().take(30).enumerate() {
+        let batch = pair
+            .iter()
+            .enumerate()
+            .fold(IngestBatch::new(), |batch, (i, text)| {
+                batch.doc(DocumentInput::new(format!("b{b}-{i}.png"), *text))
+            });
+        session.ingest(batch).expect("ingest");
+    }
+
+    let groups: Vec<(i64, Vec<(String, f64)>)> = session
+        .store()
+        .kmap_cursor()
+        .expect("cursor")
+        .collect::<Result<_, _>>()
+        .expect("groups");
+    let keys: BTreeSet<i64> = groups.iter().map(|(key, _)| *key).collect();
+    assert_eq!(
+        keys.len(),
+        session.line_count(),
+        "every line has k-MAP rows"
+    );
+    assert_eq!(
+        groups.len(),
+        keys.len(),
+        "a line's k-MAP rows form one group"
+    );
+
+    let query = Query::like("%the%").expect("pattern");
+    let expected: BTreeMap<i64, f64> = groups
+        .iter()
+        .map(|(key, strings)| {
+            let strings = strings.iter().map(|(s, p)| (s.as_str(), *p));
+            (*key, eval_strings(&query.dfa, strings))
+        })
+        .filter(|(_, p)| *p > 0.0)
+        .collect();
+    let out = session
+        .execute(
+            &QueryRequest::like("%the%")
+                .approach(Approach::KMap)
+                .plan_preference(PlanPreference::ForceFileScan)
+                .num_ans(100_000),
+        )
+        .expect("filescan");
+    let answered: BTreeSet<i64> = out.answers.iter().map(|a| a.data_key).collect();
+    assert_eq!(
+        answered.len(),
+        out.answers.len(),
+        "answer keys are distinct"
+    );
+    assert_eq!(answered.len(), expected.len());
+    for answer in &out.answers {
+        assert_eq!(
+            answer.probability.to_bits(),
+            expected[&answer.data_key].to_bits(),
+            "line {}",
+            answer.data_key
+        );
+    }
+}
+
+/// An ingest dirties the pages it appends to, not its tables' chains: the
+/// checkpoint after one batch writes back as many pages for a store
+/// whose `StaccatoData` chain is hundreds of pages long as for one whose
+/// chain is a few pages.
+#[test]
+fn checkpoint_after_one_batch_writes_back_o1_pages() {
+    let writebacks = |lines: usize| {
+        let opts = LoadOptions {
+            channel: ChannelConfig {
+                seed: 7,
+                ..ChannelConfig::default()
+            },
+            kmap_k: 25,
+            staccato: StaccatoParams::new(40, 25),
+            parallelism: 2,
+        };
+        let dataset = generate(CorpusKind::CongressActs, lines, 7);
+        let session = Staccato::load(Database::in_memory(16_384).expect("db"), &dataset, &opts)
+            .expect("load");
+        let (_, heap) = session.store().table("StaccatoData").expect("table");
+        let pages = chain_length(session.store().db().pool(), heap.first_page()).expect("chain");
+        session.checkpoint().expect("checkpoint");
+        session
+            .ingest(
+                IngestBatch::new()
+                    .doc(DocumentInput::new("a.png", "the President of the Senate"))
+                    .doc(DocumentInput::new(
+                        "b.png",
+                        "Public Law 95 is hereby amended",
+                    )),
+            )
+            .expect("ingest");
+        let before = session.pool_stats().writebacks;
+        session.checkpoint().expect("checkpoint");
+        (pages, session.pool_stats().writebacks - before)
+    };
+    let (short_chain, short) = writebacks(2);
+    let (long_chain, long) = writebacks(60);
+    assert!(
+        short_chain < 20 && long_chain >= 300,
+        "{short_chain} vs {long_chain} pages"
+    );
+    assert!(
+        long.abs_diff(short) <= 8,
+        "checkpoint write-backs grow with the chain: {short} pages after a {short_chain}-page \
+         chain, {long} after a {long_chain}-page one"
+    );
 }
