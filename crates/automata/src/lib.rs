@@ -25,6 +25,8 @@
 //! The alphabet is printable ASCII (`0x20..=0x7E`), matching the OCR
 //! channel's output alphabet.
 
+#![forbid(unsafe_code)]
+
 pub mod anchor;
 pub mod dense;
 pub mod dfa;

@@ -13,6 +13,8 @@
 //! * [`timing`] — median-of-N wall-clock measurement (the paper averages
 //!   over 7 runs).
 
+#![forbid(unsafe_code)]
+
 pub mod mem;
 pub mod timing;
 pub mod workload;

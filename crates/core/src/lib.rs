@@ -25,6 +25,8 @@
 //!   size model, then binary-search the smallest `m` meeting a recall
 //!   constraint within a storage budget.
 
+#![forbid(unsafe_code)]
+
 mod chain;
 pub mod collapse;
 pub mod findmin;

@@ -24,6 +24,8 @@
 //!   datasets (CA/LT/DB) with the paper's query terms embedded at known
 //!   rates, plus the Google-Books-style scale-up corpus of §5.4.
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod confusion;
 pub mod corpus;

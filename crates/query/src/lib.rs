@@ -72,6 +72,8 @@
 //!   [`IngestReceipt`], the durable `StaccatoHistory` row, and the
 //!   batch codec replayed by [`Staccato::recover`].
 
+#![forbid(unsafe_code)]
+
 pub mod agg;
 pub mod cache;
 pub mod error;

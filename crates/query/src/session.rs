@@ -16,8 +16,9 @@
 //!
 //! Every public method takes `&self`, `Staccato` is `Send + Sync`
 //! (asserted at compile time below), and a read that finds what it
-//! wants takes only atomic-word read latches: a buffer-pool hit takes
-//! its shard's read side (the write side covers misses/eviction only),
+//! wants takes read latches, plus a page slot's mutex for as long as an
+//! `Arc` clone: a buffer-pool hit takes its shard's read side (the write
+//! side covers misses/eviction only) and clones the page's snapshot,
 //! the registered-index list is an `Arc` snapshot cloned under a read
 //! latch (planning never blocks behind an index build), and a
 //! compiled-query cache hit takes one read latch. Share one session
@@ -65,7 +66,7 @@ use staccato_sfa::codec;
 use staccato_storage::{Database, PoolStats, SyncPolicy, Wal, WalFlusher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
+use std::sync::{Arc, Condvar, Weak};
 use std::time::Instant;
 
 /// One registered inverted index. The index handle is `Arc`-shared so a
@@ -111,7 +112,7 @@ struct IngestTotals {
 /// passes the turn on, whether its batch committed or failed.
 #[derive(Default)]
 struct Turnstile {
-    state: StdMutex<Turns>,
+    state: Mutex<Turns>,
     turn: Condvar,
 }
 
@@ -138,15 +139,11 @@ struct Ticket<'a> {
 }
 
 impl Turnstile {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Turns> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Take the next ticket and `docs` keys. `committed_tail` is asked
     /// only when no ticket is outstanding — the one moment it is exact —
     /// which also picks up lines that replay applied without tickets.
     fn reserve(&self, docs: usize, committed_tail: impl FnOnce() -> usize) -> Ticket<'_> {
-        let mut t = self.lock();
+        let mut t = self.state.lock();
         if t.issued == t.serving {
             t.next_key = committed_tail() as i64;
         }
@@ -163,7 +160,7 @@ impl Turnstile {
     }
 
     fn wait_for(&self, number: u64) -> std::sync::MutexGuard<'_, Turns> {
-        let mut t = self.lock();
+        let mut t = self.state.lock();
         while t.serving != number {
             t = self.turn.wait(t).unwrap_or_else(|e| e.into_inner());
         }
@@ -233,7 +230,7 @@ impl CheckpointPolicy {
 /// busy-wait) and moves on; the checkpointer thread snapshots off the
 /// write path.
 struct CheckpointSignal {
-    state: StdMutex<CheckpointerState>,
+    state: Mutex<CheckpointerState>,
     wake: Condvar,
 }
 
@@ -244,12 +241,6 @@ struct CheckpointerState {
     thread: Option<std::thread::JoinHandle<()>>,
     runs: u64,
     errors: u64,
-}
-
-impl CheckpointSignal {
-    fn lock(&self) -> std::sync::MutexGuard<'_, CheckpointerState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 /// Owns the checkpointer's shutdown: dropped with the session (or when
@@ -266,7 +257,7 @@ impl CheckpointerSlot {
     fn new() -> CheckpointerSlot {
         CheckpointerSlot {
             signal: Arc::new(CheckpointSignal {
-                state: StdMutex::new(CheckpointerState {
+                state: Mutex::new(CheckpointerState {
                     policy: CheckpointPolicy::default(),
                     pending: false,
                     shutdown: false,
@@ -283,7 +274,7 @@ impl CheckpointerSlot {
 impl Drop for CheckpointerSlot {
     fn drop(&mut self) {
         let handle = {
-            let mut state = self.signal.lock();
+            let mut state = self.signal.state.lock();
             state.shutdown = true;
             state.thread.take()
         };
@@ -958,7 +949,7 @@ impl Staccato {
         writer.ckpt_batches_since += 1;
         writer.ckpt_bytes_since += wal_bytes;
         let ckpt_due = {
-            let policy = self.ckpt.signal.lock().policy;
+            let policy = self.ckpt.signal.state.lock().policy;
             policy.due(writer.ckpt_batches_since, writer.ckpt_bytes_since)
         };
         if ckpt_due {
@@ -976,7 +967,7 @@ impl Staccato {
         drop(writer);
         drop(ticket);
         if ckpt_due {
-            let mut state = self.ckpt.signal.lock();
+            let mut state = self.ckpt.signal.state.lock();
             state.pending = true;
             drop(state);
             self.ckpt.signal.wake.notify_all();
@@ -1080,7 +1071,7 @@ impl Staccato {
         session: &Arc<Staccato>,
         policy: CheckpointPolicy,
     ) -> Result<(), QueryError> {
-        let mut state = session.ckpt.signal.lock();
+        let mut state = session.ckpt.signal.state.lock();
         state.policy = policy;
         if state.thread.is_none() {
             let weak = Arc::downgrade(session);
@@ -1146,7 +1137,7 @@ impl Staccato {
         let writer = self.writer.lock();
         let wal = writer.wal.as_ref().map(|w| w.stats()).unwrap_or_default();
         drop(writer);
-        let background_checkpoints = self.ckpt.signal.lock().runs;
+        let background_checkpoints = self.ckpt.signal.state.lock().runs;
         IngestStats {
             batches: self.totals.batches.load(Ordering::Acquire),
             docs: self.totals.docs.load(Ordering::Acquire),
@@ -1172,7 +1163,7 @@ impl Staccato {
 fn checkpointer_loop(session: Weak<Staccato>, signal: Arc<CheckpointSignal>) {
     loop {
         {
-            let mut state = signal.lock();
+            let mut state = signal.state.lock();
             while !state.pending && !state.shutdown {
                 state = signal.wake.wait(state).unwrap_or_else(|e| e.into_inner());
             }
@@ -1186,7 +1177,7 @@ fn checkpointer_loop(session: Weak<Staccato>, signal: Arc<CheckpointSignal>) {
         };
         let outcome = session.checkpoint();
         drop(session);
-        let mut state = signal.lock();
+        let mut state = signal.state.lock();
         match outcome {
             Ok(()) => state.runs += 1,
             Err(_) => state.errors += 1,
@@ -1702,7 +1693,7 @@ mod tests {
             (b.number, b.first_key),
             (c.number, c.first_key),
         ];
-        let order = StdMutex::new(Vec::new());
+        let order = Mutex::new(Vec::new());
         let queued = std::sync::Barrier::new(3);
         std::thread::scope(|scope| {
             // Later tickets queue first; neither may pass ticket 0.
@@ -1711,18 +1702,18 @@ mod tests {
                 scope.spawn(move || {
                     queued.wait();
                     ticket.wait_turn();
-                    order.lock().unwrap().push(ticket.number);
+                    order.lock().push(ticket.number);
                     ticket.committed = true;
                     drop(ticket);
                 });
             }
             queued.wait();
-            assert!(order.lock().unwrap().is_empty());
+            assert!(order.lock().is_empty());
             a.committed = true;
             drop(a);
         });
         assert_eq!(reserved, [(0, 10), (1, 12), (2, 13)]);
-        assert_eq!(*order.lock().unwrap(), [1, 2]);
+        assert_eq!(*order.lock(), [1, 2]);
         // Nothing outstanding: the next range starts at the committed tail.
         assert_eq!(turns.reserve(1, || 16).first_key, 16);
     }
@@ -1758,7 +1749,7 @@ mod tests {
         let got = std::thread::scope(|scope| {
             let ingest = scope.spawn(|| s.ingest(doc()).unwrap());
             // Wait until the ingest holds the range behind `doomed`.
-            while s.turns.lock().issued < 2 {
+            while s.turns.state.lock().issued < 2 {
                 std::thread::yield_now();
             }
             drop(doomed);

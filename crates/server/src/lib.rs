@@ -40,6 +40,8 @@
 //! shutdown model are documented in [`server`] and DESIGN.md's
 //! "Service tier" section.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod error;
 pub mod http;

@@ -106,8 +106,7 @@ struct ClientConn {
     prepared: Vec<PreparedQuery>,
 }
 
-/// The closable connection queue: `Mutex<VecDeque>` + `Condvar`
-/// (std's, because the in-tree `parking_lot` shim has no condvar).
+/// The closable connection queue: `Mutex<VecDeque>` + `Condvar`.
 struct ConnQueue {
     state: Mutex<QueueState>,
     ready: Condvar,

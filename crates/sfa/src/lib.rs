@@ -29,6 +29,8 @@
 //! * [`validate`] — structural and stochastic invariant checks, including the
 //!   paper's *unique path property*.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod error;
 pub mod kbest;

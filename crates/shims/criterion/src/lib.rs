@@ -8,6 +8,8 @@
 //! plots, and HTML reports are out of scope; swap this crate for the
 //! registry `criterion` when a network is available.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Top-level benchmark driver.

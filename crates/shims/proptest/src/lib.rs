@@ -10,6 +10,8 @@
 //! shrunk — swap this crate for the registry `proptest` when a network
 //! is available.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use std::sync::Arc;

@@ -9,6 +9,8 @@
 //! and property tests require. Swap this crate for the registry `rand`
 //! when a network is available; no call sites need to change.
 
+#![forbid(unsafe_code)]
+
 /// Core RNG interface: a source of uniform 64-bit words.
 pub trait RngCore {
     /// Next uniform 64-bit word.

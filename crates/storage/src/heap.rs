@@ -159,11 +159,13 @@ impl HeapFile {
     }
 
     /// Full scan in chain order. Tuples are copied out page by page, so
-    /// the iterator holds no page pins between steps.
+    /// the iterator holds no page pins between steps, and it reads under
+    /// [`BufferPool::fetch_read`]: a scan dirties nothing.
     pub fn scan<'p>(&self, pool: &'p BufferPool) -> HeapScan<'p> {
         HeapScan {
             pool,
             next_page: self.first,
+            copy: Box::new([0u8; crate::PAGE_SIZE]),
             buffer: Vec::new(),
             pos: 0,
             failed: false,
@@ -175,6 +177,8 @@ impl HeapFile {
 pub struct HeapScan<'p> {
     pool: &'p BufferPool,
     next_page: PageId,
+    /// The current page, copied out ([`SlottedPage`] needs `&mut`).
+    copy: Box<[u8; crate::PAGE_SIZE]>,
     buffer: Vec<(Rid, Vec<u8>)>,
     pos: usize,
     failed: bool,
@@ -197,14 +201,14 @@ impl Iterator for HeapScan<'_> {
                 return None;
             }
             let pid = self.next_page;
-            let mut page = match self.pool.fetch_write(pid) {
-                Ok(p) => p,
+            match self.pool.fetch_read(pid) {
+                Ok(page) => self.copy.copy_from_slice(&page[..]),
                 Err(e) => {
                     self.failed = true;
                     return Some(Err(e));
                 }
-            };
-            let sp = SlottedPage::new(&mut page);
+            }
+            let sp = SlottedPage::new(&mut self.copy);
             self.buffer = sp
                 .iter()
                 .map(|(slot, t)| (Rid { page: pid, slot }, t.to_vec()))
@@ -361,6 +365,21 @@ mod tests {
             slot: 789,
         };
         assert_eq!(Rid::from_u64(rid.to_u64()), rid);
+    }
+
+    #[test]
+    fn scan_dirties_no_page() {
+        let pool = pool();
+        let heap = HeapFile::create(&pool).unwrap();
+        for i in 0..40u8 {
+            heap.insert(&pool, &[i; 700]).unwrap();
+        }
+        assert!(chain_length(&pool, heap.first_page()).unwrap() > 1);
+        pool.flush_all().unwrap();
+        let before = pool.stats().writebacks;
+        assert_eq!(heap.scan(&pool).count(), 40);
+        pool.flush_all().unwrap();
+        assert_eq!(pool.stats().writebacks, before, "a scan dirtied a page");
     }
 
     #[test]

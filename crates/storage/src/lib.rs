@@ -9,7 +9,8 @@
 //!   I/O statistics (the experiments' cost asymmetry between reading MAP
 //!   tuples and multi-gigabyte FullSFA blobs is an I/O-volume effect, so
 //!   the pool counts every disk read/write), its frame table split into
-//!   shards of one read-write lock each;
+//!   shards of one read-write lock each and its pages handed out as
+//!   `Arc` snapshots;
 //! * [`page`] — slotted-page layout for variable-length tuples;
 //! * [`heap`] — heap files (linked page chains) with RID addressing;
 //! * [`btree`] — a page-based B+-tree over byte-string keys, used for the
@@ -23,6 +24,8 @@
 //! * [`wal`] — an append-only write-ahead log (CRC-framed records in
 //!   rotating segment files) backing the query layer's ingest path and
 //!   crash recovery.
+
+#![forbid(unsafe_code)]
 
 pub mod blob;
 pub mod btree;

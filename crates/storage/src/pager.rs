@@ -1,6 +1,19 @@
 //! The buffer pool: a fixed set of in-memory frames caching disk pages,
 //! with LRU eviction, pin tracking, dirty write-back, and I/O statistics.
 //!
+//! # Pages are snapshots
+//!
+//! A frame's bytes are an `Arc<[u8; PAGE_SIZE]>` kept in the frame's
+//! slot, a `Mutex` plus a `Condvar`. [`BufferPool::fetch_read`] clones
+//! that `Arc`: a [`PageRead`] is an immutable snapshot and holds no latch
+//! once returned. [`BufferPool::fetch_write`] *takes* the `Arc` out of the
+//! slot, so writers of one page exclude each other by construction — only
+//! one of them can hold the page — and a reader that arrives meanwhile
+//! waits until the [`PageWrite`] is dropped and puts the page back. A
+//! write goes through `Arc::make_mut`, which copies the page only while
+//! an older snapshot of it is still alive; that snapshot keeps the bytes
+//! it was taken with.
+//!
 //! # One lock per shard
 //!
 //! The frame table is split into up to 16 shards keyed by a hash of the
@@ -16,19 +29,20 @@
 //!
 //! # Eviction
 //!
-//! Pinning is an `Arc` clone of the frame's data (`strong_count > 1` ⇔
-//! pinned), and a pin can only begin under one of the shard's locks.
-//! The evictor holds the write lock, which excludes every hitter, so a
-//! `strong_count == 1` check is final: the least-recently-used such
-//! frame is written back (if dirty) and only then removed. A failed
-//! write-back returns the error before the removal, so the victim stays
-//! in the map, still dirty — its frame holds the only copy of the bytes.
-//! The write lock's acquire also orders every hitter's dirty mark before
-//! the evictor reads it.
+//! Pinning is an `Arc` clone of the frame's slot, held by every live
+//! `PageRead` and `PageWrite` (`strong_count > 1` ⇔ pinned), and a pin
+//! can only begin under one of the shard's locks. The evictor holds the
+//! write lock, which excludes every hitter, so a `strong_count == 1`
+//! check is final and takes no per-frame lock: the least-recently-used
+//! such frame is written back (if dirty) from its slot's current page
+//! and only then removed. A failed write-back returns the error before
+//! the removal, so the victim stays in the map, still dirty — its frame
+//! holds the only copy of the bytes. The write lock's acquire also
+//! orders every hitter's dirty mark before the evictor reads it.
 //!
-//! Lock order is shard → (neighbor shard, `try_write` only) → page
-//! latch → disk; no path blocks on a second shard latch, and no path
-//! acquires a shard latch while holding the disk latch.
+//! Lock order is shard → (neighbor shard, `try_write` only) → frame slot
+//! → disk; no path blocks on a second shard latch, and no path acquires
+//! a shard latch or a slot while holding the disk latch.
 //!
 //! # Exhaustion fairness
 //!
@@ -45,53 +59,110 @@
 use crate::disk::{Disk, PAGE_SIZE};
 use crate::error::StorageError;
 use crate::PageId;
-use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
-use parking_lot::{Mutex, RawRwLock, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 
-type PageBuf = Box<[u8; PAGE_SIZE]>;
-type PageArc = Arc<RwLock<PageBuf>>;
+type PageBuf = [u8; PAGE_SIZE];
 
 /// Upper bound on the number of frame-table shards.
 const MAX_SHARDS: usize = 16;
 
-/// Read guard over a page's bytes.
+/// A snapshot of a page's bytes; it pins the page's frame until dropped.
 pub struct PageRead {
-    guard: ArcRwLockReadGuard<RawRwLock, PageBuf>,
+    page: Arc<PageBuf>,
+    _pin: Arc<Slot>,
 }
 
 impl std::ops::Deref for PageRead {
     type Target = [u8; PAGE_SIZE];
     fn deref(&self) -> &Self::Target {
-        &self.guard
+        &self.page
     }
 }
 
-/// Write guard over a page's bytes. Acquiring one marks the frame dirty.
+/// A page taken out of its frame for writing; dropping it puts the page
+/// back. Acquiring one marks the frame dirty.
 pub struct PageWrite {
-    guard: ArcRwLockWriteGuard<RawRwLock, PageBuf>,
+    /// `Some` until drop hands it back to `slot`.
+    page: Option<Arc<PageBuf>>,
+    slot: Arc<Slot>,
 }
+
+const HELD: &str = "a PageWrite holds its page until dropped";
 
 impl std::ops::Deref for PageWrite {
     type Target = [u8; PAGE_SIZE];
     fn deref(&self) -> &Self::Target {
-        &self.guard
+        self.page.as_deref().expect(HELD)
     }
 }
 
 impl std::ops::DerefMut for PageWrite {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.guard
+        Arc::make_mut(self.page.as_mut().expect(HELD))
+    }
+}
+
+impl Drop for PageWrite {
+    fn drop(&mut self) {
+        self.slot.put_back(self.page.take());
+    }
+}
+
+/// Where a frame's page lives between fetches.
+struct Slot {
+    state: Mutex<SlotState>,
+    /// Signalled when a writer puts the page back while someone waits.
+    returned: Condvar,
+}
+
+struct SlotState {
+    /// `None` while a [`PageWrite`] has the page out.
+    page: Option<Arc<PageBuf>>,
+    /// Someone waits on `returned`. `std`'s notify is a system call even
+    /// with nobody waiting, so the put-back notifies only when this is set.
+    waiting: bool,
+}
+
+impl Slot {
+    /// The page once no writer has it out: a clone (a snapshot), or with
+    /// `take` the page itself, which leaves the slot empty until
+    /// [`Slot::put_back`].
+    fn page(&self, take: bool) -> Arc<PageBuf> {
+        let mut state = self.state.lock();
+        loop {
+            let page = if take {
+                state.page.take()
+            } else {
+                state.page.clone()
+            };
+            if let Some(page) = page {
+                return page;
+            }
+            state.waiting = true;
+            state = self
+                .returned
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn put_back(&self, page: Option<Arc<PageBuf>>) {
+        let mut state = self.state.lock();
+        state.page = page;
+        if std::mem::take(&mut state.waiting) {
+            self.returned.notify_all();
+        }
     }
 }
 
 /// One resident page. Hitters touch `last_used`/`dirty` under the
-/// shard's read lock, so both are atomics; `data`'s strong count
+/// shard's read lock, so both are atomics; `slot`'s strong count
 /// doubles as the pin count (1 = only the frame itself holds it).
 struct Frame {
-    data: PageArc,
+    slot: Arc<Slot>,
     dirty: AtomicBool,
     last_used: AtomicU64,
 }
@@ -99,12 +170,12 @@ struct Frame {
 impl Frame {
     /// Pin the page for a fetch stamped `tick`, marking it dirty first
     /// when the fetch is for writing.
-    fn pin(&self, dirty: bool, tick: u64) -> PageArc {
+    fn pin(&self, dirty: bool, tick: u64) -> Arc<Slot> {
         if dirty {
             self.dirty.store(true, AtomicOrdering::Release);
         }
         self.last_used.store(tick, AtomicOrdering::Relaxed);
-        Arc::clone(&self.data)
+        Arc::clone(&self.slot)
     }
 }
 
@@ -212,14 +283,14 @@ impl Shard {
         let victim = inner
             .frames
             .iter()
-            .filter(|(_, f)| Arc::strong_count(&f.data) == 1)
+            .filter(|(_, f)| Arc::strong_count(&f.slot) == 1)
             .min_by_key(|(_, f)| f.last_used.load(AtomicOrdering::Relaxed));
         let Some((&pid, frame)) = victim else {
             return Ok(false);
         };
         if frame.dirty.load(AtomicOrdering::Acquire) {
-            let buf = frame.data.read();
-            disk.lock().write_page(pid, &buf[..])?;
+            let page = frame.slot.page(false);
+            disk.lock().write_page(pid, &page[..])?;
             Shard::bump(&self.writebacks);
         }
         inner.frames.remove(&pid);
@@ -274,19 +345,23 @@ impl BufferPool {
         }
     }
 
-    /// Fetch a page for reading.
+    /// Fetch a snapshot of a page for reading. Waits while a writer has
+    /// the page out.
     pub fn fetch_read(&self, pid: PageId) -> Result<PageRead, StorageError> {
-        let arc = self.fetch_arc(pid, false)?;
+        let slot = self.fetch_slot(pid, false)?;
         Ok(PageRead {
-            guard: RwLock::read_arc(&arc),
+            page: slot.page(false),
+            _pin: slot,
         })
     }
 
-    /// Fetch a page for writing (marks it dirty).
+    /// Take a page out for writing (marks it dirty). Waits while another
+    /// writer has the page out.
     pub fn fetch_write(&self, pid: PageId) -> Result<PageWrite, StorageError> {
-        let arc = self.fetch_arc(pid, true)?;
+        let slot = self.fetch_slot(pid, true)?;
         Ok(PageWrite {
-            guard: RwLock::write_arc(&arc),
+            page: Some(slot.page(true)),
+            slot,
         })
     }
 
@@ -302,8 +377,8 @@ impl BufferPool {
 
     /// Write all dirty frames back and sync the device.
     ///
-    /// The dirty flag is cleared *before* the bytes are copied (swap,
-    /// then read): a hitter that re-dirties the page concurrently
+    /// The dirty flag is cleared *before* the page is snapshotted (swap,
+    /// then clone): a hitter that re-dirties the page concurrently
     /// leaves the flag set for the next flush instead of being lost.
     /// A failed write sets the flag again before the error is returned,
     /// so the page is still written by the next flush. A write guard
@@ -316,9 +391,8 @@ impl BufferPool {
             let inner = shard.inner.read();
             for (&pid, frame) in &inner.frames {
                 if frame.dirty.swap(false, AtomicOrdering::AcqRel) {
-                    let buf = frame.data.read();
-                    let written = self.disk.lock().write_page(pid, &buf[..]);
-                    drop(buf);
+                    let page = frame.slot.page(false);
+                    let written = self.disk.lock().write_page(pid, &page[..]);
                     if let Err(e) = written {
                         frame.dirty.store(true, AtomicOrdering::Release);
                         return Err(e);
@@ -355,7 +429,7 @@ impl BufferPool {
         }
     }
 
-    fn fetch_arc(&self, pid: PageId, dirty: bool) -> Result<PageArc, StorageError> {
+    fn fetch_slot(&self, pid: PageId, dirty: bool) -> Result<Arc<Slot>, StorageError> {
         let idx = self.shard_of(pid);
         let shard = &self.shards[idx];
         let tick = shard.next_tick();
@@ -365,9 +439,9 @@ impl BufferPool {
             .frames
             .get(&pid)
             .map(|f| f.pin(dirty, tick));
-        if let Some(data) = hit {
+        if let Some(slot) = hit {
             Shard::bump(&shard.hits);
-            return Ok(data);
+            return Ok(slot);
         }
 
         // Miss path: take the write lock, then re-check — a racing miss
@@ -383,8 +457,9 @@ impl BufferPool {
         // The write lock is held across the disk read so two threads
         // missing on the same page cannot both load it (and diverge on
         // which copy is cached).
-        let mut buf: PageBuf = Box::new([0u8; PAGE_SIZE]);
-        self.disk.lock().read_page(pid, &mut buf[..])?;
+        let mut page = Arc::new([0u8; PAGE_SIZE]);
+        let fresh = Arc::get_mut(&mut page).expect("a new Arc is unique");
+        self.disk.lock().read_page(pid, fresh)?;
         if inner.frames.len() >= inner.capacity && !shard.evict_one(&mut inner, &self.disk)? {
             // Every local frame is pinned: borrow capacity from a
             // neighbor before giving up (see module docs).
@@ -393,14 +468,20 @@ impl BufferPool {
             }
             Shard::bump(&shard.steals);
         }
-        let data = Arc::new(RwLock::new(buf));
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState {
+                page: Some(page),
+                waiting: false,
+            }),
+            returned: Condvar::new(),
+        });
         let frame = Frame {
-            data: Arc::clone(&data),
+            slot: Arc::clone(&slot),
             dirty: AtomicBool::new(dirty),
             last_used: AtomicU64::new(tick),
         };
         inner.frames.insert(pid, frame);
-        Ok(data)
+        Ok(slot)
     }
 
     /// Try to move one frame of capacity from a neighbor shard into
@@ -485,6 +566,40 @@ mod tests {
         // Re-reading page 0 must see the written value (from disk).
         let r = p.fetch_read(0).unwrap();
         assert_eq!(r[0], 99);
+    }
+
+    #[test]
+    fn writers_of_one_page_exclude_each_other() {
+        // Each writer takes the page out, so no increment is lost to a
+        // second writer working on a copy of the same bytes.
+        let p = pool(4, 1);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..1000 {
+                        let mut page = p.fetch_write(0).unwrap();
+                        let n = u64::from_le_bytes(page[..8].try_into().unwrap());
+                        page[..8].copy_from_slice(&(n + 1).to_le_bytes());
+                    }
+                });
+            }
+        });
+        let page = p.fetch_read(0).unwrap();
+        assert_eq!(u64::from_le_bytes(page[..8].try_into().unwrap()), 2000);
+    }
+
+    #[test]
+    fn a_read_is_a_snapshot() {
+        let p = pool(4, 1);
+        let before = p.fetch_read(0).unwrap();
+        p.fetch_write(0).unwrap()[0] = 7;
+        assert_eq!(before[0], 0, "a snapshot keeps the bytes it was taken with");
+        assert_eq!(p.fetch_read(0).unwrap()[0], 7);
+        // A flush writes the frame's page, not an older snapshot.
+        p.flush_all().unwrap();
+        let mut on_disk = [0u8; PAGE_SIZE];
+        p.disk.lock().read_page(0, &mut on_disk).unwrap();
+        assert_eq!(on_disk[0], 7);
     }
 
     #[test]
@@ -646,9 +761,9 @@ mod tests {
     #[test]
     fn concurrent_hits_race_eviction_without_losing_pages() {
         // A pool under heavy eviction pressure (32 frames/shard over
-        // ~128 pages/shard) with 8 threads: the unpublish → drain →
-        // re-check protocol must never serve torn or stale page
-        // contents and never lose a write-back.
+        // ~128 pages/shard) with 8 threads: evicting only unpinned frames
+        // under the shard's write lock must never serve torn or stale
+        // page contents and never lose a write-back.
         let p = std::sync::Arc::new(pool(64, 256));
         for pid in 0..256u64 {
             let mut w = p.fetch_write(pid).unwrap();

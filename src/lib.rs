@@ -40,6 +40,8 @@
 //! See `examples/quickstart.rs` and `examples/sql_console.rs` for an
 //! end-to-end tour and DESIGN.md for the experiment map.
 
+#![forbid(unsafe_code)]
+
 pub use staccato_automata as automata;
 pub use staccato_core as approx;
 pub use staccato_ocr as ocr;
