@@ -126,7 +126,6 @@ fn main() {
     let burst_allowance = (cfg.requests + 1).min(200) as u32;
     let server_config = ServerConfig {
         workers: cfg.workers,
-        poll_interval: Duration::from_millis(2),
         rate_limit: Some(RateLimit::new(burst_allowance, 50.0)),
         ..ServerConfig::default()
     };

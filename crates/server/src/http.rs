@@ -1,12 +1,12 @@
 //! The HTTP/1.1 wire layer: reading requests off a `TcpStream` and
 //! writing responses back, with nothing above `std::net`.
 //!
-//! The server multiplexes many keep-alive connections over a small
-//! worker pool (see [`crate::server`]), so the reader here is
-//! **resumable**: [`Connection::read_request`] polls with the socket's
-//! short read timeout, and on [`ReadError::Idle`] the partial bytes
-//! stay buffered in the connection — a worker can park the connection
-//! back on the queue and any worker can finish the request later.
+//! Each connection has its own thread (see [`crate::server`]), which
+//! blocks in [`Connection::read_request`] until a request is complete
+//! or the socket's read timeout expires. The reader is **resumable**:
+//! on [`ReadError::Idle`] the partial bytes stay buffered in the
+//! connection, the caller checks its deadlines, and the next call picks
+//! up where this one stopped.
 //!
 //! Only the slice of HTTP/1.1 the service needs is implemented:
 //! `Content-Length` bodies (no chunked encoding), no `Expect:
@@ -31,6 +31,8 @@ pub struct Request {
     pub method: String,
     /// The request target, e.g. `/query`.
     pub path: String,
+    /// `HTTP/1.1` or `HTTP/1.0`.
+    pub version: String,
     /// Header `(name, value)` pairs in arrival order.
     pub headers: Vec<(String, String)>,
     /// The body, `Content-Length` bytes long.
@@ -46,10 +48,13 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Did the client ask to drop the connection after this exchange?
+    /// Does the connection end after this exchange? HTTP/1.1 keeps it
+    /// unless the client sends `Connection: close`; HTTP/1.0 closes it
+    /// unless the client sends `Connection: keep-alive` (RFC 9112 §9.3).
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        let connection = self.header("connection");
+        let says = |option: &str| connection.is_some_and(|v| v.eq_ignore_ascii_case(option));
+        says("close") || (self.version == "HTTP/1.0" && !says("keep-alive"))
     }
 }
 
@@ -59,10 +64,9 @@ pub enum ReadError {
     /// Clean EOF on a request boundary — the client hung up, nothing to
     /// answer.
     Closed,
-    /// The read timed out. Partial bytes (if any) stay buffered; the
-    /// connection can be parked and resumed. `started` is when the
-    /// first byte of the pending request arrived (`None` while idle
-    /// between requests).
+    /// The read timed out. Partial bytes (if any) stay buffered for the
+    /// next call. `started` is when the first byte of the pending
+    /// request arrived (`None` while idle between requests).
     Idle {
         /// Arrival time of the pending partial request, if any.
         started: Option<Instant>,
@@ -78,8 +82,9 @@ pub enum ReadError {
 }
 
 /// One client connection: the stream plus whatever bytes arrived ahead
-/// of parsing. Per-connection server state (prepared statements) rides
-/// in [`crate::server`]'s wrapper so this layer stays protocol-only.
+/// of parsing. Per-connection server state (prepared statements) lives
+/// in [`crate::server`]'s connection thread, so this layer stays
+/// protocol-only.
 #[derive(Debug)]
 pub struct Connection {
     stream: TcpStream,
@@ -93,8 +98,8 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Wrap an accepted stream. The caller is expected to have set a
-    /// short read timeout on the stream (see the module docs).
+    /// Wrap an accepted stream. Its read timeout, if any, is how often
+    /// [`Connection::read_request`] returns [`ReadError::Idle`].
     pub fn new(stream: TcpStream, peer: SocketAddr) -> Connection {
         Connection {
             stream,
@@ -137,9 +142,7 @@ impl Connection {
                 }
             }
             Ok(n) => {
-                if self.buf.is_empty() && self.request_started.is_none() {
-                    self.request_started = Some(Instant::now());
-                }
+                self.request_started.get_or_insert_with(Instant::now);
                 self.buf.extend_from_slice(&chunk[..n]);
                 Ok(())
             }
@@ -167,7 +170,7 @@ impl Connection {
         let mut parts = request_line.split(' ');
         let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
             (Some(m), Some(p), Some(v)) if !m.is_empty() && p.starts_with('/') => {
-                (m.to_string(), p.to_string(), v)
+                (m.to_string(), p.to_string(), v.to_string())
             }
             _ => {
                 return Err(ReadError::Malformed(format!(
@@ -205,13 +208,15 @@ impl Connection {
             self.fill()?;
         }
         let body = self.buf[body_start..body_start + content_length].to_vec();
-        // Keep any pipelined bytes for the next request.
+        // Keep any pipelined bytes for the next request, whose clock
+        // starts now if some of it is already here.
         self.buf.drain(..body_start + content_length);
-        self.request_started = None;
         self.last_active = Instant::now();
+        self.request_started = (!self.buf.is_empty()).then_some(self.last_active);
         Ok(Request {
             method,
             path,
+            version,
             headers,
             body,
         })
@@ -346,6 +351,19 @@ mod tests {
             .unwrap();
         assert_eq!(conn.read_request(1024).unwrap().path, "/healthz");
         assert_eq!(conn.read_request(1024).unwrap().path, "/stats");
+    }
+
+    #[test]
+    fn a_partial_pipelined_request_is_on_the_clock() {
+        let (mut client, mut conn) = pair();
+        client
+            .write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET /sta")
+            .unwrap();
+        assert_eq!(conn.read_request(1024).unwrap().path, "/healthz");
+        assert!(matches!(
+            conn.read_request(1024),
+            Err(ReadError::Idle { started: Some(_) })
+        ));
     }
 
     #[test]

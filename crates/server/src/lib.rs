@@ -10,7 +10,7 @@
 //! let server = Server::start(session, ServerConfig::default())?;
 //! println!("listening on http://{}", server.addr());
 //! // ...
-//! server.shutdown(); // drain in-flight requests, join workers
+//! server.shutdown(); // drain in-flight requests, join every thread
 //! ```
 //!
 //! ## API
@@ -29,14 +29,14 @@
 //! side, so page k of the ranking is exact, not approximate).
 //!
 //! Prepared statements are **per connection**: `statement_id` is an
-//! index into state that travels with the connection through the
-//! worker pool, dying with the connection — exactly a SQL cursor's
-//! lifetime, and free of any cross-client id-guessing surface.
+//! index into a table local to the connection's thread, dying with the
+//! connection — exactly a SQL cursor's lifetime, and free of any
+//! cross-client id-guessing surface.
 //!
 //! Every non-2xx answer is `{"error":{"code":"...","message":"..."}}`
 //! with a stable machine-readable code (see [`error`]). Robustness
 //! limits — body size (413), per-client token-bucket rate limiting
-//! (429 + `Retry-After`), query wall-clock (408) — and the worker /
+//! (429 + `Retry-After`), query wall-clock (408) — and the thread /
 //! shutdown model are documented in [`server`] and DESIGN.md's
 //! "Service tier" section.
 

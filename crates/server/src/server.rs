@@ -1,26 +1,25 @@
-//! The service itself: a fixed worker pool multiplexing keep-alive
-//! connections over a shared [`Staccato`] session.
+//! The service itself: one thread per keep-alive connection over a
+//! shared [`Staccato`] session.
 //!
 //! # Thread model
 //!
-//! One acceptor thread plus [`ServerConfig::workers`] worker threads.
-//! Accepted connections land on a closable `ConnQueue`; a worker
-//! pops a connection, serves **one** request (or gives up after the
-//! socket's short poll timeout), then parks the connection back on the
-//! queue — unless no other connection is waiting there, in which case
-//! it keeps the connection for another turn (parking it would only wake
-//! a second worker to pop it: a thread hand-off per request, which on a
-//! two-core box was a third of a cheap statement's latency).
-//! Connections outnumber workers by design — 32 keep-alive clients are
-//! served by 4 workers because nobody owns a socket for longer than one
-//! request while another connection waits. The cost is polling latency
-//! bounded by `poll_interval × connections / workers` when everything
-//! is idle; under load the next request's bytes are already buffered
-//! when the connection is popped, so the poll never waits.
+//! One acceptor thread, plus one thread per accepted connection. A
+//! connection's thread runs blocking read → route → answer until the
+//! connection closes, so a request never waits for another
+//! connection's socket and never changes threads. An idle connection
+//! costs a thread blocked in `read`, which wakes only when the read
+//! times out (after `min(request_deadline, idle_timeout)`) or at
+//! shutdown.
 //!
-//! Per-connection state (prepared statements) travels *with* the
-//! connection through the queue, so any worker can serve any
-//! connection's next request.
+//! [`ServerConfig::workers`] bounds how many requests *execute* at
+//! once, not how many connections are open: a thread takes one of
+//! `workers` permits after it has read a whole request and gives it
+//! back before it writes the response. Connections outnumber workers
+//! freely (32 keep-alive clients on 4 workers), and a slow reader or
+//! writer holds no permit.
+//!
+//! Per-connection state (prepared statements) is a local of the
+//! connection's thread and dies with it.
 //!
 //! # Limits
 //!
@@ -41,11 +40,13 @@
 //!
 //! # Shutdown
 //!
-//! [`ServerHandle::shutdown`] stops the acceptor, closes the queue
-//! (parked connections drop; their clients see EOF and can retry
-//! elsewhere), and joins the workers. A worker mid-request **finishes
-//! it** — the response is written with `Connection: close` — so
-//! shutdown drains in-flight work without truncating anyone's answer.
+//! [`ServerHandle::shutdown`] sets the shutdown flag, shuts down the
+//! read side of every open connection (a blocked reader sees EOF and
+//! its thread exits; the client sees EOF and can retry elsewhere),
+//! unblocks the acceptor and joins it, which joins every connection
+//! thread. A thread mid-request **finishes it** — the response is
+//! written with `Connection: close` — so shutdown drains in-flight work
+//! without truncating anyone's answer.
 
 use crate::error::ApiError;
 use crate::http::{Connection, ReadError, Request, Response};
@@ -53,11 +54,11 @@ use crate::json::{obj, Json};
 use crate::limits::{RateLimit, TokenBuckets};
 use crate::stats::{Endpoint, ServerStats};
 use staccato_query::{DocumentInput, IngestBatch, PreparedQuery, QueryOutput, SqlValue, Staccato};
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,14 +68,12 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads serving requests.
+    /// Requests executing at once (connections are not limited).
     pub workers: usize,
     /// 413 threshold for request bodies.
     pub max_body_bytes: usize,
     /// Post-hoc per-query wall-clock limit (408 `QUERY_TIMEOUT`).
     pub query_wall_limit: Duration,
-    /// How long a worker polls an idle connection before parking it.
-    pub poll_interval: Duration,
     /// 408 threshold for a partially-received request.
     pub request_deadline: Duration,
     /// Drop keep-alive connections idle longer than this.
@@ -90,7 +89,6 @@ impl Default for ServerConfig {
             workers: 4,
             max_body_bytes: 64 * 1024,
             query_wall_limit: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(15),
             request_deadline: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
             rate_limit: None,
@@ -98,76 +96,63 @@ impl Default for ServerConfig {
     }
 }
 
-/// A connection plus the per-connection API state that must follow it
-/// from worker to worker.
-struct ClientConn {
-    conn: Connection,
-    /// Prepared statements; `statement_id` is the index.
-    prepared: Vec<PreparedQuery>,
+/// A counting semaphore: `workers` permits to execute a request.
+struct Permits {
+    state: Mutex<PermitState>,
+    handed: Condvar,
 }
 
-/// The closable connection queue: `Mutex<VecDeque>` + `Condvar`.
-struct ConnQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
+struct PermitState {
+    /// Permits nobody holds.
+    free: usize,
+    /// Threads waiting for a permit.
+    waiting: usize,
+    /// Permits given back to waiters that none has taken yet.
+    handed: usize,
 }
 
-struct QueueState {
-    conns: VecDeque<ClientConn>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    fn new() -> ConnQueue {
-        ConnQueue {
-            state: Mutex::new(QueueState {
-                conns: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
+impl Permits {
+    fn acquire(&self) -> Permit<'_> {
+        let mut state = self.state.lock().expect("permits poisoned");
+        if state.free > 0 {
+            state.free -= 1;
+            return Permit(self);
         }
-    }
-
-    /// Park a connection. After close, the connection is dropped
-    /// instead (the socket closes; the client sees EOF).
-    fn push(&self, conn: ClientConn) {
-        let mut state = self.state.lock().expect("queue poisoned");
-        if !state.closed {
-            state.conns.push_back(conn);
-            drop(state);
-            self.ready.notify_one();
-        }
-    }
-
-    /// Next connection, blocking until one is parked or the queue
-    /// closes. `None` means shut down.
-    fn pop(&self) -> Option<ClientConn> {
-        let mut state = self.state.lock().expect("queue poisoned");
+        // Wait before looking at `handed`: a permit handed out already
+        // belongs to a thread that was waiting before this one.
+        state.waiting += 1;
         loop {
-            if let Some(conn) = state.conns.pop_front() {
-                return Some(conn);
+            state = self.handed.wait(state).expect("permits poisoned");
+            if state.handed > 0 {
+                state.handed -= 1;
+                state.waiting -= 1;
+                return Permit(self);
             }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).expect("queue poisoned");
         }
     }
+}
 
-    /// No connection is parked and the queue is open — a worker that
-    /// holds a connection may keep it.
-    fn is_idle(&self) -> bool {
-        let state = self.state.lock().expect("queue poisoned");
-        state.conns.is_empty() && !state.closed
-    }
+/// One permit, given back on drop.
+struct Permit<'a>(&'a Permits);
 
-    /// Close: wake every worker, drop every parked connection.
-    fn close(&self) {
-        let mut state = self.state.lock().expect("queue poisoned");
-        state.closed = true;
-        state.conns.clear();
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // Every update is one step, so a poisoned count is still valid.
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        // A waiter is handed the permit rather than it being freed: a
+        // thread that has just read a request would otherwise take it
+        // first, and a waiter could be passed over again and again.
+        let hand_off = state.waiting > state.handed;
+        if hand_off {
+            state.handed += 1;
+        } else {
+            state.free += 1;
+        }
         drop(state);
-        self.ready.notify_all();
+        // `notify_one` is a syscall even with no waiter; skip it then.
+        if hand_off {
+            self.0.handed.notify_one();
+        }
     }
 }
 
@@ -176,28 +161,71 @@ struct Shared {
     config: ServerConfig,
     stats: ServerStats,
     limiter: Option<TokenBuckets>,
+    /// Set only under `open`'s lock (see [`Shared::register`]).
     shutdown: AtomicBool,
-    queue: ConnQueue,
+    /// A clone of every open connection's stream, by connection id, so
+    /// shutdown can wake the readers blocked on them.
+    open: Mutex<HashMap<u64, TcpStream>>,
+    permits: Permits,
 }
 
-/// The running server. Dropping the handle without calling
-/// [`ServerHandle::shutdown`] also shuts down (via `Drop`).
+impl Shared {
+    /// Keep a clone of `stream` for shutdown to wake. `false` once
+    /// shutdown has begun: the flag is set under the same lock, so a
+    /// connection is either registered before it (and woken) or
+    /// refused here.
+    fn register(&self, id: u64, stream: &TcpStream) -> bool {
+        let Ok(clone) = stream.try_clone() else {
+            return false;
+        };
+        let mut open = self.open.lock().expect("open poisoned");
+        if self.shutdown.load(Ordering::SeqCst) {
+            return false;
+        }
+        open.insert(id, clone);
+        true
+    }
+
+    /// Drop connection `id`'s clone, so closing the connection's own
+    /// stream closes the socket.
+    fn deregister(&self, id: u64) {
+        self.open.lock().expect("open poisoned").remove(&id);
+    }
+
+    /// Set the shutdown flag and wake every blocked reader. Runs in
+    /// `Drop`, so a poisoned map (every update is one step) is used.
+    fn close(&self) {
+        let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        self.shutdown.store(true, Ordering::SeqCst);
+        for stream in open.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// The running server. Dropping the handle shuts it down.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 /// Namespace for [`Server::start`].
 pub struct Server;
 
 impl Server {
-    /// Bind, spawn the acceptor and workers, and return the handle.
+    /// Bind, spawn the acceptor, and return the handle.
     pub fn start(session: Arc<Staccato>, config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
+        let permits = Permits {
+            state: Mutex::new(PermitState {
+                free: config.workers.max(1),
+                waiting: 0,
+                handed: 0,
+            }),
+            handed: Condvar::new(),
+        };
         let limiter = config.rate_limit.map(TokenBuckets::new);
         let shared = Arc::new(Shared {
             session,
@@ -205,28 +233,19 @@ impl Server {
             stats: ServerStats::default(),
             limiter,
             shutdown: AtomicBool::new(false),
-            queue: ConnQueue::new(),
+            open: Mutex::default(),
+            permits,
         });
-
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("staccato-accept".into())
                 .spawn(move || accept_loop(listener, &shared))?
         };
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("staccato-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
         Ok(ServerHandle {
             addr,
             shared,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 }
@@ -238,169 +257,141 @@ impl ServerHandle {
     }
 
     /// Stop accepting, drain in-flight requests, join every thread.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
+    /// The same as dropping the handle.
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.shared.close();
         // Unblock the acceptor's blocking `accept()` by dialing it.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        self.shared.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() {
-            self.shutdown_inner();
-        }
-    }
-}
-
+/// Accept until shutdown, one scoped thread per connection; returns
+/// once every connection thread has finished.
 fn accept_loop(listener: TcpListener, shared: &Shared) {
-    loop {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return; // the shutdown self-dial (or a straggler)
+    let timeout = shared
+        .config
+        .request_deadline
+        .min(shared.config.idle_timeout);
+    std::thread::scope(|scope| {
+        for id in 0_u64.. {
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    if shared.shutdown.load(Ordering::SeqCst) {
+                        return; // the shutdown self-dial (or a straggler)
+                    }
+                    if stream.set_read_timeout(Some(timeout)).is_err() {
+                        continue;
+                    }
+                    if !shared.register(id, &stream) {
+                        continue;
+                    }
+                    shared.stats.connection_accepted();
+                    let spawned = std::thread::Builder::new()
+                        .name("staccato-conn".into())
+                        .spawn_scoped(scope, move || {
+                            serve(shared, Connection::new(stream, peer));
+                            shared.deregister(id);
+                        });
+                    if spawned.is_err() {
+                        // The closure, and the stream in it, is dropped.
+                        shared.deregister(id);
+                    }
                 }
-                if stream
-                    .set_read_timeout(Some(shared.config.poll_interval))
-                    .is_err()
-                {
-                    continue;
+                Err(_) => {
+                    if shared.shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    // Transient accept failure (EMFILE, ECONNABORTED):
+                    // back off briefly rather than spinning.
+                    std::thread::sleep(Duration::from_millis(10));
                 }
-                shared.stats.connection_accepted();
-                shared.queue.push(ClientConn {
-                    conn: Connection::new(stream, peer),
-                    prepared: Vec::new(),
-                });
             }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+        }
+    });
+}
+
+/// Serve `conn` until it closes: read a request, execute it under a
+/// permit, answer, repeat.
+fn serve(shared: &Shared, mut conn: Connection) {
+    // Prepared statements; `statement_id` is the index.
+    let mut statements = Vec::new();
+    let refusal = loop {
+        match conn.read_request(shared.config.max_body_bytes) {
+            Ok(request) => {
+                let permit = shared.permits.acquire();
+                shared.stats.begin_request();
+                let started = Instant::now();
+                let (endpoint, mut response) = route(shared, &conn, &mut statements, &request);
+                shared
+                    .stats
+                    .record(endpoint, response.status, started.elapsed());
+                shared.stats.end_request();
+                drop(permit);
+                response.close = request.wants_close() || shared.shutdown.load(Ordering::SeqCst);
+                if conn.write_response(&response).is_err() || response.close {
                     return;
                 }
-                // Transient accept failure (EMFILE, ECONNABORTED):
-                // back off briefly rather than spinning.
-                std::thread::sleep(Duration::from_millis(10));
             }
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(mut client) = shared.queue.pop() {
-        let mut turn = serve_one(shared, &mut client);
-        // Nobody is waiting for a worker: keep the connection for its
-        // next turn. Parking it would only wake another worker to pop
-        // it — a thread hand-off per request.
-        while matches!(turn, Turn::Park) && shared.queue.is_idle() {
-            turn = serve_one(shared, &mut client);
-        }
-        match turn {
-            Turn::Park => shared.queue.push(client),
-            Turn::Close => drop(client),
-        }
-    }
-}
-
-/// What to do with the connection after one service turn.
-enum Turn {
-    /// Keep-alive: back on the queue for its next request.
-    Park,
-    /// Done (client left, protocol error, or shutdown).
-    Close,
-}
-
-/// Serve at most one request off `client`.
-fn serve_one(shared: &Shared, client: &mut ClientConn) -> Turn {
-    let request = match client.conn.read_request(shared.config.max_body_bytes) {
-        Ok(request) => request,
-        Err(ReadError::Closed) | Err(ReadError::Io(_)) => return Turn::Close,
-        Err(ReadError::Idle { started }) => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Turn::Close;
-            }
-            if let Some(started) = started {
-                if started.elapsed() > shared.config.request_deadline {
-                    let err = ApiError::new(408, "REQUEST_TIMEOUT", "request not received in time");
-                    return answer(shared, client, Endpoint::Other, err.response(), true);
+            // Shutdown woke the read (or the client left): there is no
+            // request to answer.
+            Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
+            Err(ReadError::Closed | ReadError::Io(_)) => return,
+            Err(ReadError::Idle { started: None }) => {
+                if conn.last_active.elapsed() > shared.config.idle_timeout {
+                    return;
                 }
-            } else if client.conn.last_active.elapsed() > shared.config.idle_timeout {
-                return Turn::Close;
             }
-            return Turn::Park;
-        }
-        Err(ReadError::BodyTooLarge(n)) => {
-            let err = ApiError::new(
-                413,
-                "BODY_TOO_LARGE",
-                format!(
-                    "request body is {n} bytes; the limit is {}",
-                    shared.config.max_body_bytes
-                ),
-            );
-            return answer(shared, client, Endpoint::Other, err.response(), true);
-        }
-        Err(ReadError::Malformed(why)) => {
-            let err = ApiError::new(400, "BAD_REQUEST", why);
-            return answer(shared, client, Endpoint::Other, err.response(), true);
+            Err(ReadError::Idle {
+                started: Some(started),
+            }) => {
+                if started.elapsed() > shared.config.request_deadline {
+                    break ApiError::new(408, "REQUEST_TIMEOUT", "request not received in time");
+                }
+            }
+            Err(ReadError::BodyTooLarge(n)) => {
+                break ApiError::new(
+                    413,
+                    "BODY_TOO_LARGE",
+                    format!(
+                        "request body is {n} bytes; the limit is {}",
+                        shared.config.max_body_bytes
+                    ),
+                );
+            }
+            Err(ReadError::Malformed(why)) => break ApiError::new(400, "BAD_REQUEST", why),
         }
     };
-
-    shared.stats.begin_request();
-    let started = Instant::now();
-    let (endpoint, response) = route(shared, client, &request);
+    // A request that could not be read is refused, and the connection
+    // closed.
+    let mut response = refusal.response();
     shared
         .stats
-        .record(endpoint, response.status, started.elapsed());
-    shared.stats.end_request();
-
-    let close = request.wants_close() || shared.shutdown.load(Ordering::SeqCst);
-    answer(shared, client, endpoint, response, close)
-}
-
-/// Write `response` (forcing `Connection: close` when asked) and pick
-/// the follow-up turn. The endpoint is only used to account write
-/// failures; successful responses were already recorded by the caller
-/// unless this is a protocol-level error path.
-fn answer(
-    shared: &Shared,
-    client: &mut ClientConn,
-    endpoint: Endpoint,
-    mut response: Response,
-    close: bool,
-) -> Turn {
-    response.close = close;
-    // Protocol-level errors (413/400/408 before routing) bypass the
-    // route() accounting; record them here so /stats sees everything.
-    if endpoint == Endpoint::Other {
-        shared
-            .stats
-            .record(endpoint, response.status, Duration::ZERO);
-    }
-    match client.conn.write_response(&response) {
-        Ok(()) if !close => Turn::Park,
-        _ => Turn::Close,
-    }
+        .record(Endpoint::Other, response.status, Duration::ZERO);
+    response.close = true;
+    let _ = conn.write_response(&response);
 }
 
 /// Identity for rate limiting: the `X-Client-Id` header, else peer IP.
-fn client_identity(client: &ClientConn, request: &Request) -> String {
+fn client_identity(conn: &Connection, request: &Request) -> String {
     match request.header("x-client-id") {
         Some(id) if !id.is_empty() => id.to_string(),
-        _ => client.conn.peer().ip().to_string(),
+        _ => conn.peer().ip().to_string(),
     }
 }
 
-fn route(shared: &Shared, client: &mut ClientConn, request: &Request) -> (Endpoint, Response) {
+fn route(
+    shared: &Shared,
+    conn: &Connection,
+    statements: &mut Vec<PreparedQuery>,
+    request: &Request,
+) -> (Endpoint, Response) {
     let endpoint = match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Endpoint::Healthz,
         ("GET", "/stats") => Endpoint::Stats,
@@ -431,7 +422,7 @@ fn route(shared: &Shared, client: &mut ClientConn, request: &Request) -> (Endpoi
     // identity is throttled.
     if !matches!(endpoint, Endpoint::Healthz | Endpoint::Stats) {
         if let Some(limiter) = &shared.limiter {
-            let identity = client_identity(client, request);
+            let identity = client_identity(conn, request);
             if let Err(retry_after) = limiter.try_acquire(&identity) {
                 let err = ApiError::new(
                     429,
@@ -450,8 +441,8 @@ fn route(shared: &Shared, client: &mut ClientConn, request: &Request) -> (Endpoi
         Endpoint::Healthz => handle_healthz(shared),
         Endpoint::Stats => handle_stats(shared),
         Endpoint::Query => handle_query(shared, request),
-        Endpoint::Prepare => handle_prepare(shared, client, request),
-        Endpoint::Execute => handle_execute(shared, client, request),
+        Endpoint::Prepare => handle_prepare(shared, statements, request),
+        Endpoint::Execute => handle_execute(shared, statements, request),
         Endpoint::Ingest => handle_ingest(shared, request),
         Endpoint::Other => unreachable!("handled above"),
     };
@@ -574,7 +565,11 @@ fn handle_query(shared: &Shared, request: &Request) -> Response {
     run_query(shared, || shared.session.sql(&sql))
 }
 
-fn handle_prepare(shared: &Shared, client: &mut ClientConn, request: &Request) -> Response {
+fn handle_prepare(
+    shared: &Shared,
+    statements: &mut Vec<PreparedQuery>,
+    request: &Request,
+) -> Response {
     let sql = match sql_of_body(&request.body) {
         Ok(sql) => sql,
         Err(err) => return err.response(),
@@ -582,11 +577,11 @@ fn handle_prepare(shared: &Shared, client: &mut ClientConn, request: &Request) -
     match shared.session.prepare(&sql) {
         Ok(prepared) => {
             let body = obj([
-                ("statement_id", Json::Num(client.prepared.len() as f64)),
+                ("statement_id", Json::Num(statements.len() as f64)),
                 ("param_count", Json::Num(prepared.param_count() as f64)),
                 ("sql", Json::Str(prepared.sql())),
             ]);
-            client.prepared.push(prepared);
+            statements.push(prepared);
             Response::json(200, body.render())
         }
         Err(e) => ApiError::from_query_error(&e).response(),
@@ -619,7 +614,7 @@ fn params_of_json(doc: &Json) -> Result<Vec<SqlValue>, ApiError> {
         .collect()
 }
 
-fn handle_execute(shared: &Shared, client: &mut ClientConn, request: &Request) -> Response {
+fn handle_execute(shared: &Shared, statements: &[PreparedQuery], request: &Request) -> Response {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => return ApiError::new(400, "BAD_REQUEST", "body is not UTF-8").response(),
@@ -642,21 +637,19 @@ fn handle_execute(shared: &Shared, client: &mut ClientConn, request: &Request) -
         Ok(params) => params,
         Err(err) => return err.response(),
     };
-    let Some(prepared) = client.prepared.get(id as usize) else {
+    let Some(prepared) = statements.get(id as usize) else {
         return ApiError::new(
             404,
             "UNKNOWN_STATEMENT",
             format!(
                 "statement {id} was not prepared on this connection ({} known)",
-                client.prepared.len()
+                statements.len()
             ),
         )
         .response();
     };
-    // Clone out of `client` so the borrow does not outlive the call.
-    let prepared = prepared.clone();
     run_query(shared, || {
-        shared.session.execute_prepared(&prepared, &params)
+        shared.session.execute_prepared(prepared, &params)
     })
 }
 
@@ -855,5 +848,53 @@ fn handle_ingest(shared: &Shared, request: &Request) -> Response {
             .render(),
         ),
         Err(e) => ApiError::from_query_error(&e).response(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_given_back_permit_goes_to_a_thread_already_waiting() {
+        // The only permit has been handed to a waiter that has not woken.
+        let permits = Permits {
+            state: Mutex::new(PermitState {
+                free: 0,
+                waiting: 1,
+                handed: 1,
+            }),
+            handed: Condvar::new(),
+        };
+        let count = |f: fn(&PermitState) -> usize| f(&permits.state.lock().unwrap());
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let permits_ref = &permits;
+        std::thread::scope(|scope| {
+            let newcomer = scope.spawn(move || {
+                let permit = permits_ref.acquire();
+                released.recv().unwrap();
+                drop(permit);
+            });
+            while count(|s| s.waiting) < 2 && count(|s| s.handed) > 0 {
+                std::thread::yield_now();
+            }
+            let taken_by_the_newcomer = count(|s| s.handed) == 0;
+            let mut freed = 0;
+            if !taken_by_the_newcomer {
+                // Play the first waiter: take the permit, give it back.
+                let mut state = permits.state.lock().unwrap();
+                state.handed -= 1;
+                state.waiting -= 1;
+                drop(state);
+                drop(Permit(&permits));
+                freed = count(|s| s.free);
+            }
+            release.send(()).unwrap();
+            newcomer.join().unwrap();
+            assert!(!taken_by_the_newcomer, "the newcomer took a handed permit");
+            assert_eq!(freed, 0, "given back while the newcomer waited");
+        });
+        let state = permits.state.lock().unwrap();
+        assert_eq!((state.free, state.waiting, state.handed), (1, 0, 0));
     }
 }

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Press Enter (or close stdin) to shut down gracefully: in-flight
-//! queries finish, then the workers join.
+//! queries finish, then every connection thread joins.
 
 use staccato::approx::StaccatoParams;
 use staccato::automata::Trie;

@@ -275,7 +275,6 @@ fn client_disconnect_mid_response_leaves_the_server_usable() {
     // same shared session.
     let session = Arc::new(tiny_session());
     let config = ServerConfig {
-        poll_interval: Duration::from_millis(5),
         workers: 2,
         ..ServerConfig::default()
     };

@@ -24,11 +24,9 @@ fn session(lines: usize) -> Arc<Staccato> {
     Arc::new(Staccato::load(db, &dataset, &opts).expect("load"))
 }
 
-/// A snappy test config: short polls so requests never wait long on
-/// the multiplexer, no rate limit unless a test asks for one.
+/// Two workers and no rate limit unless a test asks for one.
 fn test_config() -> ServerConfig {
     ServerConfig {
-        poll_interval: Duration::from_millis(5),
         workers: 2,
         ..ServerConfig::default()
     }
@@ -530,8 +528,8 @@ fn stalled_request_body_times_out_without_holding_the_worker() {
         .write_all(b"POST /query HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"sql\":")
         .expect("send");
 
-    // The only worker parks the stalled connection instead of waiting
-    // on it: another connection is served before the deadline expires.
+    // The stalled connection holds no worker permit while it waits:
+    // another connection is served before the deadline expires.
     let mut client = HttpClient::connect(server.addr()).expect("connect");
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
 
@@ -568,4 +566,92 @@ fn idle_keep_alive_connection_is_closed_and_fresh_ones_still_serve() {
     let mut client = HttpClient::connect(server.addr()).expect("connect");
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
     server.shutdown();
+}
+
+#[test]
+fn http_1_0_requests_close_after_the_response() {
+    let server = boot(session(8), test_config());
+    let mut old = TcpStream::connect(server.addr()).expect("connect");
+    old.write_all(b"GET /healthz HTTP/1.0\r\n\r\n")
+        .expect("send");
+    // No `Connection: keep-alive` from an HTTP/1.0 client: the server
+    // answers once and hangs up.
+    let answer = read_until_close(&mut old);
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+    assert!(answer.contains("Connection: close"), "{answer}");
+    server.shutdown();
+}
+
+#[test]
+fn query_wall_limit_answers_408_and_keeps_the_connection() {
+    let config = ServerConfig {
+        query_wall_limit: Duration::ZERO,
+        ..test_config()
+    };
+    let server = boot(session(8), config);
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let resp = client
+        .post(
+            "/query",
+            "{\"sql\": \"SELECT DataKey FROM MAPData WHERE Data REGEXP 'a' LIMIT 3\"}",
+        )
+        .expect("query");
+    assert_eq!(resp.status, 408, "{}", resp.body);
+    assert_eq!(error_code(&resp.json().expect("json")), "QUERY_TIMEOUT");
+    assert_eq!(resp.header("connection"), Some("keep-alive"));
+    // The same connection serves its next request.
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn an_idle_connection_costs_the_others_nothing() {
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let server = boot(session(8), config);
+    let mut quiet = HttpClient::connect(server.addr()).expect("connect");
+    assert_eq!(quiet.get("/healthz").expect("healthz").status, 200);
+
+    // `quiet` stays open and silent; it must not slow `busy` down.
+    let mut busy = HttpClient::connect(server.addr()).expect("connect");
+    let started = Instant::now();
+    for _ in 0..20 {
+        assert_eq!(busy.get("/healthz").expect("healthz").status, 200);
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(100), "{took:?}");
+    drop(quiet);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_is_prompt_with_idle_keep_alive_clients() {
+    let server = boot(session(8), ServerConfig::default());
+    let mut idle: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+                .expect("send");
+            // Read the whole keep-alive answer: its JSON body ends it.
+            let mut answer = Vec::new();
+            let mut chunk = [0u8; 512];
+            while answer.last() != Some(&b'}') {
+                let n = stream.read(&mut chunk).expect("answer");
+                assert!(n > 0, "closed before answering");
+                answer.extend_from_slice(&chunk[..n]);
+            }
+            stream
+        })
+        .collect();
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "{took:?}");
+    for stream in &mut idle {
+        assert_eq!(read_until_close(stream), "", "EOF and nothing else");
+    }
 }
