@@ -23,7 +23,7 @@ use staccato_query::store::LoadOptions;
 use staccato_query::{PlanPreference, Query, ScanScratch, SqlTable, Staccato};
 use staccato_sfa::codec;
 use staccato_storage::Database;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 const NUM_ANS: usize = 100;
@@ -289,6 +289,9 @@ fn e_t2(ctx: &Ctx) {
 /// Table 4 (+ appendix Tables 7/8): precision/recall and runtime for the
 /// 21 workload queries through the real storage engine, issued as SQL
 /// strings over the representation tables (the paper's §2.3 interface).
+///
+/// Panics (non-zero exit) when any query breaks the paper's recall
+/// ordering MAP ≤ k-MAP ≤ Staccato ≤ FullSFA.
 fn e_t4(ctx: &Ctx) {
     header(
         "Table 4 / Tables 7–8 — quality and runtime across datasets (RDBMS filescans)",
@@ -298,6 +301,7 @@ fn e_t4(ctx: &Ctx) {
          regexes; FullSFA recall 1.0 with low precision, 2–3 orders of magnitude slower; \
          Staccato between.",
     );
+    let mut out_of_order = Vec::new();
     for kind in [
         CorpusKind::CongressActs,
         CorpusKind::EnglishLit,
@@ -328,6 +332,7 @@ fn e_t4(ctx: &Ctx) {
             let truth = ground_truth(session.store(), &query).expect("truth");
             let mut cells_pr = Vec::new();
             let mut cells_t = Vec::new();
+            let mut recall = HashMap::new();
             for ap in Approach::all() {
                 let statement = format!(
                     "SELECT DataKey, Prob FROM {} WHERE Data REGEXP {} \
@@ -345,8 +350,20 @@ fn e_t4(ctx: &Ctx) {
                 let t = time_median(ctx.reps, || {
                     let _: Vec<Answer> = session.execute(&request).expect("query").answers;
                 });
-                cells_pr.push(pr(&evaluate_answers(&answers, &truth)));
+                let metrics = evaluate_answers(&answers, &truth);
+                recall.insert(ap, metrics.recall);
+                cells_pr.push(pr(&metrics));
                 cells_t.push(fmt_duration(t));
+            }
+            let ordered = [
+                Approach::Map,
+                Approach::KMap,
+                Approach::Staccato,
+                Approach::FullSfa,
+            ]
+            .map(|ap| recall[&ap]);
+            if !ordered.is_sorted() {
+                out_of_order.push(format!("{} {}: {ordered:?}", kind.short_name(), spec.id));
             }
             println!(
                 "| {} `{}` | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
@@ -364,6 +381,15 @@ fn e_t4(ctx: &Ctx) {
             );
         }
     }
+    println!();
+    println!(
+        "Recall ordering MAP ≤ k-MAP ≤ STACCATO ≤ FullSFA broken by {} queries.",
+        out_of_order.len()
+    );
+    assert!(
+        out_of_order.is_empty(),
+        "t4: recall ordering MAP ≤ k-MAP ≤ STACCATO ≤ FullSFA broken: {out_of_order:#?}"
+    );
 }
 
 // ---------------------------------------------------------------- F4 --

@@ -14,9 +14,12 @@
 //! The helpers here replicate [`k_best_paths`]'s arithmetic **exactly** —
 //! same log-space accumulation (`ln p + ln q`, exponentiated at the end),
 //! same stable sort with the same comparator, same discovery order for
-//! ties — so swapping them in changes no observable output, only the
-//! constant factor. Regions with a bypass edge (`entry → exit` parallel to
-//! the chain) or parallel edges do not qualify and fall back to the
+//! ties, and the same dominance cut: a pair `(i, j)` with
+//! `(i+1)(j+1) > k` is never pushed, and the `kbest` module doc shows
+//! that the kept pairs' stable sort has the same first `k`, ties
+//! included. Swapping them in therefore changes no observable output,
+//! only the constant factor. Regions with a bypass edge (`entry → exit`
+//! parallel to the chain) or parallel edges do not qualify and take the
 //! general path.
 //!
 //! [`k_best_paths`]: staccato_sfa::k_best_paths
@@ -65,9 +68,11 @@ pub(crate) fn has_bypass(
 /// the extracted two-edge sub-SFA: the DP there seeds the interior node
 /// with the first `min(k, positive)` emissions of `e1` (emissions are
 /// kept sorted by decreasing probability, so the stable sort is a no-op),
-/// then scores `ln p_i + ln q_j` per pair in `(j, i)` discovery order,
-/// stable-sorts descending and truncates to `k`.
+/// then scores `ln p_i + ln q_j` per pair in `(j, i)` discovery order —
+/// `j < k` and `i < k / (j + 1)`, its dominance cut — stable-sorts
+/// descending and truncates to `k`.
 pub(crate) fn top_products(e1: &Edge, e2: &Edge, k: usize) -> Vec<(f64, u32, u32)> {
+    debug_assert!(sorted(e1) && sorted(e2), "the cut needs sorted emissions");
     let mid: Vec<(u32, f64)> = e1
         .emissions
         .iter()
@@ -76,13 +81,13 @@ pub(crate) fn top_products(e1: &Edge, e2: &Edge, k: usize) -> Vec<(f64, u32, u32
         .take(k)
         .map(|(i, em)| (i as u32, em.prob.ln()))
         .collect();
-    let mut scratch: Vec<(f64, u32, u32)> = Vec::with_capacity(mid.len() * e2.emissions.len());
-    for (j, em) in e2.emissions.iter().enumerate() {
+    let mut scratch: Vec<(f64, u32, u32)> = Vec::with_capacity(3 * k);
+    for (j, em) in e2.emissions.iter().enumerate().take(k) {
         if em.prob <= 0.0 {
-            continue;
+            break; // sorted descending: no positive emission remains
         }
         let lq = em.prob.ln();
-        for &(i, lp) in &mid {
+        for &(i, lp) in mid.iter().take(k / (j + 1)) {
             scratch.push((lp + lq, i, j as u32));
         }
     }
@@ -104,6 +109,7 @@ pub(crate) fn top_products(e1: &Edge, e2: &Edge, k: usize) -> Vec<(f64, u32, u32
 /// entirely inside the hyperbola, shrinking the candidate set from `k²`
 /// to `O(k log k)`.
 pub(crate) fn chain_local_loss(e1: &Edge, e2: &Edge, k: usize) -> f64 {
+    debug_assert!(sorted(e1) && sorted(e2), "the cut needs sorted emissions");
     let sub_mass = e1.mass() * e2.mass();
     let mut vals: Vec<f64> = Vec::with_capacity(3 * k);
     for (i, em1) in e1.emissions.iter().enumerate().take(k) {
@@ -118,10 +124,21 @@ pub(crate) fn chain_local_loss(e1: &Edge, e2: &Edge, k: usize) -> f64 {
             vals.push(lp + em2.prob.ln());
         }
     }
-    vals.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    vals.truncate(k);
+    // Only the top-k values and their descending order matter (tied
+    // values are equal, so their relative order cannot change the sum).
+    let desc = |a: &f64, b: &f64| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal);
+    if vals.len() > k {
+        vals.select_nth_unstable_by(k - 1, desc);
+        vals.truncate(k);
+    }
+    vals.sort_unstable_by(desc);
     let retained: f64 = vals.iter().map(|lp| lp.exp()).sum();
     (sub_mass - retained).max(0.0)
+}
+
+/// Are `e`'s emissions sorted descending, as every cut here assumes?
+fn sorted(e: &Edge) -> bool {
+    e.emissions.is_sorted_by(|a, b| a.prob >= b.prob)
 }
 
 #[cfg(test)]
@@ -129,6 +146,7 @@ mod tests {
     use super::*;
     use crate::collapse::extract_region;
     use crate::findmin::{find_min_sfa, Reach};
+    use proptest::prelude::*;
     use staccato_sfa::{k_best_paths, total_mass, Emission, NodeId, SfaBuilder};
 
     fn chain3() -> Sfa {
@@ -191,6 +209,49 @@ mod tests {
                 );
                 assert_eq!(label, g.string);
                 assert_eq!(lp.exp().to_bits(), g.prob.to_bits());
+            }
+        }
+    }
+
+    /// Random two-edge chains: 1–30 emissions per edge, probabilities from
+    /// a small grid (zero included) so that tied products are common.
+    fn random_chain() -> impl Strategy<Value = Sfa> {
+        let grid = [0.5, 0.25, 0.125, 0.1, 0.0];
+        let edge = || prop::collection::vec((0u8..26, prop::sample::select(grid)), 1..31);
+        (edge(), edge()).prop_map(|(e1, e2)| {
+            let mut b = SfaBuilder::new();
+            let n: Vec<NodeId> = (0..3).map(|_| b.add_node()).collect();
+            for (i, ems) in [e1, e2].into_iter().enumerate() {
+                let ems = ems
+                    .into_iter()
+                    .map(|(c, p)| Emission::new(((b'a' + c) as char).to_string(), p))
+                    .collect();
+                b.add_edge(n[i], n[i + 1], ems);
+            }
+            b.build(n[0], n[2]).unwrap()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn top_products_and_chain_loss_equal_kbest_on_random_chains(s in random_chain()) {
+            let region = Region { nodes: vec![0, 1, 2], entry: 0, exit: 2 };
+            let (e1, e2) = chain_edges(&s, &region).expect("two-edge chain");
+            let (e1, e2) = (s.edge(e1).unwrap(), s.edge(e2).unwrap());
+            let (sub, _) = extract_region(&s, &region);
+            for k in [1, 2, 3, 5, 25, 100] {
+                let general = k_best_paths(&sub, k);
+                let fast = top_products(e1, e2, k);
+                prop_assert_eq!(fast.len(), general.len());
+                for (&(lp, i, j), g) in fast.iter().zip(&general) {
+                    prop_assert_eq!(&g.edges, &vec![(0, i), (1, j)]);
+                    prop_assert_eq!(lp.exp().to_bits(), g.prob.to_bits());
+                }
+                let retained: f64 = general.iter().map(|p| p.prob).sum();
+                let loss = (total_mass(&sub) - retained).max(0.0);
+                prop_assert_eq!(chain_local_loss(e1, e2, k).to_bits(), loss.to_bits());
             }
         }
     }

@@ -13,11 +13,14 @@
 
 use crate::chain::{chain_edges, top_products};
 use crate::findmin::Region;
-use staccato_sfa::{k_best_paths, Emission, NodeId, Sfa, SfaBuilder};
+use staccato_sfa::{region_k_best_paths, Emission, NodeId, Sfa, SfaBuilder};
 
 /// Materialize the region's induced sub-SFA as a standalone automaton
 /// (entry becomes the start node, exit the final node). Also returns the
 /// node remapping used (old node id → new node id).
+///
+/// Construction scores regions in place ([`region_k_best_paths`]); this
+/// copy is the oracle the tests hold the in-place scorer to.
 pub fn extract_region(sfa: &Sfa, region: &Region) -> (Sfa, Vec<(NodeId, NodeId)>) {
     let mut b = SfaBuilder::new();
     let mut map: Vec<(NodeId, NodeId)> = Vec::with_capacity(region.nodes.len());
@@ -67,8 +70,7 @@ pub fn region_top_k(sfa: &Sfa, region: &Region, k: usize) -> Vec<Emission> {
             })
             .collect();
     }
-    let (sub, _) = extract_region(sfa, region);
-    k_best_paths(&sub, k)
+    region_k_best_paths(sfa, &region.nodes, region.entry, region.exit, k)
         .into_iter()
         .map(|p| Emission {
             label: p.string,

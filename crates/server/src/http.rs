@@ -49,11 +49,18 @@ impl Request {
     }
 
     /// Does the connection end after this exchange? HTTP/1.1 keeps it
-    /// unless the client sends `Connection: close`; HTTP/1.0 closes it
-    /// unless the client sends `Connection: keep-alive` (RFC 9112 §9.3).
+    /// unless the client sends the `close` option; HTTP/1.0 closes it
+    /// unless the client sends `keep-alive` (RFC 9112 §9.3). `Connection`
+    /// is a comma-separated list of case-insensitive options, possibly
+    /// over several field lines (RFC 9110 §7.6.1, §5.3).
     pub fn wants_close(&self) -> bool {
-        let connection = self.header("connection");
-        let says = |option: &str| connection.is_some_and(|v| v.eq_ignore_ascii_case(option));
+        let says = |option: &str| {
+            self.headers
+                .iter()
+                .filter(|(k, _)| k.eq_ignore_ascii_case("connection"))
+                .flat_map(|(_, v)| v.split(','))
+                .any(|token| token.trim().eq_ignore_ascii_case(option))
+        };
         says("close") || (self.version == "HTTP/1.0" && !says("keep-alive"))
     }
 }
@@ -341,6 +348,30 @@ mod tests {
         assert_eq!(req.header("x-client-id"), Some("t1"));
         assert_eq!(req.body, b"hello");
         assert!(!req.wants_close());
+    }
+
+    fn request(version: &str, connection: &str) -> Request {
+        Request {
+            method: "GET".into(),
+            path: "/healthz".into(),
+            version: version.into(),
+            headers: vec![("Connection".into(), connection.into())],
+            body: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn close_is_an_option_in_a_connection_list() {
+        assert!(request("HTTP/1.1", "TE, close").wants_close());
+        assert!(request("HTTP/1.1", "Close").wants_close());
+        assert!(!request("HTTP/1.1", "TE, closed").wants_close());
+    }
+
+    #[test]
+    fn keep_alive_is_an_option_in_a_connection_list() {
+        assert!(!request("HTTP/1.0", "Keep-Alive, TE").wants_close());
+        assert!(!request("HTTP/1.0", " keep-alive ").wants_close());
+        assert!(request("HTTP/1.0", "TE").wants_close());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod viterbi;
 
 pub use codec::{ArenaEdge, ArenaEmission, DecodeArena};
 pub use error::SfaError;
-pub use kbest::{k_best_paths, KBestPath};
+pub use kbest::{k_best_paths, region_k_best_mass, region_k_best_paths, KBestPath};
 pub use mass::{backward_mass, forward_mass, kl_divergence, string_probability, total_mass};
 pub use model::{Edge, EdgeId, Emission, NodeId, Sfa, SfaBuilder};
 pub use validate::{check_stochastic, check_structure, check_unique_paths};

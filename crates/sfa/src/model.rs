@@ -137,6 +137,10 @@ impl Sfa {
     }
 
     /// Mutable access to a live edge.
+    ///
+    /// The caller must leave `emissions` sorted by decreasing probability
+    /// (dropping or filtering entries does): k-best's dominance cut and
+    /// Staccato's chain scoring rely on it, and debug builds assert it.
     pub fn edge_mut(&mut self, id: EdgeId) -> Option<&mut Edge> {
         self.edges.get_mut(id as usize).and_then(|e| e.as_mut())
     }
@@ -186,44 +190,74 @@ impl Sfa {
 
     /// Fallible variant of [`Sfa::topo_order`].
     pub fn try_topo_order(&self) -> Result<Vec<NodeId>, SfaError> {
-        let n = self.node_alive.len();
-        let mut indeg = vec![0u32; n];
-        let mut live = 0usize;
+        let mut indeg = vec![0u32; self.node_alive.len()];
+        let mut sources = Vec::new();
         for (i, &alive) in self.node_alive.iter().enumerate() {
             if alive {
-                live += 1;
                 indeg[i] = self.inn[i].len() as u32;
+                if indeg[i] == 0 {
+                    sources.push(i as NodeId);
+                }
             }
         }
-        let mut queue: Vec<NodeId> = self
-            .node_alive
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| (a && indeg[i] == 0).then_some(i as NodeId))
-            .collect();
-        // Deterministic order regardless of insertion history.
-        queue.sort_unstable();
-        let mut order = Vec::with_capacity(live);
+        let order = self.kahn(sources, indeg, |_| true);
+        if order.len() != self.node_count() {
+            return Err(SfaError::CyclicGraph);
+        }
+        Ok(order)
+    }
+
+    /// The sub-SFA that the sorted node set `nodes` induces, in the order
+    /// [`Sfa::topo_order`] gives on its extracted copy (nodes renumbered
+    /// in `nodes` order, induced edges added in id order): `entry` first,
+    /// then Kahn's algorithm over induced out-edges in ascending id
+    /// order — which is the live adjacency order, since edges are
+    /// appended with rising ids and removal keeps the rest in place.
+    /// `entry` must be the region's only node without an induced in-edge.
+    pub fn region_topo_order(&self, nodes: &[NodeId], entry: NodeId) -> Vec<NodeId> {
+        let inside = |n: NodeId| nodes.binary_search(&n).is_ok();
+        let tail = |&e: &EdgeId| {
+            self.edges[e as usize]
+                .as_ref()
+                .expect("live adjacency")
+                .from
+        };
+        let mut indeg = vec![0u32; self.node_alive.len()];
+        for &v in nodes {
+            indeg[v as usize] = self.inn[v as usize]
+                .iter()
+                .map(tail)
+                .filter(|&u| inside(u))
+                .count() as u32;
+        }
+        self.kahn(vec![entry], indeg, inside)
+    }
+
+    /// Kahn's algorithm from `sources` (ascending), over out-edges whose
+    /// head satisfies `inside`. The queue is the order.
+    fn kahn(
+        &self,
+        mut queue: Vec<NodeId>,
+        mut indeg: Vec<u32>,
+        inside: impl Fn(NodeId) -> bool,
+    ) -> Vec<NodeId> {
         let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
+        while let Some(&v) = queue.get(head) {
             head += 1;
-            order.push(v);
             for &eid in &self.out[v as usize] {
                 let to = self.edges[eid as usize]
                     .as_ref()
                     .expect("live adjacency")
                     .to;
-                indeg[to as usize] -= 1;
-                if indeg[to as usize] == 0 {
-                    queue.push(to);
+                if inside(to) {
+                    indeg[to as usize] -= 1;
+                    if indeg[to as usize] == 0 {
+                        queue.push(to);
+                    }
                 }
             }
         }
-        if order.len() != live {
-            return Err(SfaError::CyclicGraph);
-        }
-        Ok(order)
+        queue
     }
 
     /// Add a fresh node (initially disconnected). Used by graph-rewriting
@@ -300,24 +334,34 @@ impl Sfa {
         Ok(())
     }
 
+    /// A copy that keeps only each live edge's first `k` emissions — its
+    /// `k` most likely — with every id unchanged. Equal to cloning and
+    /// then truncating, without cloning the dropped labels.
+    pub fn truncated(&self, k: usize) -> Sfa {
+        let edges = self
+            .edges
+            .iter()
+            .map(|e| {
+                e.as_ref().map(|e| Edge {
+                    from: e.from,
+                    to: e.to,
+                    emissions: e.emissions[..k.min(e.emissions.len())].to_vec(),
+                })
+            })
+            .collect();
+        Sfa {
+            edges,
+            node_alive: self.node_alive.clone(),
+            out: self.out.clone(),
+            inn: self.inn.clone(),
+            ..*self
+        }
+    }
+
     /// Produce a densely renumbered copy without tombstones. Node ids are
     /// remapped in topological order, so `start` becomes 0.
     pub fn compact(&self) -> Sfa {
-        let order = self.topo_order();
-        let mut remap = vec![u32::MAX; self.node_alive.len()];
-        for (new, &old) in order.iter().enumerate() {
-            remap[old as usize] = new as u32;
-        }
-        let n = order.len();
-        let mut out = Sfa {
-            start: remap[self.start as usize],
-            finish: remap[self.finish as usize],
-            node_alive: vec![true; n],
-            edges: Vec::with_capacity(self.live_edges),
-            out: vec![Vec::new(); n],
-            inn: vec![Vec::new(); n],
-            live_edges: 0,
-        };
+        let (remap, mut out) = self.compact_frame();
         for (_, e) in self.edges() {
             out.add_edge(
                 remap[e.from as usize],
@@ -327,6 +371,38 @@ impl Sfa {
             .expect("compacting a live edge cannot fail");
         }
         out
+    }
+
+    /// [`Sfa::compact`] that moves each edge's emissions instead of
+    /// cloning them.
+    pub fn into_compact(mut self) -> Sfa {
+        let (remap, mut out) = self.compact_frame();
+        for e in std::mem::take(&mut self.edges).into_iter().flatten() {
+            out.add_edge(remap[e.from as usize], remap[e.to as usize], e.emissions)
+                .expect("compacting a live edge cannot fail");
+        }
+        out
+    }
+
+    /// The topological renumbering of the live nodes, and the compacted
+    /// SFA's nodes without its edges.
+    fn compact_frame(&self) -> (Vec<u32>, Sfa) {
+        let order = self.topo_order();
+        let mut remap = vec![u32::MAX; self.node_alive.len()];
+        for (new, &old) in order.iter().enumerate() {
+            remap[old as usize] = new as u32;
+        }
+        let n = order.len();
+        let out = Sfa {
+            start: remap[self.start as usize],
+            finish: remap[self.finish as usize],
+            node_alive: vec![true; n],
+            edges: Vec::with_capacity(self.live_edges),
+            out: vec![Vec::new(); n],
+            inn: vec![Vec::new(); n],
+            live_edges: 0,
+        };
+        (remap, out)
     }
 
     /// Build a deterministic chain SFA that emits exactly `text` with
