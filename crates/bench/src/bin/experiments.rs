@@ -291,7 +291,8 @@ fn e_t2(ctx: &Ctx) {
 /// strings over the representation tables (the paper's §2.3 interface).
 ///
 /// Panics (non-zero exit) when any query breaks the paper's recall
-/// ordering MAP ≤ k-MAP ≤ Staccato ≤ FullSFA.
+/// ordering MAP ≤ k-MAP ≤ Staccato ≤ FullSFA, or when a loaded store
+/// breaks Table 1's size ordering k-MAP < Staccato < FullSFA.
 fn e_t4(ctx: &Ctx) {
     header(
         "Table 4 / Tables 7–8 — quality and runtime across datasets (RDBMS filescans)",
@@ -323,6 +324,17 @@ fn e_t4(ctx: &Ctx) {
             kind.short_name(),
             session.line_count(),
             fmt_duration(t0.elapsed())
+        );
+        println!();
+        let sizes = session.sizes();
+        println!(
+            "Stored bytes: k-MAP {}, STACCATO {}, FullSFA {}.",
+            sizes.kmap, sizes.staccato, sizes.full_sfa
+        );
+        assert!(
+            sizes.kmap < sizes.staccato && sizes.staccato < sizes.full_sfa,
+            "t4: size ordering k-MAP < STACCATO < FullSFA broken on {}: {sizes:?}",
+            kind.short_name()
         );
         println!();
         println!("| query | truth | MAP P/R | k-MAP P/R | FullSFA P/R | STACCATO P/R | MAP t | k-MAP t | FullSFA t | STACCATO t |");

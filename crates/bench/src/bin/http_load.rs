@@ -6,19 +6,17 @@
 //! (closed loop: the next request leaves when the previous answer
 //! lands). Each connection carries its own `X-Client-Id`, so the
 //! per-client token bucket sees them as distinct clients and the
-//! measured phase runs throttle-free; a separate burst phase then
-//! hammers a single identity past its burst allowance to prove the
-//! limiter answers 429 with `Retry-After`.
+//! measured phase runs throttle-free.
 //!
 //! ```text
 //! http_load [--connections N] [--requests M] [--lines L] [--seed S]
 //!           [--workers W] [--out PATH]
 //! ```
 //!
-//! Results land in `BENCH_http.json`. The process exits nonzero if
-//! the measured phase sees any non-2xx response, if any phase sees a
-//! 5xx, or if the burst phase fails to draw a 429 — so CI can use a
-//! short run as a smoke gate.
+//! Results land in `BENCH_http.json`, status counts included. What the
+//! tier must answer (200s under oversubscription, 429 with
+//! `Retry-After` past a burst) is checked by `tests/http.rs`; this bin
+//! only measures.
 
 use staccato_bench::timing::fmt_duration;
 use staccato_core::StaccatoParams;
@@ -121,8 +119,7 @@ fn main() {
     let session = Arc::new(Staccato::load(db, &dataset, &opts).expect("load"));
 
     // Bucket sized so a measured-phase connection (its own identity,
-    // `requests` sends plus one /prepare) never throttles, while the
-    // burst phase (one identity, 2× the allowance) must.
+    // `requests` sends plus one /prepare) never throttles.
     let burst_allowance = (cfg.requests + 1).min(200) as u32;
     let server_config = ServerConfig {
         workers: cfg.workers,
@@ -202,26 +199,6 @@ fn main() {
     let (p50, p95, p99) = (pct(0.50), pct(0.95), pct(0.99));
     let qps = total as f64 / wall.as_secs_f64().max(1e-12);
 
-    // ---- burst phase: one identity past its allowance ---------------
-    let mut burst = Tally::default();
-    let mut retry_after_seen = false;
-    {
-        let mut greedy = HttpClient::connect_as(addr, "greedy").expect("connect");
-        for _ in 0..(burst_allowance as usize * 2 + 10) {
-            let q = Instant::now();
-            let resp = greedy
-                .post(
-                    "/query",
-                    "{\"sql\": \"SELECT DataKey FROM MAPData WHERE Data REGEXP 'a' LIMIT 1\"}",
-                )
-                .expect("burst query");
-            if resp.status == 429 && resp.header("retry-after").is_some() {
-                retry_after_seen = true;
-            }
-            burst.absorb(resp.status, q.elapsed());
-        }
-    }
-
     // ---- server-side stats snapshot ---------------------------------
     let stats_snapshot = {
         let mut client = HttpClient::connect(addr).expect("connect");
@@ -254,16 +231,6 @@ fn main() {
                 ("responses_5xx", Json::Num(tally.server_5xx as f64)),
             ]),
         ),
-        (
-            "burst",
-            obj([
-                ("requests", Json::Num(burst.latencies.len() as f64)),
-                ("responses_2xx", Json::Num(burst.ok_2xx as f64)),
-                ("responses_429", Json::Num(burst.rate_limited as f64)),
-                ("responses_5xx", Json::Num(burst.server_5xx as f64)),
-                ("retry_after_seen", Json::Bool(retry_after_seen)),
-            ]),
-        ),
         ("server_stats", stats_snapshot),
     ]);
     std::fs::write(&cfg.out, json.render() + "\n").expect("write BENCH json");
@@ -281,27 +248,5 @@ fn main() {
         "statuses    : 2xx {}  429 {}  other-4xx {}  5xx {}",
         tally.ok_2xx, tally.rate_limited, tally.other_4xx, tally.server_5xx
     );
-    println!(
-        "burst phase : {} requests -> {} throttled (Retry-After seen: {retry_after_seen})",
-        burst.latencies.len(),
-        burst.rate_limited
-    );
     println!("-> {}", cfg.out);
-
-    // Gate: the measured phase must be clean, 5xx is never acceptable,
-    // and the limiter must demonstrably fire under burst.
-    let mut failures = Vec::new();
-    if tally.server_5xx + burst.server_5xx > 0 {
-        failures.push("5xx responses observed");
-    }
-    if tally.rate_limited + tally.other_4xx > 0 {
-        failures.push("non-2xx responses in the measured phase");
-    }
-    if burst.rate_limited == 0 || !retry_after_seen {
-        failures.push("burst phase did not draw a 429 with Retry-After");
-    }
-    if !failures.is_empty() {
-        eprintln!("FAILED: {}", failures.join("; "));
-        std::process::exit(1);
-    }
 }

@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! ingest [--lines L] [--batches N] [--docs-per-batch D] [--seed S]
-//!        [--sync always|commit|never] [--writers W] [--sweep 1,4,8]
-//!        [--out PATH]
+//!        [--writers W] [--sweep 1,4,8] [--out PATH]
 //! ```
 //!
 //! Each sweep point loads a fresh store, attaches a fresh WAL, and
@@ -41,7 +40,6 @@ struct Config {
     batches: usize,
     docs_per_batch: usize,
     seed: u64,
-    sync: SyncPolicy,
     writers: usize,
     sweep: Vec<usize>,
     out: String,
@@ -64,7 +62,6 @@ fn main() {
         batches: 200,
         docs_per_batch: 4,
         seed: 42,
-        sync: SyncPolicy::Commit,
         writers: 8,
         sweep: vec![1, 4, 8],
         out: "BENCH_ingest.json".to_string(),
@@ -80,14 +77,6 @@ fn main() {
                 cfg.docs_per_batch = next("--docs-per-batch").parse().expect("docs-per-batch")
             }
             "--seed" => cfg.seed = next("--seed").parse().expect("seed"),
-            "--sync" => {
-                cfg.sync = match next("--sync").as_str() {
-                    "always" => SyncPolicy::Always,
-                    "commit" => SyncPolicy::Commit,
-                    "never" => SyncPolicy::Never,
-                    other => panic!("unknown sync policy {other:?}"),
-                }
-            }
             "--writers" => cfg.writers = next("--writers").parse().expect("writers"),
             "--sweep" => {
                 cfg.sweep = next("--sweep")
@@ -187,7 +176,7 @@ fn main() {
         cfg.batches,
         cfg.docs_per_batch,
         total_docs,
-        cfg.sync,
+        SyncPolicy::Commit,
         pool_frames,
         cfg.writers,
         single.wall.as_secs_f64(),
@@ -242,7 +231,9 @@ fn run_point(
         let db = Database::create(&db_path, pool_frames).expect("create");
         let session = Staccato::load(db, &dataset, opts).expect("load");
         session.checkpoint().expect("checkpoint after load");
-        session.attach_wal(&wal_dir, cfg.sync).expect("attach WAL");
+        session
+            .attach_wal(&wal_dir, SyncPolicy::Commit)
+            .expect("attach WAL");
 
         let started = Instant::now();
         let mut per_writer: Vec<Vec<Duration>> = Vec::with_capacity(writers);
@@ -299,7 +290,7 @@ fn run_point(
         &RecoverOptions {
             pool_frames,
             load: opts.clone(),
-            sync: cfg.sync,
+            sync: SyncPolicy::Commit,
         },
     )
     .expect("recover");

@@ -1,8 +1,8 @@
 //! # staccato-bench
 //!
 //! Shared harness for the experiment drivers (`src/bin/experiments.rs`,
-//! one sub-command per table/figure of the paper) and the Criterion
-//! micro-benchmarks in `benches/`.
+//! one sub-command per table/figure of the paper) and the load generators
+//! in `src/bin/`.
 //!
 //! * [`workload`] — the paper's Table 6 query workload (7 queries per
 //!   dataset: 5 keywords + 2 regexes) and dictionary construction;

@@ -5,8 +5,11 @@
 //! blocks in [`Connection::read_request`] until a request is complete
 //! or the socket's read timeout expires. The reader is **resumable**:
 //! on [`ReadError::Idle`] the partial bytes stay buffered in the
-//! connection, the caller checks its deadlines, and the next call picks
-//! up where this one stopped.
+//! connection, the caller checks its idle timeout, and the next call
+//! picks up where this one stopped. The request deadline is checked by
+//! the reader itself before every read that a pending request still
+//! needs, so a client cannot stretch a request by trickling bytes
+//! faster than the socket timeout.
 //!
 //! Only the slice of HTTP/1.1 the service needs is implemented:
 //! `Content-Length` bodies (no chunked encoding), no `Expect:
@@ -17,7 +20,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Upper bound on the request line + headers. Generous for hand-written
 /// clients, small enough that a garbage stream cannot balloon memory.
@@ -78,6 +81,10 @@ pub enum ReadError {
         /// Arrival time of the pending partial request, if any.
         started: Option<Instant>,
     },
+    /// The pending request's first byte arrived longer ago than the
+    /// deadline and the request is still incomplete. Answer 408 and
+    /// close.
+    Late,
     /// `Content-Length` exceeds the configured cap. Answer 413 and
     /// close without reading the body.
     BodyTooLarge(usize),
@@ -124,21 +131,32 @@ impl Connection {
 
     /// Try to read one complete request. Returns [`ReadError::Idle`]
     /// when the socket's read timeout expires first — the connection
-    /// stays valid and buffered bytes are kept for the next attempt.
-    pub fn read_request(&mut self, max_body: usize) -> Result<Request, ReadError> {
+    /// stays valid and buffered bytes are kept for the next attempt —
+    /// and [`ReadError::Late`] once the pending request has taken
+    /// longer than `deadline` to arrive.
+    pub fn read_request(
+        &mut self,
+        max_body: usize,
+        deadline: Duration,
+    ) -> Result<Request, ReadError> {
         loop {
             if let Some(head_end) = find_head_end(&self.buf) {
-                return self.finish_request(head_end, max_body);
+                return self.finish_request(head_end, max_body, deadline);
             }
             if self.buf.len() > MAX_HEAD_BYTES {
                 return Err(ReadError::Malformed("request head too large".into()));
             }
-            self.fill()?;
+            self.fill(deadline)?;
         }
     }
 
-    /// One `read()` into the buffer, mapping timeouts and EOF.
-    fn fill(&mut self) -> Result<(), ReadError> {
+    /// One `read()` into the buffer, mapping timeouts and EOF. Called
+    /// only while a request is incomplete, so it first holds a pending
+    /// request to `deadline`.
+    fn fill(&mut self, deadline: Duration) -> Result<(), ReadError> {
+        if self.request_started.is_some_and(|s| s.elapsed() > deadline) {
+            return Err(ReadError::Late);
+        }
         let mut chunk = [0u8; 4096];
         match self.stream.read(&mut chunk) {
             Ok(0) => {
@@ -169,7 +187,12 @@ impl Connection {
     }
 
     /// The head is complete at `head_end`; parse it and read the body.
-    fn finish_request(&mut self, head_end: usize, max_body: usize) -> Result<Request, ReadError> {
+    fn finish_request(
+        &mut self,
+        head_end: usize,
+        max_body: usize,
+        deadline: Duration,
+    ) -> Result<Request, ReadError> {
         let head = std::str::from_utf8(&self.buf[..head_end])
             .map_err(|_| ReadError::Malformed("head is not UTF-8".into()))?;
         let mut lines = head.split("\r\n");
@@ -212,7 +235,7 @@ impl Connection {
 
         let body_start = head_end + 4; // past the \r\n\r\n
         while self.buf.len() < body_start + content_length {
-            self.fill()?;
+            self.fill(deadline)?;
         }
         let body = self.buf[body_start..body_start + content_length].to_vec();
         // Keep any pipelined bytes for the next request, whose clock
@@ -316,6 +339,9 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
+    /// Longer than any of these tests takes.
+    const DEADLINE: Duration = Duration::from_secs(10);
+
     /// A connected (client, server-side Connection) pair over loopback.
     fn pair() -> (TcpStream, Connection) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -336,13 +362,13 @@ mod tests {
             .unwrap();
         // First attempt times out with the head incomplete.
         assert!(matches!(
-            conn.read_request(1024),
+            conn.read_request(1024, DEADLINE),
             Err(ReadError::Idle { started: Some(_) })
         ));
         client
             .write_all(b"ngth: 5\r\nX-Client-Id: t1\r\n\r\nhello")
             .unwrap();
-        let req = conn.read_request(1024).unwrap();
+        let req = conn.read_request(1024, DEADLINE).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/query");
         assert_eq!(req.header("x-client-id"), Some("t1"));
@@ -380,8 +406,8 @@ mod tests {
         client
             .write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET /stats HTTP/1.1\r\n\r\n")
             .unwrap();
-        assert_eq!(conn.read_request(1024).unwrap().path, "/healthz");
-        assert_eq!(conn.read_request(1024).unwrap().path, "/stats");
+        assert_eq!(conn.read_request(1024, DEADLINE).unwrap().path, "/healthz");
+        assert_eq!(conn.read_request(1024, DEADLINE).unwrap().path, "/stats");
     }
 
     #[test]
@@ -390,9 +416,9 @@ mod tests {
         client
             .write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET /sta")
             .unwrap();
-        assert_eq!(conn.read_request(1024).unwrap().path, "/healthz");
+        assert_eq!(conn.read_request(1024, DEADLINE).unwrap().path, "/healthz");
         assert!(matches!(
-            conn.read_request(1024),
+            conn.read_request(1024, DEADLINE),
             Err(ReadError::Idle { started: Some(_) })
         ));
     }
@@ -404,7 +430,7 @@ mod tests {
             .write_all(b"POST /query HTTP/1.1\r\nContent-Length: 999999\r\n\r\n")
             .unwrap();
         assert!(matches!(
-            conn.read_request(1024),
+            conn.read_request(1024, DEADLINE),
             Err(ReadError::BodyTooLarge(999999))
         ));
     }
@@ -413,13 +439,16 @@ mod tests {
     fn eof_is_closed_on_a_boundary_and_malformed_mid_request() {
         let (client, mut conn) = pair();
         drop(client);
-        assert!(matches!(conn.read_request(1024), Err(ReadError::Closed)));
+        assert!(matches!(
+            conn.read_request(1024, DEADLINE),
+            Err(ReadError::Closed)
+        ));
 
         let (mut client, mut conn) = pair();
         client.write_all(b"GET /hea").unwrap();
         drop(client);
         assert!(matches!(
-            conn.read_request(1024),
+            conn.read_request(1024, DEADLINE),
             Err(ReadError::Malformed(_))
         ));
     }
@@ -435,7 +464,10 @@ mod tests {
             let (mut client, mut conn) = pair();
             client.write_all(garbage.as_bytes()).unwrap();
             assert!(
-                matches!(conn.read_request(1024), Err(ReadError::Malformed(_))),
+                matches!(
+                    conn.read_request(1024, DEADLINE),
+                    Err(ReadError::Malformed(_))
+                ),
                 "{garbage:?}"
             );
         }

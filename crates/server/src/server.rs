@@ -323,7 +323,7 @@ fn serve(shared: &Shared, mut conn: Connection) {
     // Prepared statements; `statement_id` is the index.
     let mut statements = Vec::new();
     let refusal = loop {
-        match conn.read_request(shared.config.max_body_bytes) {
+        match conn.read_request(shared.config.max_body_bytes, shared.config.request_deadline) {
             Ok(request) => {
                 let permit = shared.permits.acquire();
                 shared.stats.begin_request();
@@ -348,12 +348,10 @@ fn serve(shared: &Shared, mut conn: Connection) {
                     return;
                 }
             }
-            Err(ReadError::Idle {
-                started: Some(started),
-            }) => {
-                if started.elapsed() > shared.config.request_deadline {
-                    break ApiError::new(408, "REQUEST_TIMEOUT", "request not received in time");
-                }
+            // A partial request: the next read holds it to its deadline.
+            Err(ReadError::Idle { started: Some(_) }) => {}
+            Err(ReadError::Late) => {
+                break ApiError::new(408, "REQUEST_TIMEOUT", "request not received in time");
             }
             Err(ReadError::BodyTooLarge(n)) => {
                 break ApiError::new(

@@ -67,18 +67,15 @@ const DEFAULT_SEGMENT_LIMIT: u64 = 8 * 1024 * 1024;
 /// Flush-wait samples kept for the p95 estimate.
 const WAIT_RING: usize = 1024;
 
-/// When the log forces data to stable storage.
+/// When the log forces data to stable storage. There is one policy:
+/// the type stays so that [`Wal::create`], [`Wal::open`] and the
+/// session's `attach_wal` keep the signatures the repository benchmark
+/// is built against (it names `SyncPolicy::Commit`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// fsync after every appended record (safest, slowest).
-    Always,
-    /// fsync on [`Wal::commit`] or through the group-commit flusher —
-    /// at most one sync per flush group. The default for the ingest
-    /// path.
+    /// fsync on [`Wal::commit`], [`Wal::flush`] or through the
+    /// group-commit flusher — at most one sync per flush group.
     Commit,
-    /// Never fsync; the OS flushes when it pleases. A crash can lose
-    /// records that `append` already returned for. Benchmarks only.
-    Never,
 }
 
 /// Counters the log keeps about itself (surfaced in `GET /stats` and
@@ -276,7 +273,6 @@ fn poisoned_error() -> StorageError {
 /// An open write-ahead log, positioned to append at the clean tail.
 pub struct Wal {
     dir: PathBuf,
-    policy: SyncPolicy,
     file: Arc<File>,
     seg_index: u64,
     seg_bytes: u64,
@@ -291,7 +287,7 @@ pub struct Wal {
 impl Wal {
     /// Create a log in `dir` (created if missing; must hold no
     /// segments yet).
-    pub fn create(dir: impl AsRef<Path>, policy: SyncPolicy) -> Result<Wal, StorageError> {
+    pub fn create(dir: impl AsRef<Path>, _policy: SyncPolicy) -> Result<Wal, StorageError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         if !segment_indexes(&dir)?.is_empty() {
@@ -303,7 +299,6 @@ impl Wal {
         let file = Arc::new(open_segment(&dir, 1)?);
         Ok(Wal {
             dir,
-            policy,
             group: GroupCommit::new(Arc::clone(&file)),
             file,
             seg_index: 1,
@@ -364,7 +359,6 @@ impl Wal {
         Ok((
             Wal {
                 dir,
-                policy,
                 group: GroupCommit::new(Arc::clone(&file)),
                 file,
                 seg_index,
@@ -425,10 +419,8 @@ impl Wal {
         }
     }
 
-    /// Append one record. Under [`SyncPolicy::Always`] the segment is
-    /// fsynced before returning; otherwise durability waits for
-    /// [`Wal::commit`] or [`WalFlusher::wait_durable`]. Returns the
-    /// framed size in bytes.
+    /// Append one record. Durability waits for [`Wal::commit`] or
+    /// [`WalFlusher::wait_durable`]. Returns the framed size in bytes.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StorageError> {
         if payload.len() as u64 > MAX_RECORD as u64 {
             return Err(StorageError::TupleTooLarge {
@@ -448,51 +440,28 @@ impl Wal {
         self.appended_lsn += frame.len() as u64;
         self.stats.records_appended += 1;
         self.stats.bytes_logged += frame.len() as u64;
-        if self.policy == SyncPolicy::Always {
-            self.file.sync_data()?;
-            self.stats.fsyncs += 1;
-        }
         let mut state = self.group.lock();
         state.appended_lsn = self.appended_lsn;
-        if self.policy != SyncPolicy::Commit {
-            // Always: the sync above covered it. Never: nothing will
-            // ever sync, so waiting would hang — declare it "durable".
-            state.durable_lsn = state.durable_lsn.max(self.appended_lsn);
-        }
         Ok(frame.len() as u64)
     }
 
-    /// Make everything appended so far durable (per policy). This is
-    /// the synchronous commit point for single-writer callers; the
+    /// Make everything appended so far durable. This is the
+    /// synchronous commit point for single-writer callers; the
     /// concurrent ingest path uses [`WalFlusher::wait_durable`]
     /// instead so one fsync can cover many batches.
     pub fn commit(&mut self) -> Result<(), StorageError> {
-        match self.policy {
-            SyncPolicy::Always => Ok(()), // every append already synced
-            SyncPolicy::Commit => {
-                self.file.sync_data()?;
-                self.stats.fsyncs += 1;
-                let mut state = self.group.lock();
-                state.durable_lsn = state.durable_lsn.max(self.appended_lsn);
-                Ok(())
-            }
-            SyncPolicy::Never => {
-                (&*self.file).flush()?;
-                Ok(())
-            }
-        }
+        self.file.sync_data()?;
+        self.stats.fsyncs += 1;
+        let mut state = self.group.lock();
+        state.durable_lsn = state.durable_lsn.max(self.appended_lsn);
+        Ok(())
     }
 
     /// Checkpoint barrier: force every appended byte to stable storage
-    /// regardless of how the group flusher is pacing (no-op under
-    /// [`SyncPolicy::Never`]). The session calls this under its write
-    /// latch right before saving the database, so the saved state is
-    /// always a subset of the durable log.
+    /// regardless of how the group flusher is pacing. The session calls
+    /// this under its write latch right before saving the database, so
+    /// the saved state is always a subset of the durable log.
     pub fn flush(&mut self) -> Result<(), StorageError> {
-        if self.policy == SyncPolicy::Never {
-            (&*self.file).flush()?;
-            return Ok(());
-        }
         self.file.sync_data()?;
         self.stats.fsyncs += 1;
         let mut state = self.group.lock();
@@ -529,7 +498,7 @@ impl Wal {
 
     fn rotate(&mut self, sync_old: bool) -> Result<(), StorageError> {
         // Seal the old segment before the new one accepts records.
-        if sync_old && self.policy != SyncPolicy::Never {
+        if sync_old {
             self.file.sync_data()?;
             self.stats.fsyncs += 1;
         }
@@ -539,9 +508,9 @@ impl Wal {
         let mut state = self.group.lock();
         state.file = Some(Arc::clone(&self.file));
         // Everything before the rotation lives in sealed segments that
-        // were just synced (or needs no sync under Never): a flush
-        // leader snapshotting now must not fsync the fresh empty file
-        // and then mark old bytes durable without covering them.
+        // were just synced: a flush leader snapshotting now must not
+        // fsync the fresh empty file and then mark old bytes durable
+        // without covering them.
         state.durable_lsn = state.durable_lsn.max(self.appended_lsn);
         Ok(())
     }
@@ -684,17 +653,17 @@ mod tests {
     fn appends_continue_after_reopen() {
         let tmp = TempDir::new("continue");
         {
-            let mut wal = Wal::create(&tmp.0, SyncPolicy::Never).unwrap();
+            let mut wal = Wal::create(&tmp.0, SyncPolicy::Commit).unwrap();
             wal.append(b"one").unwrap();
             wal.commit().unwrap();
         }
         {
-            let (mut wal, replayed) = Wal::open(&tmp.0, SyncPolicy::Never).unwrap();
+            let (mut wal, replayed) = Wal::open(&tmp.0, SyncPolicy::Commit).unwrap();
             assert_eq!(replayed.len(), 1);
             wal.append(b"two").unwrap();
             wal.commit().unwrap();
         }
-        let (_, replayed) = Wal::open(&tmp.0, SyncPolicy::Never).unwrap();
+        let (_, replayed) = Wal::open(&tmp.0, SyncPolicy::Commit).unwrap();
         assert_eq!(replayed, vec![b"one".to_vec(), b"two".to_vec()]);
     }
 
@@ -798,27 +767,23 @@ mod tests {
     #[test]
     fn sync_policies_count_fsyncs() {
         let tmp = TempDir::new("sync");
-        let mut wal = Wal::create(tmp.0.join("always"), SyncPolicy::Always).unwrap();
+        let mut wal = Wal::create(&tmp.0, SyncPolicy::Commit).unwrap();
         wal.append(b"x").unwrap();
         wal.append(b"y").unwrap();
+        assert_eq!(wal.stats().fsyncs, 0, "an append alone never syncs");
         wal.commit().unwrap();
-        assert_eq!(wal.stats().fsyncs, 2, "Always syncs per append");
-
-        let mut wal = Wal::create(tmp.0.join("never"), SyncPolicy::Never).unwrap();
-        wal.append(b"x").unwrap();
-        wal.commit().unwrap();
-        assert_eq!(wal.stats().fsyncs, 0, "Never never syncs");
+        assert_eq!(wal.stats().fsyncs, 1, "one commit syncs both appends");
     }
 
     #[test]
     fn create_refuses_a_dirty_directory() {
         let tmp = TempDir::new("dirty");
         {
-            let mut wal = Wal::create(&tmp.0, SyncPolicy::Never).unwrap();
+            let mut wal = Wal::create(&tmp.0, SyncPolicy::Commit).unwrap();
             wal.append(b"x").unwrap();
         }
         assert!(matches!(
-            Wal::create(&tmp.0, SyncPolicy::Never),
+            Wal::create(&tmp.0, SyncPolicy::Commit),
             Err(StorageError::DuplicateObject(_))
         ));
     }
@@ -851,11 +816,12 @@ mod tests {
     #[test]
     fn wait_durable_returns_immediately_when_already_durable() {
         let tmp = TempDir::new("group_nowait");
-        let mut wal = Wal::create(&tmp.0, SyncPolicy::Always).unwrap();
-        wal.append(b"synced at append").unwrap();
+        let mut wal = Wal::create(&tmp.0, SyncPolicy::Commit).unwrap();
+        wal.append(b"synced at commit").unwrap();
+        wal.commit().unwrap();
         let lsn = wal.last_lsn();
         let ticket = wal.flusher().wait_durable(lsn).unwrap();
-        assert_eq!(ticket.fsyncs_led, 0, "Always needs no group fsync");
+        assert_eq!(ticket.fsyncs_led, 0, "commit left no group fsync to do");
         assert_eq!(wal.stats().group_commits, 0);
     }
 

@@ -185,10 +185,17 @@ fn http_pagination_tiles_the_embedded_ranking() {
 
 #[test]
 fn more_connections_than_workers_all_make_progress() {
+    // 8 connections, then 64 (32 per worker): every request is served.
+    for connections in [8, 64] {
+        every_connection_is_served(connections);
+    }
+}
+
+fn every_connection_is_served(connections: usize) {
     let session = session(30);
     let server = boot(session, test_config()); // 2 workers
     let addr = server.addr();
-    let threads: Vec<_> = (0..8)
+    let threads: Vec<_> = (0..connections)
         .map(|i| {
             std::thread::spawn(move || {
                 let mut client =
@@ -539,6 +546,51 @@ fn stalled_request_body_times_out_without_holding_the_worker() {
     assert!(answer.contains("REQUEST_TIMEOUT"), "{answer}");
     assert!(answer.contains("Connection: close"), "{answer}");
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn a_trickled_request_is_held_to_its_deadline() {
+    let config = ServerConfig {
+        request_deadline: Duration::from_millis(300),
+        ..test_config()
+    };
+    let server = boot(session(8), config);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut trickle = stream.try_clone().expect("clone");
+
+    // One head byte every 50 ms for 3 s: every read returns well inside
+    // the socket timeout, so only the deadline can end the request.
+    let first_byte = Instant::now();
+    let writer = std::thread::spawn(move || {
+        let head = b"GET /healthz HTTP/1.1\r\nX-Pad: ";
+        for i in 0..60 {
+            let byte = head.get(i).copied().unwrap_or(b'a');
+            if trickle.write_all(&[byte]).is_err() {
+                return; // the server hung up
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+
+    // Read what the server sends until it closes; a trickled byte that
+    // lands after the close may turn the close into a reset.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut answer = Vec::new();
+    let mut answered = None;
+    let mut chunk = [0u8; 512];
+    while let Ok(n @ 1..) = stream.read(&mut chunk) {
+        answered.get_or_insert_with(|| first_byte.elapsed());
+        answer.extend_from_slice(&chunk[..n]);
+    }
+    writer.join().expect("writer");
+    let answer = String::from_utf8_lossy(&answer);
+    assert!(answer.starts_with("HTTP/1.1 408 "), "{answer}");
+    assert!(answer.contains("REQUEST_TIMEOUT"), "{answer}");
+    let answered = answered.expect("an answer");
+    assert!(answered < Duration::from_secs(1), "{answered:?}");
     server.shutdown();
 }
 
