@@ -16,7 +16,7 @@ use staccato_bench::workload::{corpus_dictionary, table6_queries};
 use staccato_core::{approximate, tune, SizeModel, StaccatoParams, TuningConstraints};
 use staccato_ocr::{generate, Channel, ChannelConfig, CorpusKind};
 use staccato_query::exec::{Answer, Approach};
-use staccato_query::invindex::{direct_posting_count, line_postings};
+use staccato_query::invindex::{blob_postings, direct_posting_count, PostingScratch};
 use staccato_query::metrics::{evaluate_answers, ground_truth, Metrics};
 use staccato_query::sql::{lower_statement, parse_statement, quote_str};
 use staccato_query::store::LoadOptions;
@@ -879,10 +879,11 @@ fn e_f9(ctx: &Ctx) {
         // Build the per-term postings for this setting: the posted edge
         // ids of every line holding the anchor.
         let mut candidates: Vec<(usize, Vec<u32>)> = Vec::new();
+        let mut scratch = PostingScratch::default();
         for (i, blob) in rep.iter().enumerate() {
-            let g = codec::decode(blob).expect("blob");
-            let edges: Vec<u32> = line_postings(&trie, &g)
-                .into_iter()
+            let edges: Vec<u32> = blob_postings(&trie, blob, &mut scratch)
+                .expect("blob")
+                .iter()
                 .filter(|(t, _)| trie.term(*t) == "public")
                 .map(|(_, p)| p.edge)
                 .collect();
@@ -1123,12 +1124,12 @@ fn e_f19(ctx: &Ctx) {
             let mut postings = 0u64;
             let mut bytes = 0u64;
             let mut have_public = 0usize;
+            let mut scratch = PostingScratch::default();
             for blob in rep.iter() {
-                let g = codec::decode(blob).expect("blob");
-                let posts = line_postings(&trie, &g);
+                let posts = blob_postings(&trie, blob, &mut scratch).expect("blob");
                 postings += posts.len() as u64;
                 let mut public_here = false;
-                for (t, _) in &posts {
+                for (t, _) in posts {
                     bytes += trie.term(*t).len() as u64 + 13 + 8;
                     if trie.term(*t) == "public" {
                         public_here = true;

@@ -3,12 +3,15 @@
 //! Directly indexing every term of every retained string blows up
 //! exponentially with the number of chunks `m` (Figure 5) — so, following
 //! the paper, the index only covers terms from a user-supplied dictionary
-//! compiled to a trie automaton. Construction is Algorithms 3–4: a
-//! topological walk over the chunk graph that starts a fresh trie walk at
-//! every character offset of every retained string and carries in-flight
-//! walks across edges as *augmented states*, so terms straddling chunk
-//! boundaries are still found. A posting records where a term starts:
-//! `(DataKey, edge, path, offset)`.
+//! compiled to a trie automaton. Construction is Algorithms 3–4
+//! ([`blob_postings`]): a topological walk over the *stored* chunk graph —
+//! the Staccato blob decoded into a reusable arena, labels read in place —
+//! that starts a fresh trie walk at every character offset of every
+//! retained string and carries in-flight walks across edges as *augmented
+//! states*, so terms straddling chunk boundaries are still found. A
+//! posting records where a term starts, `(DataKey, edge, path, offset)`,
+//! in the blob's own edge and emission numbering; index build and ingest
+//! both walk the bytes they store, so no owned graph is made.
 //!
 //! Postings live in a relational B+-tree (`term ␀ DataKey seq → packed
 //! location`), mirroring "we implement the index as a relational table
@@ -29,13 +32,13 @@ use crate::plan::ExecStats;
 use crate::query::Query;
 use crate::store::OcrStore;
 use staccato_automata::{TermId, Trie};
-use staccato_sfa::{NodeId, Sfa};
+use staccato_sfa::codec::{self, decode_into_arena};
+use staccato_sfa::{DecodeArena, Sfa, SfaError};
 use staccato_storage::{BTree, BufferPool};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A term-start location within one line's chunk graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Posting {
     /// Edge (chunk) id within the stored graph.
     pub edge: u32,
@@ -80,149 +83,147 @@ impl InvertedIndex {
         self.posting_count.load(Ordering::Acquire)
     }
 
-    /// Index one more line's chunk graph — the ingest path's incremental
-    /// maintenance hook. Inserts the same `(term ␀ DataKey seq)` keys a
-    /// full rebuild would produce for `key`, so an extended index equals
-    /// one built after the fact.
+    /// Index one more line's stored chunk graph — the ingest path's
+    /// incremental maintenance hook, run on the Staccato blob the line is
+    /// stored as. Inserts the same `(term ␀ DataKey seq)` keys a full
+    /// rebuild would produce for `key`, so an extended index equals one
+    /// built after the fact.
     pub(crate) fn extend_with_line(
         &self,
         pool: &BufferPool,
         trie: &Trie,
         key: i64,
-        graph: &Sfa,
+        blob: &[u8],
+        scratch: &mut PostingScratch,
     ) -> Result<(), QueryError> {
-        let added = insert_line_postings(&self.postings, pool, trie, key, graph)?;
-        self.posting_count.fetch_add(added, Ordering::AcqRel);
+        let posts = blob_postings(trie, blob, scratch)
+            .map_err(|e| QueryError::Ingest(format!("Staccato blob failed to decode: {e}")))?;
+        insert_line_postings(&self.postings, pool, trie, key, posts)?;
+        self.posting_count
+            .fetch_add(posts.len() as u64, Ordering::AcqRel);
         Ok(())
     }
 }
 
-/// Insert the postings of one line into the index's B+-tree. Shared by
-/// [`build_index`] and [`InvertedIndex::extend_with_line`].
+/// Insert one line's sorted postings into the index's B+-tree, numbering
+/// each term's postings from 0. Shared by [`build_index`] and
+/// [`InvertedIndex::extend_with_line`].
 fn insert_line_postings(
     postings: &BTree,
     pool: &BufferPool,
     trie: &Trie,
     key: i64,
-    graph: &Sfa,
-) -> Result<u64, QueryError> {
-    let mut inserted = 0u64;
-    let mut seq_per_term: HashMap<TermId, u32> = HashMap::new();
-    for (term, posting) in line_postings(trie, graph) {
-        let seq = seq_per_term.entry(term).or_insert(0);
+    posts: &[(TermId, Posting)],
+) -> Result<(), QueryError> {
+    let mut seq = 0u32;
+    for (i, &(term, posting)) in posts.iter().enumerate() {
+        if i > 0 && posts[i - 1].0 != term {
+            seq = 0;
+        }
         let mut k = Vec::with_capacity(trie.term(term).len() + 13);
         k.extend_from_slice(trie.term(term).as_bytes());
         k.push(0);
         k.extend_from_slice(&key.to_be_bytes());
         k.extend_from_slice(&seq.to_be_bytes());
-        *seq += 1;
+        seq += 1;
         postings.insert(pool, &k, posting.pack())?;
-        inserted += 1;
     }
-    Ok(inserted)
+    Ok(())
 }
 
-/// Algorithm 3–4: all dictionary-term start locations in one chunk graph.
+/// Reusable buffers for [`blob_postings`]: the decode arena, the
+/// in-flight trie walks per node, and the postings found.
+#[derive(Default)]
+pub struct PostingScratch {
+    arena: DecodeArena,
+    walks: Vec<Vec<(u32, Posting)>>,
+    found: Vec<(TermId, Posting)>,
+}
+
+/// Algorithm 3–4: all dictionary-term start locations in one stored
+/// chunk graph, read from its blob through `scratch`'s decode arena.
 ///
-/// Returns `(term, posting)` pairs, deduplicated (a start that completes
-/// the same term along two downstream branches is one posting).
-pub fn line_postings(trie: &Trie, sfa: &Sfa) -> Vec<(TermId, Posting)> {
-    // Augmented states per node: in-flight trie walks with the posting
-    // where they started.
-    let mut aug: HashMap<NodeId, Vec<(u32, Posting)>> = HashMap::new();
-    let mut found: HashSet<(TermId, Posting)> = HashSet::new();
-
-    // Process edges in topological order of their source node.
-    let order = sfa.topo_order();
-    let rank: HashMap<NodeId, usize> = order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let mut edges: Vec<u32> = sfa.edges().map(|(id, _)| id).collect();
-    edges.sort_by_key(|&id| {
-        let e = sfa.edge(id).expect("live");
-        (rank[&e.from], rank[&e.to], id)
-    });
-
-    for eid in edges {
-        let edge = sfa.edge(eid).expect("live");
-        let incoming = aug.get(&edge.from).cloned().unwrap_or_default();
-        let mut outgoing: Vec<(u32, Posting)> = Vec::new();
-        for (path_idx, em) in edge.emissions.iter().enumerate() {
-            let bytes = em.label.as_bytes();
-            // Fresh walks starting inside this string (Algorithm 4's SO
-            // set) — one per offset.
-            let mut live: Vec<(u32, u16)> = Vec::new(); // (trie state, start offset)
-            for (j, &c) in bytes.iter().enumerate() {
-                let mut survivors = Vec::with_capacity(live.len() + 1);
-                for (st, start) in live.drain(..) {
-                    if let Some(nxt) = trie.step(st, c) {
-                        if let Some(term) = trie.terminal(nxt) {
-                            found.insert((
-                                term,
-                                Posting {
-                                    edge: eid,
-                                    path: path_idx as u16,
-                                    offset: start,
-                                },
-                            ));
-                        }
-                        survivors.push((nxt, start));
-                    }
-                }
-                // Start a new walk at offset j.
-                if let Some(nxt) = trie.step(trie.root(), c) {
-                    if let Some(term) = trie.terminal(nxt) {
-                        found.insert((
-                            term,
-                            Posting {
-                                edge: eid,
-                                path: path_idx as u16,
-                                offset: j as u16,
-                            },
-                        ));
-                    }
-                    survivors.push((nxt, j as u16));
-                }
-                live = survivors;
-            }
-            for (st, start) in live {
-                outgoing.push((
-                    st,
-                    Posting {
+/// Nodes are visited in topological order. Each retained string starts a
+/// fresh trie walk at every offset (Algorithm 4's `SO` set) and carries
+/// the walks that reach its edge's source on (its second loop); the walks
+/// still alive at the end of the string wait at the edge's target as
+/// *augmented states*, so terms straddling chunk boundaries are found.
+/// Returns `(term, posting)` pairs sorted and deduplicated: a start that
+/// completes the same term along two downstream branches is one posting.
+pub fn blob_postings<'s>(
+    trie: &Trie,
+    blob: &[u8],
+    scratch: &'s mut PostingScratch,
+) -> Result<&'s [(TermId, Posting)], SfaError> {
+    let PostingScratch {
+        arena,
+        walks,
+        found,
+    } = scratch;
+    decode_into_arena(blob, arena)?;
+    found.clear();
+    walks.iter_mut().for_each(Vec::clear);
+    walks.resize_with(walks.len().max(arena.node_count() as usize), Vec::new);
+    for &v in arena.topo() {
+        let incoming = std::mem::take(&mut walks[v as usize]);
+        for &eid in arena.out_edges(v) {
+            let edge = arena.edges()[eid as usize];
+            let emissions = &arena.emissions()[edge.em_start as usize..edge.em_end as usize];
+            let out = &mut walks[edge.to as usize];
+            for (path, em) in emissions.iter().enumerate() {
+                let bytes = &blob[em.label_range()];
+                for offset in 0..bytes.len() {
+                    let origin = Posting {
                         edge: eid,
-                        path: path_idx as u16,
-                        offset: start,
-                    },
-                ));
-            }
-            // Continue incoming augmented walks through this string
-            // (Algorithm 4's second loop).
-            for &(st0, origin) in &incoming {
-                let mut cur = st0;
-                let mut alive = true;
-                for &c in bytes {
-                    match trie.step(cur, c) {
-                        Some(nxt) => {
-                            if let Some(term) = trie.terminal(nxt) {
-                                found.insert((term, origin));
-                            }
-                            cur = nxt;
-                        }
-                        None => {
-                            alive = false;
-                            break; // the walk dies mid-string
-                        }
+                        path: path as u16,
+                        offset: offset as u16,
+                    };
+                    if let Some(st) = walk(trie, trie.root(), &bytes[offset..], origin, found) {
+                        out.push((st, origin));
                     }
                 }
-                if alive {
-                    outgoing.push((cur, origin));
+                for &(st, origin) in &incoming {
+                    if let Some(st) = walk(trie, st, bytes, origin, found) {
+                        out.push((st, origin));
+                    }
                 }
             }
         }
-        aug.entry(edge.to).or_default().extend(outgoing);
+        // Hand the list back: the next line clears it and reuses its capacity.
+        walks[v as usize] = incoming;
     }
+    found.sort_unstable();
+    found.dedup();
+    Ok(found)
+}
 
-    let mut out: Vec<(TermId, Posting)> = found.into_iter().collect();
-    out.sort();
-    out
+/// Step a trie walk from `state` through `bytes`, recording `origin`
+/// under every term it completes. Returns the state it ends in, or `None`
+/// if it dies mid-string.
+fn walk(
+    trie: &Trie,
+    mut state: u32,
+    bytes: &[u8],
+    origin: Posting,
+    found: &mut Vec<(TermId, Posting)>,
+) -> Option<u32> {
+    for &c in bytes {
+        state = trie.step(state, c)?;
+        if let Some(term) = trie.terminal(state) {
+            found.push((term, origin));
+        }
+    }
+    Some(state)
+}
+
+/// [`blob_postings`] on an owned graph, by way of its encoding: postings
+/// name the edges as [`codec::encode`] numbers them. This form exists only
+/// because the repo benchmark and `tests/bench_surface.rs` name it; the
+/// product indexes the stored blobs.
+pub fn line_postings(trie: &Trie, sfa: &Sfa) -> Vec<(TermId, Posting)> {
+    blob_postings(trie, &codec::encode(sfa), &mut PostingScratch::default())
+        .expect("an encoded SFA decodes")
+        .to_vec()
 }
 
 /// Build the inverted index over the Staccato representation.
@@ -237,10 +238,15 @@ pub fn build_index(store: &OcrStore, trie: &Trie, name: &str) -> Result<Inverted
     for tid in 0..trie.term_count() as u32 {
         dict.insert(pool, trie.term(tid).as_bytes(), 1)?;
     }
+    // Owned bytes per line: no heap page stays pinned while the postings
+    // pages are written.
+    let mut scratch = PostingScratch::default();
     let mut posting_count = 0u64;
-    for item in store.staccato_cursor()? {
-        let (key, graph) = item?;
-        posting_count += insert_line_postings(&postings, pool, trie, key, &graph)?;
+    for item in store.staccato_blobs()? {
+        let (key, blob) = item?;
+        let posts = blob_postings(trie, &blob, &mut scratch)?;
+        insert_line_postings(&postings, pool, trie, key, posts)?;
+        posting_count += posts.len() as u64;
     }
     Ok(InvertedIndex {
         postings,
@@ -363,8 +369,9 @@ mod tests {
     use crate::store::{LoadOptions, OcrStore};
     use staccato_core::StaccatoParams;
     use staccato_ocr::{generate, ChannelConfig, CorpusKind};
-    use staccato_sfa::{Emission, SfaBuilder};
+    use staccato_sfa::{Emission, NodeId, SfaBuilder};
     use staccato_storage::Database;
+    use std::collections::{HashMap, HashSet};
 
     /// Chunk graph whose chunks split "my Ford car" as "my Fo" + "rd car",
     /// so the term 'ford' straddles the chunk boundary.

@@ -49,7 +49,7 @@ use crate::ingest::{
     decode_batch, encode_batch, like_match, DecodedBatch, DecodedDoc, DocumentInput, HistoryRow,
     IngestBatch, IngestReceipt, IngestStats,
 };
-use crate::invindex::{build_index, exec_index_probe, InvertedIndex};
+use crate::invindex::{build_index, exec_index_probe, InvertedIndex, PostingScratch};
 use crate::plan::{
     plan_request, render_explain, render_explain_analyze, ExecStats, Plan, QueryRequest,
     WalCounters,
@@ -1001,6 +1001,7 @@ impl Staccato {
         // whole apply) or extends from the next batch on.
         let indexes = self.index_snapshot();
         let pool = self.store.db().pool();
+        let mut scratch = PostingScratch::default();
         for (i, doc) in batch.docs.iter().enumerate() {
             let key = batch.first_key + i as i64;
             self.store.insert_line_artifacts(key, &doc.art)?;
@@ -1013,13 +1014,10 @@ impl Staccato {
                 ingested_at: doc.ingested_at,
                 batch_seq: batch.batch_seq,
             })?;
-            if !indexes.is_empty() {
-                let graph = codec::decode(&doc.art.stac_blob).map_err(|e| {
-                    QueryError::Ingest(format!("Staccato blob failed to decode: {e}"))
-                })?;
-                for reg in indexes.iter() {
-                    reg.index.extend_with_line(pool, &reg.trie, key, &graph)?;
-                }
+            let blob = &doc.art.stac_blob;
+            for reg in indexes.iter() {
+                reg.index
+                    .extend_with_line(pool, &reg.trie, key, blob, &mut scratch)?;
             }
         }
         self.store.bump_lines(batch.docs.len());

@@ -15,7 +15,9 @@
 //!   per emission: u16 label byte length, label bytes (UTF-8), f64 prob
 //! ```
 //!
-//! The SFA is compacted before encoding (tombstones never hit disk).
+//! The SFA is written in its topological renumbering — nodes numbered in
+//! [`Sfa::topo_order`], live edges in id order — straight from the graph:
+//! tombstones never hit disk, and no compacted copy is made.
 //! Decoding is hardened against corrupt blobs: every count is checked
 //! against the remaining length before allocating, so a hostile or
 //! truncated blob produces a typed error instead of an OOM or panic.
@@ -34,15 +36,15 @@ pub fn encode(sfa: &Sfa) -> Vec<u8> {
 
 /// Serialize an SFA, appending to `buf`.
 pub fn encode_into(sfa: &Sfa, buf: &mut Vec<u8>) {
-    let c = sfa.compact();
+    let remap = sfa.topo_remap();
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(c.node_count() as u32).to_le_bytes());
-    buf.extend_from_slice(&c.start().to_le_bytes());
-    buf.extend_from_slice(&c.finish().to_le_bytes());
-    buf.extend_from_slice(&(c.edge_count() as u32).to_le_bytes());
-    for (_, e) in c.edges() {
-        buf.extend_from_slice(&e.from.to_le_bytes());
-        buf.extend_from_slice(&e.to.to_le_bytes());
+    buf.extend_from_slice(&(sfa.node_count() as u32).to_le_bytes());
+    buf.extend_from_slice(&remap[sfa.start() as usize].to_le_bytes());
+    buf.extend_from_slice(&remap[sfa.finish() as usize].to_le_bytes());
+    buf.extend_from_slice(&(sfa.edge_count() as u32).to_le_bytes());
+    for (_, e) in sfa.edges() {
+        buf.extend_from_slice(&remap[e.from as usize].to_le_bytes());
+        buf.extend_from_slice(&remap[e.to as usize].to_le_bytes());
         buf.extend_from_slice(&(e.emissions.len() as u32).to_le_bytes());
         for em in &e.emissions {
             let bytes = em.label.as_bytes();
@@ -777,6 +779,7 @@ mod tests {
             sfa.remove_edge(id).unwrap();
         }
         sfa.remove_node(3).unwrap();
+        assert_eq!(encode(&sfa), encode(&sfa.clone().into_compact()));
         let back = decode(&encode(&sfa)).unwrap();
         assert_eq!(back.node_count(), 5);
         assert_eq!(back.num_node_slots(), 5);

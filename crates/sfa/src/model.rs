@@ -8,8 +8,8 @@
 //!
 //! The structure supports cheap in-place edge/node removal (tombstones) so
 //! the greedy approximation in `staccato-core` can apply hundreds of merges
-//! without reallocating the graph, and a [`Sfa::compact`] operation that
-//! renumbers everything densely for storage.
+//! without reallocating the graph, and a [`Sfa::into_compact`] operation
+//! that renumbers everything densely.
 
 use crate::error::SfaError;
 
@@ -81,7 +81,7 @@ fn sort_emissions(emissions: &mut [Emission]) {
 /// Mutation methods ([`Sfa::remove_edge`], [`Sfa::add_edge`], …) are
 /// tombstone-based and do **not** re-validate; they exist for the
 /// approximation algorithms, which restore the invariants before handing
-/// graphs back out. [`Sfa::compact`] drops tombstones and renumbers.
+/// graphs back out. [`Sfa::into_compact`] drops tombstones and renumbers.
 #[derive(Debug, Clone)]
 pub struct Sfa {
     start: NodeId,
@@ -358,23 +358,10 @@ impl Sfa {
         }
     }
 
-    /// Produce a densely renumbered copy without tombstones. Node ids are
-    /// remapped in topological order, so `start` becomes 0.
-    pub fn compact(&self) -> Sfa {
-        let (remap, mut out) = self.compact_frame();
-        for (_, e) in self.edges() {
-            out.add_edge(
-                remap[e.from as usize],
-                remap[e.to as usize],
-                e.emissions.clone(),
-            )
-            .expect("compacting a live edge cannot fail");
-        }
-        out
-    }
-
-    /// [`Sfa::compact`] that moves each edge's emissions instead of
-    /// cloning them.
+    /// A densely renumbered copy without tombstones that moves each
+    /// edge's emissions: nodes in [`Sfa::topo_order`] (so `start` becomes
+    /// 0), live edges in id order. [`crate::codec::encode`] writes this
+    /// numbering without making the copy.
     pub fn into_compact(mut self) -> Sfa {
         let (remap, mut out) = self.compact_frame();
         for e in std::mem::take(&mut self.edges).into_iter().flatten() {
@@ -386,13 +373,9 @@ impl Sfa {
 
     /// The topological renumbering of the live nodes, and the compacted
     /// SFA's nodes without its edges.
-    fn compact_frame(&self) -> (Vec<u32>, Sfa) {
-        let order = self.topo_order();
-        let mut remap = vec![u32::MAX; self.node_alive.len()];
-        for (new, &old) in order.iter().enumerate() {
-            remap[old as usize] = new as u32;
-        }
-        let n = order.len();
+    fn compact_frame(&self) -> (Vec<NodeId>, Sfa) {
+        let remap = self.topo_remap();
+        let n = self.node_count();
         let out = Sfa {
             start: remap[self.start as usize],
             finish: remap[self.finish as usize],
@@ -403,6 +386,16 @@ impl Sfa {
             live_edges: 0,
         };
         (remap, out)
+    }
+
+    /// Each live node's position in [`Sfa::topo_order`], indexed by node
+    /// slot (tombstoned slots map to `u32::MAX`).
+    pub(crate) fn topo_remap(&self) -> Vec<NodeId> {
+        let mut remap = vec![u32::MAX; self.node_alive.len()];
+        for (new, old) in self.topo_order().into_iter().enumerate() {
+            remap[old as usize] = new as u32;
+        }
+        remap
     }
 
     /// Build a deterministic chain SFA that emits exactly `text` with
@@ -681,7 +674,7 @@ mod tests {
             s.remove_edge(id).unwrap();
         }
         s.remove_node(3).unwrap();
-        let c = s.compact();
+        let c = s.clone().into_compact();
         assert_eq!(c.node_count(), 5);
         assert_eq!(c.num_node_slots(), 5);
         let mut a = s.enumerate_strings(100);

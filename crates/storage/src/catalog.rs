@@ -298,13 +298,17 @@ impl Database {
         self.catalog.lock().indexes.keys().cloned().collect()
     }
 
-    /// Persist the catalog and flush every dirty page.
+    /// Persist the catalog and flush every dirty page. The catalog is
+    /// written to a fresh blob only when it differs from the anchored one
+    /// (after DDL): an unchanged catalog costs no page.
     pub fn save(&self) -> Result<(), StorageError> {
         let encoded = self.catalog.lock().encode();
-        let blob = BlobStore::put(&self.pool, &encoded)?;
-        let mut anchor = self.pool.fetch_write(0)?;
-        anchor[4..12].copy_from_slice(&blob.to_le_bytes());
-        drop(anchor);
+        let anchored = u64::from_le_bytes(self.pool.fetch_read(0)?[4..12].try_into().expect("len"));
+        if anchored == NO_PAGE || BlobStore::get(&self.pool, anchored)? != encoded {
+            let blob = BlobStore::put(&self.pool, &encoded)?;
+            let mut anchor = self.pool.fetch_write(0)?;
+            anchor[4..12].copy_from_slice(&blob.to_le_bytes());
+        }
         self.pool.flush_all()
     }
 }

@@ -3,13 +3,14 @@
 
 use proptest::prelude::*;
 use staccato::approx::{approximate, StaccatoParams};
-use staccato::automata::{parse, Dfa, Nfa};
+use staccato::automata::{parse, Dfa, Nfa, TermId, Trie};
+use staccato::query::invindex::{line_postings, Posting};
 use staccato::query::{eval_sfa, Query};
 use staccato::sfa::{
     check_structure, check_unique_paths, codec, string_probability, total_mass, DecodeArena,
     Emission, Sfa, SfaBuilder,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Strategy: a small random SFA shaped like OCR output — a chain with
 /// occasional two-branch bubbles, distinct characters per position so the
@@ -56,6 +57,60 @@ fn sfa_strategy() -> impl Strategy<Value = Sfa> {
     })
 }
 
+/// Algorithm 3–4 by its definition: from every `(edge, path, offset)`,
+/// step the trie through the rest of that string and on along every
+/// continuation path, recording `(term, origin)` at each terminal state.
+fn oracle_postings(trie: &Trie, sfa: &Sfa) -> BTreeSet<(TermId, Posting)> {
+    fn follow(
+        trie: &Trie,
+        sfa: &Sfa,
+        mut state: u32,
+        label: &[u8],
+        to: u32,
+        origin: Posting,
+        out: &mut BTreeSet<(TermId, Posting)>,
+    ) {
+        for &c in label {
+            match trie.step(state, c) {
+                Some(next) => state = next,
+                None => return,
+            }
+            if let Some(term) = trie.terminal(state) {
+                out.insert((term, origin));
+            }
+        }
+        for &eid in sfa.out_edges(to) {
+            let edge = sfa.edge(eid).unwrap();
+            for em in &edge.emissions {
+                follow(trie, sfa, state, em.label.as_bytes(), edge.to, origin, out);
+            }
+        }
+    }
+    let mut out = BTreeSet::new();
+    for (eid, edge) in sfa.edges() {
+        for (path, em) in edge.emissions.iter().enumerate() {
+            let label = em.label.as_bytes();
+            for offset in 0..label.len() {
+                let origin = Posting {
+                    edge: eid,
+                    path: path as u16,
+                    offset: offset as u16,
+                };
+                follow(
+                    trie,
+                    sfa,
+                    trie.root(),
+                    &label[offset..],
+                    edge.to,
+                    origin,
+                    &mut out,
+                );
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -87,7 +142,7 @@ proptest! {
         let back = codec::decode(&blob).unwrap();
         // `encode` stores the compacted graph: the owned decode returns
         // exactly it, edge for edge and emission for emission.
-        let stored = sfa.compact();
+        let stored = sfa.clone().into_compact();
         prop_assert_eq!(
             (back.start(), back.finish(), back.num_node_slots()),
             (stored.start(), stored.finish(), stored.num_node_slots())
@@ -149,6 +204,36 @@ proptest! {
         for (s, p) in sfa.enumerate_strings(64) {
             let dp = string_probability(&sfa, &s);
             prop_assert!((dp - p).abs() < 1e-9);
+        }
+    }
+
+    // The index's postings equal the definition's, as a sorted set, on
+    // random graphs and on their Staccato approximations. Half the
+    // dictionary is random 1–3-character terms, half is cut from strings
+    // the graph emits, so terms that straddle edges occur.
+    #[test]
+    fn line_postings_equal_the_definition(
+        sfa in sfa_strategy(),
+        random_terms in prop::collection::vec("[a-z0-9]{1,3}", 1..5),
+        cuts in prop::collection::vec((any::<u32>(), 1usize..4), 1..5),
+    ) {
+        let strings = sfa.enumerate_strings(64);
+        let mut dict = random_terms;
+        for (salt, len) in cuts {
+            let s = &strings[salt as usize % strings.len()].0;
+            let at = (salt >> 8) as usize % s.len();
+            dict.push(s[at..(at + len).min(s.len())].to_string());
+        }
+        let trie = Trie::build(&dict);
+        let graphs = [
+            sfa.clone(),
+            approximate(&sfa, StaccatoParams::new(1, 2)),
+            approximate(&sfa, StaccatoParams::new(2, 3)),
+            approximate(&sfa, StaccatoParams::new(4, 1)),
+        ];
+        for graph in &graphs {
+            let oracle: Vec<_> = oracle_postings(&trie, graph).into_iter().collect();
+            prop_assert_eq!(line_postings(&trie, graph), oracle);
         }
     }
 }

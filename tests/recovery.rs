@@ -396,3 +396,41 @@ fn byte_threshold_policy_checkpoints_and_bounds_the_wal_directory() {
         .answers;
     assert!(!keys.is_empty());
 }
+
+#[test]
+fn saving_an_unchanged_database_does_not_grow_its_file() {
+    use staccato::storage::{ColumnType, Schema};
+
+    let dir = TempDir::new("save_leak");
+    let path = dir.path().join("store.db");
+    let file_len = || std::fs::metadata(&path).expect("db file").len();
+    let db = Database::create(&path, 16).expect("create");
+    let heap = db
+        .create_table("Claims", Schema::new(&[("DocID", ColumnType::Int)]))
+        .expect("table");
+    heap.insert(db.pool(), b"row").expect("insert");
+    db.save().expect("first save");
+    let after_first = file_len();
+    for _ in 0..20 {
+        db.save().expect("save");
+    }
+    assert_eq!(file_len(), after_first, "20 saves of an unchanged catalog");
+    drop(db);
+
+    // The unchanged saves kept the catalog readable, and a save after DDL
+    // still persists the new object.
+    let db = Database::open(&path, 16).expect("reopen");
+    assert_eq!(db.table_names(), vec!["Claims".to_string()]);
+    let (_, heap) = db.table("Claims").expect("table");
+    assert_eq!(heap.scan(db.pool()).count(), 1);
+    db.create_index("Claims_pk")
+        .expect("index")
+        .insert(db.pool(), b"k", 7)
+        .expect("insert key");
+    db.save().expect("save after DDL");
+    drop(db);
+    let db = Database::open(&path, 16).expect("reopen");
+    let index = db.index("Claims_pk").expect("index persisted");
+    assert_eq!(index.get(db.pool(), b"k").expect("get"), Some(7));
+    assert_eq!(db.table_names(), vec!["Claims".to_string()]);
+}
