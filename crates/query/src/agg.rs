@@ -60,6 +60,8 @@ pub struct AggregateResult {
 /// Executors fold one [`Answer`] per line; rows with non-positive
 /// probability or below `min_prob` are not part of the answer relation and
 /// are skipped — the same qualification the ranked path's `TopK` applies.
+/// Lines fold in scan order on one thread, so `SUM(Prob)` adds in the
+/// same order on every run.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamingAggregate {
     min_prob: f64,
@@ -91,22 +93,6 @@ impl StreamingAggregate {
     /// Tuples folded so far (the `COUNT(*)` numerator).
     pub fn rows(&self) -> u64 {
         self.rows
-    }
-
-    /// The qualification threshold this accumulator was built with
-    /// (already sanitized). Parallel executors use it to spawn per-worker
-    /// accumulators that qualify identically.
-    pub fn min_prob(&self) -> f64 {
-        self.min_prob
-    }
-
-    /// Absorb a partial accumulator from a parallel worker. `COUNT(*)` is
-    /// exact under any merge order; `SUM(Prob)`/`AVG(Prob)` reassociate
-    /// the floating-point additions, so a parallel run can differ from a
-    /// serial one in the last ulps (the same caveat any parallel SUM has).
-    pub fn merge(&mut self, partial: &StreamingAggregate) {
-        self.rows += partial.rows;
-        self.sum += partial.sum;
     }
 
     /// Finish: the value of `func` over everything folded so far.

@@ -177,7 +177,6 @@ mod tests {
         for same in [
             base.clone().num_ans(7).min_prob(0.5),
             base.clone().approach(Approach::Map),
-            base.clone().parallelism(4),
             base.clone().plan_preference(PlanPreference::ForceFileScan),
             base.clone().aggregate(AggregateFunc::CountStar),
         ] {

@@ -9,19 +9,12 @@
 //! precision collapses while recall is perfect (§5.1).
 //!
 //! Execution is pull-based: each executor consumes a row cursor from
-//! [`OcrStore`] one line at a time and feeds a bounded [`TopK`] heap, so
-//! sequential query memory is `O(NumAns + one line)` regardless of
-//! corpus size (a parallel scan holds one private accumulator per worker
-//! plus a bounded in-flight window: `O(P · NumAns + P · 4 lines)`). With
-//! `parallelism > 1` every representation scans morsel-style: one thread
-//! drives the (sequential) heap scan and hands rows to worker threads
-//! over a bounded channel; each worker folds its share into a private
-//! accumulator (a [`TopK`] heap or a partial aggregate) and the driver
-//! merges the per-worker accumulators in worker order once the scan is
-//! drained (§5.4: per-line probability computations are independent, so
-//! the scan partitions trivially). Merging bounded heaps is exact: every
-//! answer of the global top-k survives in its worker's local top-k, and
-//! the final heap re-applies the full ranking order, ties included.
+//! [`OcrStore`] one line at a time, on the calling thread, and feeds a
+//! bounded [`TopK`] heap, so query memory is `O(NumAns + one line)`
+//! regardless of corpus size. Per-line probability computations are
+//! independent (§5.4), so a scan could fan lines out to worker threads;
+//! none does, because concurrency comes from statements running side by
+//! side on one shared session.
 //!
 //! These executors are plumbing; the public entry point is
 //! [`Staccato::execute`](crate::session::Staccato::execute) with a
@@ -29,15 +22,12 @@
 
 use crate::agg::StreamingAggregate;
 use crate::error::QueryError;
-use crate::kernel::ScanScratch;
+use crate::kernel::{EvalOutcome, ScanScratch};
 use crate::plan::ExecStats;
 use crate::query::Query;
 use crate::store::OcrStore;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 
 /// Which representation a query runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,21 +183,6 @@ impl TopK {
         }
     }
 
-    /// Total candidates this heap retains (`limit + offset`).
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Ranked answers skipped by [`TopK::into_ranked`] (the `OFFSET`).
-    pub fn skip(&self) -> usize {
-        self.skip
-    }
-
-    /// The qualification threshold (already sanitized).
-    pub fn min_prob(&self) -> f64 {
-        self.min_prob
-    }
-
     /// Answers currently held.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -258,304 +233,86 @@ impl Sink<'_> {
             Sink::Aggregate(agg) => agg.fold(answer),
         }
     }
-
-    /// An owned, empty accumulator of the same kind and qualification
-    /// rules — the per-worker sink of the morsel-parallel scan.
-    fn fork(&self) -> OwnedSink {
-        match self {
-            Sink::Ranked(topk) => {
-                OwnedSink::Ranked(TopK::with_min_prob(topk.cap(), topk.min_prob()))
-            }
-            Sink::Aggregate(agg) => OwnedSink::Aggregate(StreamingAggregate::new(agg.min_prob())),
-        }
-    }
-
-    /// Fold one worker's accumulator back in. Ranked merges re-offer the
-    /// worker's surviving candidates into the shared heap — exact,
-    /// because the heap's total order (probability, then DataKey) decides
-    /// every tie the same way a sequential scan would.
-    fn absorb(&mut self, local: OwnedSink) {
-        match (self, local) {
-            (Sink::Ranked(topk), OwnedSink::Ranked(local)) => {
-                for answer in local.into_ranked() {
-                    topk.push(answer);
-                }
-            }
-            (Sink::Aggregate(agg), OwnedSink::Aggregate(local)) => agg.merge(&local),
-            _ => unreachable!("forked sink kind always matches its parent"),
-        }
-    }
 }
 
-/// A worker's private accumulator (see [`Sink::fork`]).
-enum OwnedSink {
-    Ranked(TopK),
-    Aggregate(StreamingAggregate),
-}
-
-impl OwnedSink {
-    fn offer(&mut self, answer: Answer) {
-        match self {
-            OwnedSink::Ranked(topk) => topk.push(answer),
-            OwnedSink::Aggregate(agg) => agg.fold(answer),
-        }
-    }
-}
-
-/// Streaming filescan over `approach`, evaluating lines on up to
-/// `parallelism` workers, delivering answers into `sink`, counting into
-/// `stats`. Every representation partitions the same way: the scan stays
-/// sequential (one buffer pool cursor) while per-line evaluation fans
-/// out.
+/// Streaming filescan over `approach` on the calling thread, delivering
+/// answers into `sink`, counting into `stats`.
 ///
 /// Evaluation runs through the query's compiled [`ScanKernel`]
 /// (see [`crate::kernel`]): rows stream as raw bytes and are decoded
-/// *borrowed* inside each worker (no per-line `String`/`Sfa`
-/// materialization), blobs run through the arena DP with interned label
-/// transitions, and the anchor prescreen skips lines that provably
-/// cannot match — counted in [`ExecStats::prescreen_skipped`]. Skipped
-/// lines still count as evaluated: the prescreen changes *how* a line's
-/// probability is computed, never whether it is.
+/// *borrowed* (no per-line `String`/`Sfa` materialization), blobs run
+/// through the arena DP with interned label transitions, and the anchor
+/// prescreen skips lines that provably cannot match — counted in
+/// [`ExecStats::prescreen_skipped`]. Skipped lines still count as
+/// evaluated: the prescreen changes *how* a line's probability is
+/// computed, never whether it is.
 ///
 /// [`ScanKernel`]: crate::kernel::ScanKernel
 pub(crate) fn exec_filescan(
     store: &OcrStore,
     approach: Approach,
     query: &Query,
-    parallelism: usize,
     sink: &mut Sink<'_>,
     stats: &mut ExecStats,
 ) -> Result<(), QueryError> {
-    let parallelism = parallelism.max(1);
     let kernel = &query.kernel;
-    let skipped = AtomicU64::new(0);
-    let skipped = &skipped;
-    let result = match approach {
-        Approach::Map => scan_into(
-            store.map_raw_cursor()?,
-            |_| 1,
-            || {
-                move |bytes: &Vec<u8>| {
-                    let (s, p) = crate::store::decode_map_row(bytes)?;
-                    let out = kernel.eval_string(s, p);
-                    if out.prescreened {
-                        skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                    }
-                    Ok(out.probability)
+    match approach {
+        Approach::Map => {
+            for item in store.map_raw_cursor()? {
+                let (key, bytes) = item?;
+                stats.rows_scanned += 1;
+                stats.lines_evaluated += 1;
+                let (s, p) = crate::store::decode_map_row(&bytes)?;
+                deliver(sink, stats, key, kernel.eval_string(s, p));
+            }
+            Ok(())
+        }
+        Approach::KMap => {
+            for item in store.kmap_raw_cursor()? {
+                let (key, rows) = item?;
+                stats.rows_scanned += rows.len() as u64;
+                stats.lines_evaluated += 1;
+                let mut decoded = Vec::with_capacity(rows.len());
+                for row in &rows {
+                    decoded.push(crate::store::decode_kmap_row(row)?);
                 }
-            },
-            parallelism,
-            sink,
-            stats,
-        ),
-        Approach::KMap => scan_into(
-            store.kmap_raw_cursor()?,
-            |rows| rows.len() as u64,
-            || {
-                move |rows: &Vec<Vec<u8>>| {
-                    let mut decoded = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        decoded.push(crate::store::decode_kmap_row(row)?);
-                    }
-                    let out = kernel.eval_string_group(decoded.iter().copied());
-                    if out.prescreened {
-                        skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                    }
-                    Ok(out.probability)
-                }
-            },
-            parallelism,
-            sink,
-            stats,
-        ),
-        Approach::FullSfa | Approach::Staccato => {
-            if parallelism <= 1 {
-                // Single-threaded blob scans stream borrowed bytes through
-                // one reusable blob buffer (no per-row `Vec`); the morsel
-                // path below needs owned rows to ship across the channel.
-                let mut scratch = ScanScratch::new();
-                let stats = &mut *stats;
-                let each = move |key: i64, blob: &[u8]| -> Result<(), QueryError> {
-                    stats.rows_scanned += 1;
-                    stats.lines_evaluated += 1;
-                    let out = kernel.eval_blob(&mut scratch, blob)?;
-                    if out.prescreened {
-                        skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                    }
-                    sink.offer(Answer {
-                        data_key: key,
-                        probability: out.probability,
-                    });
-                    Ok(())
-                };
-                match approach {
-                    Approach::FullSfa => store.for_each_full_sfa_blob(each),
-                    _ => store.for_each_staccato_blob(each),
-                }
-            } else {
-                let cursor = match approach {
-                    Approach::FullSfa => store.full_sfa_blobs()?,
-                    _ => store.staccato_blobs()?,
-                };
-                scan_into(
-                    cursor,
-                    |_| 1,
-                    || {
-                        let mut scratch = ScanScratch::new();
-                        move |blob: &Vec<u8>| {
-                            let out = kernel.eval_blob(&mut scratch, blob)?;
-                            if out.prescreened {
-                                skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                            }
-                            Ok(out.probability)
-                        }
-                    },
-                    parallelism,
+                deliver(
                     sink,
                     stats,
-                )
+                    key,
+                    kernel.eval_string_group(decoded.iter().copied()),
+                );
+            }
+            Ok(())
+        }
+        Approach::FullSfa | Approach::Staccato => {
+            // Blob scans stream borrowed bytes through one reusable blob
+            // buffer and one scan scratch (no per-row `Vec`).
+            let mut scratch = ScanScratch::new();
+            let each = |key: i64, blob: &[u8]| -> Result<(), QueryError> {
+                stats.rows_scanned += 1;
+                stats.lines_evaluated += 1;
+                let out = kernel.eval_blob(&mut scratch, blob)?;
+                deliver(sink, stats, key, out);
+                Ok(())
+            };
+            match approach {
+                Approach::FullSfa => store.for_each_full_sfa_blob(each),
+                _ => store.for_each_staccato_blob(each),
             }
         }
-    };
-    stats.prescreen_skipped += skipped.load(AtomicOrdering::Relaxed);
-    result
-}
-
-/// The shared scan driver: pull `(DataKey, payload)` rows off `cursor`
-/// and fold per-line probabilities into `sink`, sequentially or
-/// morsel-parallel. `rows_of` is the physical row count a payload
-/// represents (k-MAP reads k rows per line). `make_eval` builds one
-/// evaluation closure per worker — the closure owns that worker's
-/// mutable scan scratch (decode arena, label memo, DP vector pool), so
-/// workers never contend on shared state.
-fn scan_into<T, E>(
-    cursor: impl Iterator<Item = Result<(i64, T), QueryError>>,
-    rows_of: impl Fn(&T) -> u64,
-    make_eval: impl Fn() -> E + Sync,
-    parallelism: usize,
-    sink: &mut Sink<'_>,
-    stats: &mut ExecStats,
-) -> Result<(), QueryError>
-where
-    T: Send,
-    E: FnMut(&T) -> Result<f64, QueryError>,
-{
-    if parallelism <= 1 {
-        let mut eval = make_eval();
-        for item in cursor {
-            let (key, payload) = item?;
-            stats.rows_scanned += rows_of(&payload);
-            stats.lines_evaluated += 1;
-            sink.offer(Answer {
-                data_key: key,
-                probability: eval(&payload)?,
-            });
-        }
-        return Ok(());
     }
-    morsel_scan(cursor, rows_of, make_eval, parallelism, sink, stats)
 }
 
-/// What one scan worker hands back when the work queue drains.
-struct WorkerOutcome {
-    sink: OwnedSink,
-    lines: u64,
-    error: Option<QueryError>,
-}
-
-/// Fan per-line evaluation out to `parallelism` workers while this
-/// thread drives the (sequential) heap scan. Workers pull rows from a
-/// bounded queue and fold answers into private accumulators; the driver
-/// merges them in worker-index order once the scan is drained, so merged
-/// ranked results are identical to a sequential run.
-fn morsel_scan<T, E>(
-    cursor: impl Iterator<Item = Result<(i64, T), QueryError>>,
-    rows_of: impl Fn(&T) -> u64,
-    make_eval: impl Fn() -> E + Sync,
-    parallelism: usize,
-    sink: &mut Sink<'_>,
-    stats: &mut ExecStats,
-) -> Result<(), QueryError>
-where
-    T: Send,
-    E: FnMut(&T) -> Result<f64, QueryError>,
-{
-    std::thread::scope(|scope| -> Result<(), QueryError> {
-        // Bounded work queue: the scan stays ahead of the workers without
-        // ever materializing more than a window of rows.
-        let (work_tx, work_rx) = mpsc::sync_channel::<(i64, T)>(parallelism * 4);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let make_eval = &make_eval;
-        let mut handles = Vec::with_capacity(parallelism);
-        for _ in 0..parallelism {
-            let work_rx = Arc::clone(&work_rx);
-            let mut local = sink.fork();
-            handles.push(scope.spawn(move || {
-                // Per-worker evaluation state, built on the worker's own
-                // thread: scratch buffers are owned, never shared.
-                let mut eval = make_eval();
-                let mut lines = 0u64;
-                let mut error = None;
-                loop {
-                    let next = work_rx.lock().expect("queue lock").recv();
-                    let Ok((key, payload)) = next else { break };
-                    if error.is_some() {
-                        continue; // drain cheaply; the query already failed
-                    }
-                    match eval(&payload) {
-                        Ok(probability) => {
-                            lines += 1;
-                            local.offer(Answer {
-                                data_key: key,
-                                probability,
-                            });
-                        }
-                        Err(e) => error = Some(e),
-                    }
-                }
-                WorkerOutcome {
-                    sink: local,
-                    lines,
-                    error,
-                }
-            }));
-        }
-        // Drop the driver's receiver handle: if every worker dies (only
-        // on panic), the channel closes and `send` below errors instead
-        // of blocking forever once the bounded queue fills.
-        drop(work_rx);
-
-        let mut scan_error = None;
-        for item in cursor {
-            match item {
-                Ok((key, payload)) => {
-                    stats.rows_scanned += rows_of(&payload);
-                    if work_tx.send((key, payload)).is_err() {
-                        break; // all workers gone (only on panic)
-                    }
-                }
-                Err(e) => {
-                    scan_error = Some(e);
-                    break;
-                }
-            }
-        }
-        drop(work_tx);
-
-        let mut eval_error = None;
-        for handle in handles {
-            let outcome = handle.join().expect("scan worker panicked");
-            stats.lines_evaluated += outcome.lines;
-            if let Some(e) = outcome.error {
-                eval_error = Some(e);
-            }
-            sink.absorb(outcome.sink);
-        }
-        match (scan_error, eval_error) {
-            (Some(e), _) | (None, Some(e)) => Err(e),
-            (None, None) => Ok(()),
-        }
-    })
+/// Count one evaluated line's prescreen skip and offer its answer.
+fn deliver(sink: &mut Sink<'_>, stats: &mut ExecStats, key: i64, out: EvalOutcome) {
+    if out.prescreened {
+        stats.prescreen_skipped += 1;
+    }
+    sink.offer(Answer {
+        data_key: key,
+        probability: out.probability,
+    });
 }
 
 #[cfg(test)]
@@ -585,7 +342,6 @@ mod tests {
             store,
             approach,
             query,
-            1,
             &mut Sink::Ranked(&mut topk),
             &mut stats,
         )
@@ -749,77 +505,6 @@ mod tests {
         assert_eq!(Approach::all().len(), 4);
     }
 
-    #[test]
-    fn parallel_scan_equals_sequential() {
-        let (store, _) = store_with(25, 13);
-        for pattern in ["database", r"Sec(\x)*\d"] {
-            let query = Query::regex(pattern).unwrap();
-            for ap in Approach::all() {
-                let mut seq_stats = ExecStats::default();
-                let mut seq_topk = TopK::new(1000);
-                exec_filescan(
-                    &store,
-                    ap,
-                    &query,
-                    1,
-                    &mut Sink::Ranked(&mut seq_topk),
-                    &mut seq_stats,
-                )
-                .unwrap();
-                let seq = seq_topk.into_ranked();
-                let mut par_stats = ExecStats::default();
-                let mut par_topk = TopK::new(1000);
-                exec_filescan(
-                    &store,
-                    ap,
-                    &query,
-                    4,
-                    &mut Sink::Ranked(&mut par_topk),
-                    &mut par_stats,
-                )
-                .unwrap();
-                let par = par_topk.into_ranked();
-                assert_eq!(seq.len(), par.len(), "{} {pattern}", ap.name());
-                for (a, b) in seq.iter().zip(&par) {
-                    assert_eq!(a.data_key, b.data_key);
-                    assert!((a.probability - b.probability).abs() < 1e-12);
-                }
-                assert_eq!(seq_stats.rows_scanned, par_stats.rows_scanned);
-                assert_eq!(seq_stats.lines_evaluated, par_stats.lines_evaluated);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_aggregate_count_is_exact() {
-        // COUNT(*) is merge-order independent, so the morsel scan must
-        // produce the exact sequential count on every representation
-        // (SUM/AVG may differ in ulps; COUNT may not).
-        let (store, _) = store_with(25, 29);
-        let query = Query::keyword("data").unwrap();
-        for ap in Approach::all() {
-            let count_with = |threads: usize| {
-                let mut agg = crate::agg::StreamingAggregate::new(0.0);
-                let mut stats = ExecStats::default();
-                exec_filescan(
-                    &store,
-                    ap,
-                    &query,
-                    threads,
-                    &mut Sink::Aggregate(&mut agg),
-                    &mut stats,
-                )
-                .unwrap();
-                (agg.rows(), stats)
-            };
-            let (seq, seq_stats) = count_with(1);
-            let (par, par_stats) = count_with(4);
-            assert_eq!(seq, par, "{}", ap.name());
-            assert_eq!(seq_stats.rows_scanned, par_stats.rows_scanned);
-            assert_eq!(seq_stats.lines_evaluated, par_stats.lines_evaluated);
-        }
-    }
-
     fn stats_of(store: &OcrStore, approach: Approach, query: &Query) -> ExecStats {
         let mut stats = ExecStats::default();
         let mut topk = TopK::new(100);
@@ -827,7 +512,6 @@ mod tests {
             store,
             approach,
             query,
-            1,
             &mut Sink::Ranked(&mut topk),
             &mut stats,
         )
@@ -900,7 +584,6 @@ mod tests {
                 &store,
                 Approach::Staccato,
                 &query,
-                1,
                 &mut Sink::Ranked(&mut topk),
                 &mut stats,
             )
@@ -912,7 +595,6 @@ mod tests {
                 &store,
                 Approach::Staccato,
                 &query,
-                1,
                 &mut Sink::Aggregate(&mut agg),
                 &mut stats,
             )

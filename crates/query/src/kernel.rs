@@ -12,7 +12,7 @@
 //!   byte-class-compressed [`DenseDfa`] table (see
 //!   `staccato_automata::dense`).
 //! * **Compiled label transitions** — distinct emission labels are
-//!   interned per worker; each label's full `state → state` transition
+//!   interned per scan; each label's full `state → state` transition
 //!   vector is composed once ([`DenseDfa::compose_label`]) and memoized,
 //!   turning the DP's `dfa.run_from(s, label)` into a table gather.
 //! * **Arena batch decode** — blobs decode into a reusable
@@ -51,7 +51,7 @@ static KERNEL_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// Multiplicative byte hasher for the label interner. Interned labels
 /// are at most [`MEMO_LABEL_MAX`] bytes, where SipHash's per-call setup
-/// costs more than the hash itself; the map is per-worker scratch keyed
+/// costs more than the hash itself; the map is per-scan scratch keyed
 /// by trusted scan data, so DoS resistance buys nothing here.
 #[derive(Default)]
 struct LabelHasher(u64);
@@ -70,7 +70,7 @@ impl std::hash::Hasher for LabelHasher {
 
 type LabelMap = HashMap<Box<[u8]>, u32, std::hash::BuildHasherDefault<LabelHasher>>;
 
-/// Distinct interned labels kept per worker before the memo is reset.
+/// Distinct interned labels kept per scratch before the memo is reset.
 /// Bounds scratch memory on corpora with pathological label diversity;
 /// typical queries intern a few hundred labels and never hit it.
 const LABEL_MEMO_CAP: usize = 8192;
@@ -106,8 +106,8 @@ pub struct EvalOutcome {
 
 /// Per-query compiled scan state: the dense DFA, the required literal for
 /// the prescreen, and the accepting-state mask for the bitset tier.
-/// Immutable after construction and shared by every scan worker; all
-/// mutable state lives in [`ScanScratch`].
+/// Immutable after construction and shared by every statement that runs
+/// the cached query; all mutable state lives in [`ScanScratch`].
 #[derive(Debug)]
 pub struct ScanKernel {
     id: u64,
@@ -316,7 +316,7 @@ impl ScanKernel {
 
         // Resolve each positive-probability emission to its interned
         // transition vector; compose and memoize short labels on first
-        // sight. The memo persists across rows (same worker), so a
+        // sight. The memo persists across rows (same scratch), so a
         // repeated label costs one composition corpus-wide, and is reset
         // wholesale at the cap — never mid-row, so resolved ids stay
         // valid below. Long labels bypass the memo entirely (see
@@ -647,8 +647,8 @@ fn zeroed(free: &mut Vec<Vec<f64>>, q: usize) -> Vec<f64> {
     v
 }
 
-/// Per-worker mutable scan state: the decode arena, the label-transition
-/// memo, and pooled DP vectors. One per scan thread; never shared.
+/// Mutable scan state: the decode arena, the label-transition memo, and
+/// pooled DP vectors. One per scan or probe; never shared.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     /// Id of the kernel whose transitions are currently memoized

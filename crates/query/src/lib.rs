@@ -10,8 +10,8 @@
 //! loaded [`OcrStore`], owns any registered §4 inverted indexes, and
 //! executes queries from either surface — a SQL string ([`sql`]) or the
 //! declarative [`QueryRequest`] builder. Both lower to the same planner:
-//! each request compiles into an explicit [`Plan`] — a (possibly
-//! parallel) streaming `FileScan`, an `IndexProbe` chosen automatically
+//! each request compiles into an explicit [`Plan`] — a streaming
+//! `FileScan`, an `IndexProbe` chosen automatically
 //! when the pattern is left-anchored and a registered index covers the
 //! anchor, or an `Aggregate` folding either access path into a streaming
 //! `COUNT(*)`/`SUM(Prob)`/`AVG(Prob)` — and every result carries the

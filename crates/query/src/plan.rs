@@ -8,7 +8,7 @@
 //! into an explicit access path —
 //!
 //! * [`Plan::FileScan`] — stream every line of the representation through
-//!   the containment DFA (optionally on several worker threads, §5.4);
+//!   the containment DFA, one line at a time on the calling thread;
 //! * [`Plan::IndexProbe`] — look the pattern's left anchor up in a
 //!   registered §4 inverted index, point-fetch the candidate lines, and
 //!   evaluate only their projections;
@@ -60,7 +60,7 @@ pub enum PlanPreference {
 ///
 /// ```ignore
 /// let out = session.execute(
-///     &QueryRequest::like("%Ford%").approach(Approach::Staccato).num_ans(100).parallelism(8),
+///     &QueryRequest::like("%Ford%").approach(Approach::Staccato).num_ans(100),
 /// )?;
 /// ```
 #[derive(Debug, Clone)]
@@ -77,8 +77,6 @@ pub struct QueryRequest {
     /// the executors rank the best `num_ans + offset` rows and drop the
     /// leading `offset`, so paging never re-ranks a truncated relation.
     pub offset: usize,
-    /// The requested filescan parallelism.
-    pub parallelism: usize,
     /// The planner override.
     pub preference: PlanPreference,
     /// Probability threshold (SQL `AND Prob >= t`): rows below it never
@@ -99,7 +97,6 @@ impl QueryRequest {
             // answers in the ground truth".
             num_ans: 100,
             offset: 0,
-            parallelism: 1,
             preference: PlanPreference::Auto,
             min_prob: 0.0,
             aggregate: None,
@@ -144,15 +141,10 @@ impl QueryRequest {
         self
     }
 
-    /// Evaluate filescan lines on up to `threads` workers (default: 1).
-    ///
-    /// Honored by every [`Plan::FileScan`], over any representation, and
-    /// by the filescan input of a [`Plan::Aggregate`]. It is an explicit
-    /// **no-op** for [`Plan::IndexProbe`]: probes point-fetch only the
-    /// candidate lines of one anchor term — a handful of B+-tree lookups
-    /// — so there is no scan to partition.
-    pub fn parallelism(mut self, threads: usize) -> QueryRequest {
-        self.parallelism = threads.max(1);
+    /// Changes nothing: every plan runs on the calling thread, filescans
+    /// included. Kept only because the repo benchmark, whose sources are
+    /// frozen, calls `.parallelism(1)` on every statement.
+    pub fn parallelism(self, _threads: usize) -> QueryRequest {
         self
     }
 
@@ -195,14 +187,9 @@ pub enum Plan {
     FileScan {
         /// Representation scanned.
         approach: Approach,
-        /// Worker threads evaluating lines (1 = sequential).
-        parallelism: usize,
     },
     /// Probe a registered inverted index with the pattern's left anchor,
-    /// point-fetch candidates, evaluate projections (§4). Always
-    /// sequential: a requested `parallelism` is a documented no-op here —
-    /// the probe touches only the posted candidate lines, so there is no
-    /// scan to partition.
+    /// point-fetch candidates, evaluate projections (§4).
     IndexProbe {
         /// Name of the registered index.
         index: String,
@@ -353,10 +340,6 @@ fn plan_access_path(
 ) -> Result<Plan, QueryError> {
     let filescan = Plan::FileScan {
         approach: request.approach,
-        // Honored on every representation: the morsel scan partitions
-        // per-line evaluation for the string representations exactly as
-        // it does for the SFA blobs (§5.4).
-        parallelism: request.parallelism,
     };
     match request.preference {
         PlanPreference::ForceFileScan => Ok(filescan),
@@ -505,16 +488,11 @@ fn fmt_wall(d: Duration) -> String {
 
 fn render_access_path(out: &mut String, label: &str, plan: &Plan) {
     match plan {
-        Plan::FileScan {
-            approach,
-            parallelism,
-        } => {
+        Plan::FileScan { approach } => {
             out.push_str(&format!("{label}FileScan over {}\n", approach.name()));
             out.push_str(&format!(
-                "  -> stream {} rows through the containment DFA ({} worker{})\n",
-                approach.name(),
-                parallelism,
-                if *parallelism == 1 { "" } else { "s" }
+                "  -> stream {} rows through the containment DFA\n",
+                approach.name()
             ));
         }
         Plan::IndexProbe { index, anchor } => {
@@ -539,14 +517,12 @@ mod tests {
         let req = QueryRequest::like("%Ford%");
         assert_eq!(req.approach, Approach::Staccato);
         assert_eq!(req.num_ans, 100);
-        assert_eq!(req.parallelism, 1);
         assert_eq!(req.preference, PlanPreference::Auto);
         assert_eq!(req.min_prob, 0.0);
         assert_eq!(req.aggregate, None);
-        let req = req.approach(Approach::Map).num_ans(10).parallelism(0);
+        let req = req.approach(Approach::Map).num_ans(10);
         assert_eq!(req.approach, Approach::Map);
         assert_eq!(req.num_ans, 10);
-        assert_eq!(req.parallelism, 1, "parallelism clamps to >= 1");
     }
 
     #[test]
@@ -572,7 +548,6 @@ mod tests {
     fn plan_kind_labels() {
         let scan = Plan::FileScan {
             approach: Approach::Map,
-            parallelism: 2,
         };
         let probe = Plan::IndexProbe {
             index: "inv".into(),
@@ -593,18 +568,16 @@ mod tests {
 
     #[test]
     fn explain_renders_both_plans() {
-        let req = QueryRequest::regex(r"Public Law (8|9)\d").parallelism(4);
+        let req = QueryRequest::regex(r"Public Law (8|9)\d");
         let query = req.compile().unwrap();
         let scan = render_explain(
             &req,
             &query,
             &Plan::FileScan {
                 approach: Approach::Staccato,
-                parallelism: 4,
             },
         );
-        assert!(scan.contains("FileScan"), "{scan}");
-        assert!(scan.contains("4 workers"), "{scan}");
+        assert!(scan.contains("FileScan over STACCATO"), "{scan}");
         assert!(scan.contains("anchor: public"), "{scan}");
         let probe = render_explain(
             &req,
@@ -631,7 +604,6 @@ mod tests {
                 func: AggregateFunc::CountStar,
                 input: Box::new(Plan::FileScan {
                     approach: Approach::Staccato,
-                    parallelism: 1,
                 }),
             },
         );
@@ -647,7 +619,6 @@ mod tests {
             &query,
             &Plan::FileScan {
                 approach: Approach::Staccato,
-                parallelism: 1,
             },
         );
         assert!(!text.contains("threshold"), "{text}");

@@ -90,8 +90,6 @@ struct WriterState {
     next_seq: u64,
     /// Batches applied since the last checkpoint (policy odometer).
     ckpt_batches_since: u64,
-    /// WAL bytes appended since the last checkpoint (policy odometer).
-    ckpt_bytes_since: u64,
 }
 
 /// Session-cumulative ingest counters (the WAL's own counters live on
@@ -192,14 +190,12 @@ impl Drop for Ticket<'_> {
     }
 }
 
-/// When the background checkpointer should snapshot the store. Both
-/// thresholds disabled means "never" (manual checkpoints only).
+/// When the background checkpointer should snapshot the store. The
+/// default is "never" (manual checkpoints only).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint once this many batches applied since the last one.
-    pub every_batches: Option<u64>,
-    /// Checkpoint once this many WAL bytes logged since the last one.
-    pub every_bytes: Option<u64>,
+    every_batches: Option<u64>,
 }
 
 impl CheckpointPolicy {
@@ -207,21 +203,11 @@ impl CheckpointPolicy {
     pub fn every_batches(n: u64) -> CheckpointPolicy {
         CheckpointPolicy {
             every_batches: Some(n.max(1)),
-            every_bytes: None,
         }
     }
 
-    /// Checkpoint every `n` WAL bytes logged.
-    pub fn every_bytes(n: u64) -> CheckpointPolicy {
-        CheckpointPolicy {
-            every_batches: None,
-            every_bytes: Some(n.max(1)),
-        }
-    }
-
-    fn due(&self, batches_since: u64, bytes_since: u64) -> bool {
+    fn due(&self, batches_since: u64) -> bool {
         self.every_batches.is_some_and(|n| batches_since >= n)
-            || self.every_bytes.is_some_and(|n| bytes_since >= n)
     }
 }
 
@@ -376,7 +362,6 @@ impl Staccato {
                 wal: None,
                 next_seq: 1,
                 ckpt_batches_since: 0,
-                ckpt_bytes_since: 0,
             }),
             applies: RwLock::new(()),
             totals: IngestTotals::default(),
@@ -613,10 +598,9 @@ impl Staccato {
         stats: &mut ExecStats,
     ) -> Result<(), QueryError> {
         match plan {
-            Plan::FileScan {
-                approach,
-                parallelism,
-            } => exec_filescan(&self.store, *approach, query, *parallelism, sink, stats),
+            Plan::FileScan { approach } => {
+                exec_filescan(&self.store, *approach, query, sink, stats)
+            }
             Plan::IndexProbe { index, .. } => {
                 let index = self
                     .index(index)
@@ -947,14 +931,12 @@ impl Staccato {
         // ordered the batch. The crossing ingest rings the doorbell and
         // resets, so one threshold crossing wakes the checkpointer once.
         writer.ckpt_batches_since += 1;
-        writer.ckpt_bytes_since += wal_bytes;
         let ckpt_due = {
             let policy = self.ckpt.signal.state.lock().policy;
-            policy.due(writer.ckpt_batches_since, writer.ckpt_bytes_since)
+            policy.due(writer.ckpt_batches_since)
         };
         if ckpt_due {
             writer.ckpt_batches_since = 0;
-            writer.ckpt_bytes_since = 0;
         }
         let lsn = durability.as_ref().map(|(_, lsn)| *lsn).unwrap_or(0);
         // Group commit: release the writer latch *before* waiting for
@@ -1054,7 +1036,6 @@ impl Staccato {
             wal.gc_after_checkpoint()?;
         }
         writer.ckpt_batches_since = 0;
-        writer.ckpt_bytes_since = 0;
         self.totals.checkpoints.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
@@ -1062,7 +1043,7 @@ impl Staccato {
     /// Start (or re-configure) the background checkpointer: a dedicated
     /// thread that waits on a doorbell — no busy-wait, no polling — and
     /// runs [`Staccato::checkpoint`] whenever the write path crosses
-    /// `policy`'s batch or byte threshold. Snapshots therefore happen
+    /// `policy`'s batch threshold. Snapshots therefore happen
     /// off the write path: the triggering ingest only rings the
     /// doorbell and returns. The thread shuts down with the session.
     pub fn start_background_checkpoints(
@@ -1212,8 +1193,7 @@ mod tests {
         assert_eq!(
             out.plan,
             Plan::FileScan {
-                approach: Approach::Map,
-                parallelism: 1
+                approach: Approach::Map
             }
         );
         assert_eq!(out.stats.rows_scanned, 30);
@@ -1228,8 +1208,7 @@ mod tests {
         assert_eq!(
             plan,
             Plan::FileScan {
-                approach: Approach::Staccato,
-                parallelism: 1
+                approach: Approach::Staccato
             }
         );
     }
@@ -1504,33 +1483,30 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_shares_the_compiled_query_not_the_plan() {
+    fn parallelism_changes_neither_the_plan_nor_the_answers() {
         let s = session(20, 9);
+        let request = QueryRequest::keyword("President");
         let before = s.query_cache_stats();
-        let serial = s
-            .plan(&QueryRequest::keyword("ford").parallelism(1))
-            .unwrap();
-        let parallel = s
-            .plan(&QueryRequest::keyword("ford").parallelism(4))
-            .unwrap();
+        let plain = s.plan(&request).unwrap();
+        let asked = s.plan(&request.clone().parallelism(4)).unwrap();
         let after = s.query_cache_stats();
         assert_eq!(
             (after.misses - before.misses, after.hits - before.hits),
             (1, 1)
         );
         assert_eq!(
-            serial,
+            plain,
             Plan::FileScan {
-                approach: Approach::Staccato,
-                parallelism: 1
+                approach: Approach::Staccato
             }
         );
+        assert_eq!(asked, plain);
+        let plain = s.execute(&request).unwrap();
+        let asked = s.execute(&request.parallelism(4)).unwrap();
+        assert_eq!(asked.answers, plain.answers);
         assert_eq!(
-            parallel,
-            Plan::FileScan {
-                approach: Approach::Staccato,
-                parallelism: 4
-            }
+            (asked.stats.rows_scanned, asked.stats.lines_evaluated),
+            (plain.stats.rows_scanned, plain.stats.lines_evaluated)
         );
     }
 
@@ -1772,6 +1748,27 @@ mod tests {
         // And the sequence stays dense.
         let next = s.ingest(doc()).unwrap();
         assert_eq!((next.first_key, next.batch_seq), (11, 2));
+    }
+
+    #[test]
+    fn an_ingest_waits_for_the_turn_of_an_earlier_ticket() {
+        let s = session(10, 5);
+        let held = s.turns.reserve(2, || s.line_count());
+        let (waited, receipt) = std::thread::scope(|scope| {
+            let ingest = scope.spawn(|| {
+                s.ingest(IngestBatch::new().doc(DocumentInput::new("w.png", "the Senate")))
+                    .unwrap()
+            });
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            let waited = s.line_count();
+            // The held ticket never commits: dropping it hands keys 10
+            // and 11 back.
+            drop(held);
+            (waited, ingest.join().unwrap())
+        });
+        assert_eq!(waited, 10, "nothing commits before the earlier turn");
+        assert_eq!((receipt.first_key, receipt.batch_seq), (10, 1));
+        assert_eq!(s.line_count(), 11);
     }
 
     #[test]

@@ -298,7 +298,8 @@ mod tests {
         assert_eq!(req.num_ans, built.num_ans);
         assert_eq!(req.min_prob, built.min_prob);
         assert_eq!(req.approach, built.approach);
-        assert_eq!(req.parallelism, built.parallelism);
+        assert_eq!(req.offset, built.offset);
+        assert_eq!(req.preference, built.preference);
     }
 
     #[test]

@@ -484,8 +484,8 @@ impl OcrStore {
 
     /// Streaming cursor over *raw* `MAPData` row bytes: `(DataKey, row)`.
     /// The consumer decodes the payload columns borrowed from the row
-    /// bytes (see `decode_map_row`), so scan workers evaluate without a
-    /// per-row `String` allocation and off the scan thread.
+    /// bytes (see `decode_map_row`), so the filescan evaluates without a
+    /// per-row `String` allocation.
     pub fn map_raw_cursor(&self) -> Result<MapRawCursor<'_>, QueryError> {
         let (_, heap) = self.db.table("MAPData")?;
         Ok(MapRawCursor {
@@ -507,10 +507,8 @@ impl OcrStore {
     }
 
     /// Visit every blob of `table` with borrowed bytes: one reusable blob
-    /// buffer, no per-row allocation. The streaming sibling of
-    /// [`BlobCursor`] for single-threaded scans — the scan-kernel hot
-    /// path, where handing each worker an owned `Vec<u8>` per row costs
-    /// more than evaluating it.
+    /// buffer, no per-row allocation. The filescan's path; [`BlobCursor`]
+    /// is the owned sibling.
     fn for_each_blob(
         &self,
         table: &'static str,
@@ -558,9 +556,10 @@ impl OcrStore {
         })
     }
 
-    /// Streaming cursor over *encoded* full-SFA blobs: `(DataKey, bytes)`.
-    /// Decoding is left to the consumer so parallel executors can decode
-    /// off the scan thread.
+    /// Streaming cursor over *encoded* full-SFA blobs: `(DataKey, bytes)`,
+    /// one owned `Vec<u8>` per row; decoding is left to the consumer. The
+    /// filescan reads borrowed bytes instead
+    /// ([`OcrStore::for_each_full_sfa_blob`]).
     pub fn full_sfa_blobs(&self) -> Result<BlobCursor<'_>, QueryError> {
         self.blob_cursor("FullSFAData")
     }

@@ -50,6 +50,19 @@ fn struct_literals(channel: ChannelConfig) -> RecoverOptions {
     }
 }
 
+fn requests_and_policies(session: &Staccato, pattern: &str, n: u64) -> Result<bool, QueryError> {
+    let request = QueryRequest::regex(pattern)
+        .approach(Approach::Staccato)
+        .plan_preference(PlanPreference::ForceFileScan)
+        .num_ans(100)
+        .parallelism(1);
+    let _: [CheckpointPolicy; 2] = [
+        CheckpointPolicy::default(),
+        CheckpointPolicy::every_batches(n),
+    ];
+    Ok(session.plan(&request)?.is_index_probe())
+}
+
 fn reference_and_kernel(query: &Query, blob: &[u8]) -> Result<(f64, f64), staccato::sfa::SfaError> {
     let mut arena = DecodeArena::new();
     decode_into_arena(blob, &mut arena)?;

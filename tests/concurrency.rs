@@ -36,7 +36,7 @@ fn session(lines: usize, seed: u64) -> Staccato {
 }
 
 /// The mixed query set: every representation, both dialects, a threshold,
-/// an aggregate, and an intra-query-parallel scan.
+/// and an aggregate.
 fn workload() -> Vec<QueryRequest> {
     vec![
         QueryRequest::keyword("President"),
@@ -44,7 +44,7 @@ fn workload() -> Vec<QueryRequest> {
         QueryRequest::like("%United States%")
             .approach(Approach::KMap)
             .num_ans(50),
-        QueryRequest::regex(r"Public Law (8|9)\d").parallelism(2),
+        QueryRequest::regex(r"Public Law (8|9)\d"),
         QueryRequest::keyword("the")
             .approach(Approach::FullSfa)
             .num_ans(20),

@@ -55,11 +55,6 @@ fn corrupt_sfa_blob_surfaces_typed_error() {
         .execute(&request.clone().approach(Approach::FullSfa))
         .unwrap_err();
     assert!(matches!(err, QueryError::Sfa(_)), "got {err:?}");
-    // The parallel executor must surface the same typed error.
-    let err = session
-        .execute(&request.clone().approach(Approach::FullSfa).parallelism(4))
-        .unwrap_err();
-    assert!(matches!(err, QueryError::Sfa(_)), "parallel got {err:?}");
     // Other representations are unaffected.
     session
         .execute(&request.clone().approach(Approach::Map))

@@ -68,84 +68,59 @@ fn probe_and_filescan_answer_sets_agree_across_approaches() {
 }
 
 #[test]
-fn filescan_probabilities_identical_under_any_parallelism() {
-    let s = session(40, 8);
+fn parallelism_is_honored_or_a_documented_noop_on_every_plan_shape() {
+    // `.parallelism(n)` is a no-op on every plan shape: every plan runs on
+    // the calling thread, so asking for workers changes neither the plan
+    // nor a single bit of the answers.
+    let s = session(30, 51);
+    let unchanged = |request: QueryRequest, shape: &str| {
+        let plain = s.execute(&request).expect("plain");
+        let asked = s.execute(&request.clone().parallelism(4)).expect("asked");
+        assert_eq!(asked.plan, plain.plan, "{shape}");
+        let bits = |out: &staccato::QueryOutput| -> Vec<(i64, u64)> {
+            out.answers
+                .iter()
+                .map(|a| (a.data_key, a.probability.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&asked), bits(&plain), "{shape}");
+        assert_eq!(
+            asked.aggregate.map(|a| a.value.to_bits()),
+            plain.aggregate.map(|a| a.value.to_bits()),
+            "{shape}"
+        );
+        plain.plan
+    };
     for approach in Approach::all() {
-        let request = QueryRequest::regex(r"U.S.C. 2\d\d\d")
+        let request = QueryRequest::keyword("President")
             .approach(approach)
             .num_ans(1000);
-        let seq = s.execute(&request).expect("sequential");
-        let par = s
-            .execute(&request.clone().parallelism(4))
-            .expect("parallel");
-        assert_eq!(seq.answers.len(), par.answers.len(), "{}", approach.name());
-        for (a, b) in seq.answers.iter().zip(&par.answers) {
-            assert_eq!(a.data_key, b.data_key);
-            assert!((a.probability - b.probability).abs() < 1e-12);
-        }
-    }
-}
-
-#[test]
-fn parallelism_is_honored_or_a_documented_noop_on_every_plan_shape() {
-    let s = session(30, 51);
-    // FileScan: every representation carries the requested parallelism —
-    // the morsel scan partitions string evaluation exactly like SFA
-    // evaluation.
-    for approach in Approach::all() {
-        let plan = s
-            .plan(
-                &QueryRequest::keyword("President")
-                    .approach(approach)
-                    .parallelism(4),
-            )
-            .expect("plan");
         assert_eq!(
-            plan,
-            Plan::FileScan {
-                approach,
-                parallelism: 4
-            },
-            "{}",
-            approach.name()
+            unchanged(request, approach.name()),
+            Plan::FileScan { approach }
         );
     }
-    // Aggregate: the input filescan keeps the requested parallelism.
-    let plan = s
-        .plan(
-            &QueryRequest::keyword("President")
-                .approach(Approach::Map)
-                .parallelism(3)
-                .aggregate(AggregateFunc::SumProb),
-        )
-        .expect("aggregate plan");
+    let aggregate = unchanged(
+        QueryRequest::keyword("President")
+            .approach(Approach::Map)
+            .aggregate(AggregateFunc::SumProb),
+        "aggregate",
+    );
     assert_eq!(
-        plan.access_path(),
+        aggregate.access_path(),
         &Plan::FileScan {
-            approach: Approach::Map,
-            parallelism: 3
+            approach: Approach::Map
         }
     );
-    // IndexProbe: parallelism is a documented no-op — the plan carries no
-    // worker count (probes point-fetch a handful of candidates), and the
-    // answers are unchanged by requesting it.
     s.register_index(&Trie::build(["president"]), "inv")
         .expect("index");
-    let request = QueryRequest::keyword("President").num_ans(1000);
-    let par = s.execute(&request.clone().parallelism(4)).expect("probe");
     assert_eq!(
-        par.plan,
+        unchanged(QueryRequest::keyword("President").num_ans(1000), "probe"),
         Plan::IndexProbe {
             index: "inv".into(),
             anchor: "president".into()
         }
     );
-    let seq = s.execute(&request).expect("probe");
-    assert_eq!(par.answers.len(), seq.answers.len());
-    for (a, b) in par.answers.iter().zip(&seq.answers) {
-        assert_eq!(a.data_key, b.data_key);
-        assert_eq!(a.probability, b.probability);
-    }
 }
 
 #[test]

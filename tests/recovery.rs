@@ -342,15 +342,14 @@ fn background_checkpointer_snapshots_and_gcs_segments_off_the_write_path() {
     );
 }
 
-/// The byte-threshold trigger: a policy of "checkpoint every N WAL
-/// bytes" with tiny N checkpoints on (nearly) every batch, and segment
-/// GC keeps the directory from accumulating sealed segments.
+/// A policy of "checkpoint after every batch" snapshots over and over,
+/// and segment GC keeps the directory from accumulating sealed segments.
 #[test]
-fn byte_threshold_policy_checkpoints_and_bounds_the_wal_directory() {
+fn every_batch_policy_checkpoints_and_bounds_the_wal_directory() {
     use staccato::CheckpointPolicy;
     use std::sync::Arc;
 
-    let dir = TempDir::new("bytepolicy");
+    let dir = TempDir::new("batchpolicy");
     let opts = load_options(11);
     let dataset = generate(CorpusKind::DbPapers, 6, 11);
     let db = Database::create(dir.path().join("store.db"), 2048).expect("create");
@@ -359,8 +358,8 @@ fn byte_threshold_policy_checkpoints_and_bounds_the_wal_directory() {
     session
         .attach_wal(&dir.path().join("wal"), SyncPolicy::Commit)
         .expect("attach");
-    // Every batch logs far more than 1 byte, so each one is due.
-    Staccato::start_background_checkpoints(&session, CheckpointPolicy::every_bytes(1))
+    // Every batch is due.
+    Staccato::start_background_checkpoints(&session, CheckpointPolicy::every_batches(1))
         .expect("start checkpointer");
 
     for n in 1..=4u64 {
@@ -374,7 +373,7 @@ fn byte_threshold_policy_checkpoints_and_bounds_the_wal_directory() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "byte policy never triggered: {stats:?}"
+            "batch policy never triggered: {stats:?}"
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }

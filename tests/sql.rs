@@ -412,16 +412,6 @@ fn limit_offset_pages_tile_the_unpaged_ranking() {
     for (a, b) in via_builder.answers.iter().zip(page2) {
         assert_eq!(a.data_key, b.data_key);
     }
-    // And parallel scans return the same page, bit for bit.
-    let parallel = s
-        .execute(
-            &QueryRequest::keyword("the")
-                .num_ans(page_size)
-                .offset(page_size)
-                .parallelism(4),
-        )
-        .expect("parallel page 2");
-    assert_eq!(parallel.answers, via_builder.answers);
 }
 
 #[test]
