@@ -12,16 +12,21 @@
 //! Payload layout (all integers little-endian):
 //!
 //! ```text
-//! [magic "SWB1"] [batch_seq u64] [first_key i64] [ndocs u32] docs...
+//! [magic "SWB2"] [batch_seq u64] [first_key i64] [ndocs u32] docs...
 //! doc  := meta artifacts
 //! meta := str(provider) f64(confidence) i64(processing_time_ms)
 //!         i64(ingested_at)
 //! artifacts := str(doc_name) i64(sfa_num) str(clean)
 //!              u32(nk) [str f64]*nk          -- k-MAP strings
 //!              bytes(full_blob) bytes(stac_blob)
-//!              u32(nc) [i64 i64 str f64]*nc  -- Staccato chunk rows
 //! str/bytes := u32 length + payload
 //! ```
+//!
+//! The previous format, `SWB1`, also logged one row per Staccato chunk
+//! string after the blobs. No reader for it is kept: a log holding an
+//! `SWB1` record is refused with a [`QueryError::CorruptWal`] that says
+//! so, before any batch is replayed, and is recovered with the previous
+//! binary, which can then checkpoint it away.
 
 use crate::error::QueryError;
 use crate::store::LineArtifacts;
@@ -172,7 +177,7 @@ pub(crate) struct DecodedDoc {
     pub(crate) ingested_at: i64,
 }
 
-const MAGIC: &[u8; 4] = b"SWB1";
+const MAGIC: &[u8; 4] = b"SWB2";
 
 pub(crate) fn encode_batch(batch: &DecodedBatch) -> Vec<u8> {
     let mut out = Vec::new();
@@ -196,20 +201,20 @@ pub(crate) fn encode_batch(batch: &DecodedBatch) -> Vec<u8> {
         }
         put_bytes(&mut out, &art.full_blob);
         put_bytes(&mut out, &art.stac_blob);
-        out.extend_from_slice(&(art.stac_chunks.len() as u32).to_le_bytes());
-        for (ci, rank, s, lp) in &art.stac_chunks {
-            out.extend_from_slice(&ci.to_le_bytes());
-            out.extend_from_slice(&rank.to_le_bytes());
-            put_str(&mut out, s);
-            out.extend_from_slice(&lp.to_le_bytes());
-        }
     }
     out
 }
 
 pub(crate) fn decode_batch(bytes: &[u8]) -> Result<DecodedBatch, QueryError> {
     let mut r = Reader { bytes, pos: 0 };
-    if r.take(4)? != MAGIC {
+    let magic = r.take(4)?;
+    if magic == b"SWB1" {
+        return Err(QueryError::CorruptWal(
+            "batch written in the previous WAL format (SWB1): recover this log with the \
+             previous binary and checkpoint before upgrading",
+        ));
+    }
+    if magic != MAGIC {
         return Err(QueryError::CorruptWal("bad batch magic"));
     }
     let batch_seq = r.u64()?;
@@ -237,15 +242,6 @@ pub(crate) fn decode_batch(bytes: &[u8]) -> Result<DecodedBatch, QueryError> {
         }
         let full_blob = r.bytes()?.to_vec();
         let stac_blob = r.bytes()?.to_vec();
-        let nc = r.u32()? as usize;
-        let mut stac_chunks = Vec::with_capacity(nc.min(bytes.len()));
-        for _ in 0..nc {
-            let ci = r.i64()?;
-            let rank = r.i64()?;
-            let s = r.string()?;
-            let lp = r.f64()?;
-            stac_chunks.push((ci, rank, s, lp));
-        }
         docs.push(DecodedDoc {
             art: LineArtifacts {
                 doc_name,
@@ -254,7 +250,6 @@ pub(crate) fn decode_batch(bytes: &[u8]) -> Result<DecodedBatch, QueryError> {
                 kmap,
                 full_blob,
                 stac_blob,
-                stac_chunks,
             },
             provider,
             confidence,
@@ -370,7 +365,6 @@ mod tests {
                     kmap: vec![("selinger".into(), 0.5), ("sel1nger".into(), 0.25)],
                     full_blob: vec![1, 2, 3, 4],
                     stac_blob: vec![9, 8],
-                    stac_chunks: vec![(0, 0, "sel".into(), -0.1), (1, 0, "inger".into(), -0.2)],
                 },
                 provider: "tesseract".into(),
                 confidence: 0.93,
@@ -396,7 +390,7 @@ mod tests {
         assert_eq!(doc.art.doc_name, "scan_001.png");
         assert_eq!(doc.art.kmap, batch.docs[0].art.kmap);
         assert_eq!(doc.art.full_blob, vec![1, 2, 3, 4]);
-        assert_eq!(doc.art.stac_chunks, batch.docs[0].art.stac_chunks);
+        assert_eq!(doc.art.stac_blob, vec![9, 8]);
     }
 
     #[test]
@@ -411,6 +405,12 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(decode_batch(&wrong_magic).is_err());
+        let mut previous_format = bytes.clone();
+        previous_format[..4].copy_from_slice(b"SWB1");
+        assert!(matches!(
+            decode_batch(&previous_format),
+            Err(QueryError::CorruptWal(why)) if why.contains("previous WAL format")
+        ));
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(decode_batch(&trailing).is_err());

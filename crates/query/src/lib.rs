@@ -53,7 +53,7 @@
 //!   called by no product code;
 //! * [`store`] — the Table 5 schema and its streaming row cursors:
 //!   loading a corpus through the OCR channel into MasterData / kMAPData /
-//!   FullSFAData / StaccatoData / StaccatoGraph / GroundTruth tables;
+//!   FullSFAData / StaccatoGraph / GroundTruth tables;
 //! * [`exec`] — streaming filescan executors for the four access methods
 //!   and the bounded [`exec::TopK`] answer ranking;
 //! * [`metrics`] — ground truth and precision/recall/F1 (the paper's

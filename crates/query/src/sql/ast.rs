@@ -158,7 +158,8 @@ pub enum SqlTable {
     KMap,
     /// `FullSFAData` — the complete OCR SFA.
     FullSfa,
-    /// `StaccatoData` — the Staccato chunk graph.
+    /// `StaccatoData` — the Staccato chunk graph, read from the
+    /// `StaccatoGraph` blobs.
     Staccato,
 }
 

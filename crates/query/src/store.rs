@@ -7,7 +7,6 @@
 //! | `MAPData` | DataKey, Data, LogProb | the MAP transcription |
 //! | `kMAPData` | DataKey, LineNum, Data, LogProb | top-k strings (LineNum = rank) |
 //! | `FullSFAData` | DataKey, SFABlob | the full OCR SFA as a blob |
-//! | `StaccatoData` | DataKey, ChunkNum, LineNum, Data, LogProb | per-chunk top-k strings |
 //! | `StaccatoGraph` | DataKey, GraphBlob | the chunk graph as a blob |
 //! | `GroundTruth` | DataKey, Data | the clean line (evaluation only) |
 //! | `StaccatoHistory` | DataKey, FileName, Provider, Confidence, ProcessingTimeMs, IngestedAt, BatchSeq | one row per *ingested* document |
@@ -16,6 +15,12 @@
 //! keeps the MAP filescan's I/O proportional to one string per line, as a
 //! separate k = 1 dataset would.) B+-tree primary indexes are built on the
 //! blob tables so index-assisted queries can fetch single lines.
+//!
+//! The paper's Table 5 also has a `StaccatoData` table of per-chunk
+//! top-k strings. The `StaccatoGraph` blob already holds every chunk's
+//! labels and probabilities, so those rows would be a second copy of
+//! the graph, and none is stored: the SQL name `StaccatoData` reads the
+//! `StaccatoGraph` blobs.
 //!
 //! Construction (channel → k-best → Staccato approximation) is
 //! embarrassingly parallel across lines (§5.2 used Condor); the loader
@@ -69,8 +74,6 @@ pub(crate) struct LineArtifacts {
     pub(crate) kmap: Vec<(String, f64)>,
     pub(crate) full_blob: Vec<u8>,
     pub(crate) stac_blob: Vec<u8>,
-    /// `(chunk index, rank, string, log-prob)` rows for StaccatoData.
-    pub(crate) stac_chunks: Vec<(i64, i64, String, f64)>,
 }
 
 /// Byte sizes of each representation after loading (Table 2 / §5.5).
@@ -121,24 +124,7 @@ pub(crate) fn build_line_from_sfa(opts: &LoadOptions, sfa: &Sfa, line: &str) -> 
         .map(|p| (p.string, p.prob))
         .collect::<Vec<_>>();
     let full_blob = codec::encode(sfa);
-    let stac = approximate(sfa, opts.staccato);
-    let stac_blob = codec::encode(&stac);
-    // Chunk rows: edges in topological order are the chunks; each emission
-    // is one retained string.
-    let order_rank: std::collections::HashMap<u32, usize> = stac
-        .topo_order()
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
-        .collect();
-    let mut chunk_edges: Vec<_> = stac.edges().collect();
-    chunk_edges.sort_by_key(|(_, e)| (order_rank[&e.from], order_rank[&e.to]));
-    let mut stac_chunks = Vec::new();
-    for (ci, (_, e)) in chunk_edges.iter().enumerate() {
-        for (rank, em) in e.emissions.iter().enumerate() {
-            stac_chunks.push((ci as i64, rank as i64, em.label.clone(), em.prob.ln()));
-        }
-    }
+    let stac_blob = codec::encode(&approximate(sfa, opts.staccato));
     LineArtifacts {
         doc_name: String::new(),
         sfa_num: 0,
@@ -146,7 +132,6 @@ pub(crate) fn build_line_from_sfa(opts: &LoadOptions, sfa: &Sfa, line: &str) -> 
         kmap,
         full_blob,
         stac_blob,
-        stac_chunks,
     }
 }
 
@@ -196,7 +181,6 @@ impl OcrStore {
         db.create_table("MAPData", map_schema())?;
         db.create_table("kMAPData", kmap_schema())?;
         db.create_table("FullSFAData", blob_schema("SFABlob"))?;
-        db.create_table("StaccatoData", stacd_schema())?;
         db.create_table("StaccatoGraph", blob_schema("GraphBlob"))?;
         db.create_table("GroundTruth", truth_schema())?;
         db.create_table("StaccatoHistory", history_schema())?;
@@ -287,7 +271,6 @@ impl OcrStore {
         let (_, map_t) = self.db.table("MAPData")?;
         let (_, kmap_t) = self.db.table("kMAPData")?;
         let (_, full_t) = self.db.table("FullSFAData")?;
-        let (_, stacd_t) = self.db.table("StaccatoData")?;
         let (_, stacg_t) = self.db.table("StaccatoGraph")?;
         let (_, truth_t) = self.db.table("GroundTruth")?;
         let full_pk = self.db.index("FullSFAData_pk")?;
@@ -346,21 +329,6 @@ impl OcrStore {
         )?;
         full_pk.insert(pool, &key.to_be_bytes(), rid.to_u64())?;
 
-        for (ci, rank, s, lp) in &art.stac_chunks {
-            stacd_t.insert(
-                pool,
-                &enc(
-                    &stacd_schema(),
-                    &vec![
-                        Value::Int(key),
-                        Value::Int(*ci),
-                        Value::Int(*rank),
-                        Value::Text(s.clone()),
-                        Value::Float(*lp),
-                    ],
-                )?,
-            )?;
-        }
         delta.staccato += art.stac_blob.len() as u64;
         let stac_blob = BlobStore::put(pool, &art.stac_blob)?;
         let rid = stacg_t.insert(
@@ -864,16 +832,6 @@ fn map_schema() -> Schema {
 fn kmap_schema() -> Schema {
     Schema::new(&[
         ("DataKey", ColumnType::Int),
-        ("LineNum", ColumnType::Int),
-        ("Data", ColumnType::Text),
-        ("LogProb", ColumnType::Float),
-    ])
-}
-
-fn stacd_schema() -> Schema {
-    Schema::new(&[
-        ("DataKey", ColumnType::Int),
-        ("ChunkNum", ColumnType::Int),
         ("LineNum", ColumnType::Int),
         ("Data", ColumnType::Text),
         ("LogProb", ColumnType::Float),

@@ -475,7 +475,7 @@ fn validate_arena_structure(arena: &mut DecodeArena) -> Result<(), SfaError> {
     // Forward reachability from start, backward from finish, over the topo
     // order — same traversal (and same first-failing node) as
     // `check_structure`. Graphs with at most 64 nodes (every Staccato
-    // chunk row in practice) use u64 bitsets; larger ones fall back to the
+    // graph in practice) use u64 bitsets; larger ones fall back to the
     // byte-per-node buffers.
     if n <= 64 {
         let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };

@@ -368,8 +368,9 @@ fn kmap_rows_stay_clustered_across_ingest() {
 
 /// An ingest dirties the pages it appends to, not its tables' chains: the
 /// checkpoint after one batch writes back as many pages for a store
-/// whose `StaccatoData` chain is hundreds of pages long as for one whose
-/// chain is a few pages.
+/// whose `kMAPData` chain is hundreds of pages long as for one whose
+/// chain is a few pages. `kmap_k` is 500 so that 60 lines make a chain
+/// of hundreds of pages.
 #[test]
 fn checkpoint_after_one_batch_writes_back_o1_pages() {
     let writebacks = |lines: usize| {
@@ -378,14 +379,14 @@ fn checkpoint_after_one_batch_writes_back_o1_pages() {
                 seed: 7,
                 ..ChannelConfig::default()
             },
-            kmap_k: 25,
+            kmap_k: 500,
             staccato: StaccatoParams::new(40, 25),
             parallelism: 2,
         };
         let dataset = generate(CorpusKind::CongressActs, lines, 7);
         let session = Staccato::load(Database::in_memory(16_384).expect("db"), &dataset, &opts)
             .expect("load");
-        let (_, heap) = session.store().table("StaccatoData").expect("table");
+        let (_, heap) = session.store().table("kMAPData").expect("table");
         let pages = chain_length(session.store().db().pool(), heap.first_page()).expect("chain");
         session.checkpoint().expect("checkpoint");
         session

@@ -11,8 +11,8 @@
 use staccato::approx::StaccatoParams;
 use staccato::ocr::{generate, ChannelConfig, CorpusKind};
 use staccato::query::store::LoadOptions;
-use staccato::query::RecoverOptions;
-use staccato::storage::Database;
+use staccato::query::{QueryError, RecoverOptions};
+use staccato::storage::{Database, Wal};
 use staccato::{Answer, DocumentInput, HistoryRow, IngestBatch, Staccato, SyncPolicy};
 use std::path::{Path, PathBuf};
 
@@ -172,6 +172,50 @@ fn torn_tail_recovery_restores_exactly_the_committed_batches() {
     assert_eq!(receipt.batch_seq, 4, "torn batch's sequence is reusable");
     assert_eq!(receipt.first_key, 18);
     assert_eq!(recovered.line_count(), 20);
+}
+
+/// A log holding a record in the previous format (`SWB1`, which also
+/// carried one row per Staccato chunk string) is refused before any
+/// batch is replayed, and the log is left as it was, so the previous
+/// binary can still recover it.
+#[test]
+fn previous_format_record_is_refused_and_the_log_left_intact() {
+    let dir = TempDir::new("swb1");
+    let db_path = dir.path().join("store.db");
+    let wal_dir = dir.path().join("wal");
+    {
+        let dataset = generate(CorpusKind::CongressActs, 4, 3);
+        let db = Database::create(&db_path, 2048).expect("create");
+        let session = Staccato::load(db, &dataset, &load_options(3)).expect("load");
+        session.checkpoint().expect("checkpoint");
+    }
+    // magic, batch_seq 1, first_key 4 (the store's tail), no documents.
+    let mut payload = b"SWB1".to_vec();
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.extend_from_slice(&4i64.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    let mut wal = Wal::create(&wal_dir, SyncPolicy::Commit).expect("wal");
+    wal.append(&payload).expect("append");
+    wal.commit().expect("commit");
+    drop(wal);
+    let log_files = || {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&wal_dir)
+            .expect("wal dir")
+            .map(|e| e.expect("entry").path())
+            .map(|p| (p.clone(), std::fs::read(&p).expect("segment")))
+            .collect();
+        files.sort();
+        files
+    };
+    let before = log_files();
+    assert_eq!(before.len(), 1);
+
+    match Staccato::recover(&db_path, &wal_dir) {
+        Err(QueryError::CorruptWal(why)) => assert!(why.contains("previous WAL format"), "{why}"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("an SWB1 record must not be replayed"),
+    }
+    assert_eq!(log_files(), before);
 }
 
 /// A recovered store must be indistinguishable from one that never
