@@ -56,11 +56,10 @@ pub struct DenseDfa {
 }
 
 /// Position of the first `needle` byte in `hay`, word-at-a-time (the
-/// classic SWAR zero-byte test, eight bytes per step). Shared by
-/// [`DenseDfa::run_from`]'s self-loop skip and the scan kernel's
-/// byte-presence prescreen.
+/// classic SWAR zero-byte test, eight bytes per step): the self-loop skip
+/// of [`DenseDfa::run_from`].
 #[inline]
-pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
+fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const HIGHS: u64 = 0x8080_8080_8080_8080;
     let broadcast = u64::from(needle) * ONES;
@@ -177,10 +176,18 @@ impl DenseDfa {
         self.accept[state as usize]
     }
 
+    /// Byte equivalence class of `b` (`< num_classes()`). Two labels
+    /// with the same class sequence drive every state to the same
+    /// successor, so they share one composed transition vector.
+    #[inline]
+    pub fn class(&self, b: u8) -> usize {
+        usize::from(self.classes[b as usize])
+    }
+
     /// Transition: successor of `state` on byte `b` (any byte value).
     #[inline]
     pub fn next(&self, state: u32, b: u8) -> u32 {
-        self.table[state as usize * self.num_classes + self.classes[b as usize] as usize]
+        self.table[state as usize * self.num_classes + self.class(b)]
     }
 
     /// Run the table over `input` from `state`.
@@ -238,7 +245,7 @@ impl DenseDfa {
                     _ => 1u64 << self.run_from(set.trailing_zeros(), &label[i..]),
                 };
             }
-            let c = self.classes[label[i] as usize] as usize;
+            let c = self.class(label[i]);
             let mut out = 0u64;
             let mut rem = set;
             while rem != 0 {
@@ -269,7 +276,7 @@ impl DenseDfa {
                 states.fill(fin);
                 return;
             }
-            let c = self.classes[label[i] as usize] as usize;
+            let c = self.class(label[i]);
             for s in states.iter_mut() {
                 *s = self.table[*s as usize * self.num_classes + c];
             }
@@ -290,7 +297,7 @@ impl DenseDfa {
         out.clear();
         out.extend(0..q as u32);
         for &b in label {
-            let c = self.classes[b as usize] as usize;
+            let c = self.class(b);
             for s in out.iter_mut() {
                 *s = self.table[*s as usize * self.num_classes + c];
             }
@@ -368,6 +375,34 @@ mod tests {
                 assert_eq!(out[s as usize], dfa.run_from(s, label), "{label:?} s={s}");
             }
         }
+    }
+
+    #[test]
+    fn equal_class_sequences_compose_to_equal_vectors() {
+        // Bytes inside the pattern, outside it, and outside ASCII.
+        let bytes = b"Pu9xyz!~\xff";
+        let (_, d) = dense(r"Public Law (8|9)\d", true);
+        let mut by_classes = std::collections::HashMap::new();
+        let (mut out, mut labels) = (Vec::new(), 0);
+        for len in 1..=3 {
+            for n in 0..bytes.len().pow(len) {
+                let label: Vec<u8> = (0..len)
+                    .map(|i| bytes[n / bytes.len().pow(i) % bytes.len()])
+                    .collect();
+                d.compose_label(&label, &mut out);
+                let seq: Vec<usize> = label.iter().map(|&b| d.class(b)).collect();
+                let first = by_classes.entry(seq).or_insert_with(|| out.clone());
+                assert_eq!(*first, out, "{label:?}");
+                labels += 1;
+            }
+        }
+        // Non-vacuous: most labels share their class sequence with another.
+        assert!(
+            by_classes.len() * 4 < labels,
+            "{} sequences",
+            by_classes.len()
+        );
+        assert!((0..=255u8).all(|b| d.class(b) < d.num_classes()));
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod regex;
 pub mod trie;
 
 pub use anchor::{left_anchor, required_literal};
-pub use dense::{find_byte, DenseDfa};
+pub use dense::DenseDfa;
 pub use dfa::Dfa;
 pub use error::PatternError;
 pub use like::like_to_ast;

@@ -11,20 +11,30 @@
 //! * **Dense DFA** — the query automaton is compiled once into a
 //!   byte-class-compressed [`DenseDfa`] table (see
 //!   `staccato_automata::dense`).
-//! * **Compiled label transitions** — distinct emission labels are
-//!   interned per scan; each label's full `state → state` transition
-//!   vector is composed once ([`DenseDfa::compose_label`]) and memoized,
-//!   turning the DP's `dfa.run_from(s, label)` into a table gather.
 //! * **Arena batch decode** — blobs decode into a reusable
 //!   [`DecodeArena`] (borrowed labels, CSR adjacency, recycled buffers);
-//!   the DP's state vectors are pooled and reused across rows.
+//!   the DP's state vectors are pooled and reused across rows. The
+//!   decode also records the set of bytes that occur in any label.
 //! * **Two-tier prescreen** — rows that provably cannot match are skipped
-//!   before the full DP: tier 1 is a byte-presence test for the pattern's
-//!   required literal (substring containment for MAP/k-MAP strings),
-//!   tier 2 a bitset reachability DP over `(node, DFA-state set)` using
-//!   the same interned transition vectors. Both tiers only ever skip rows
-//!   whose exact probability is `+0.0`, so results stay **bit-identical**
-//!   to the naive path (see the soundness notes on [`ScanKernel::eval_blob`]).
+//!   before the full DP: tier 1 tests the pattern's required literal
+//!   against the decode's label-byte set (four word operations;
+//!   substring containment for MAP/k-MAP strings), tier 2 is a bitset
+//!   reachability DP over `(node, DFA-state set)`. Both tiers only ever
+//!   skip rows whose exact probability is `+0.0`, so results stay
+//!   **bit-identical** to the naive path (see the soundness notes on
+//!   [`ScanKernel::eval_blob`]).
+//! * **Label transitions by class sequence** — a label's `state → state`
+//!   function depends only on its sequence of [`DenseDfa::class`]es.
+//!   1- and 2-byte labels index one flat `k + k²` memo of composed
+//!   transition vectors ([`DenseDfa::compose_label`]), filled lazily per
+//!   kernel, so resolving an emission is two array reads and the DP's
+//!   `dfa.run_from(s, label)` becomes a gather. Longer labels are walked
+//!   in place.
+//!
+//! Per Staccato line of the benchmark corpus (seed 1, 300 lines, the
+//! seven Table 6 patterns, 2-core box) the kernel costs 17–20 µs: decode
+//! 11.8–13.6 µs (≈ 68 %), tier 1 under 0.1 µs, label resolution
+//! 2.3–2.6 µs, tier 2 and the DP together 3.0–3.5 µs.
 //!
 //! Every floating-point operation of the reference implementation is
 //! replicated in the same order — same topological order (the arena
@@ -41,39 +51,12 @@
 
 use staccato_automata::{DenseDfa, Dfa};
 use staccato_sfa::{codec, DecodeArena, SfaError};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotone kernel ids, used to bind a [`ScanScratch`]'s label memo to
 /// the kernel that composed it (ids start at 1 so a fresh scratch never
 /// appears bound).
 static KERNEL_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Multiplicative byte hasher for the label interner. Interned labels
-/// are at most [`MEMO_LABEL_MAX`] bytes, where SipHash's per-call setup
-/// costs more than the hash itself; the map is per-scan scratch keyed
-/// by trusted scan data, so DoS resistance buys nothing here.
-#[derive(Default)]
-struct LabelHasher(u64);
-
-impl std::hash::Hasher for LabelHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-}
-
-type LabelMap = HashMap<Box<[u8]>, u32, std::hash::BuildHasherDefault<LabelHasher>>;
-
-/// Distinct interned labels kept per scratch before the memo is reset.
-/// Bounds scratch memory on corpora with pathological label diversity;
-/// typical queries intern a few hundred labels and never hit it.
-const LABEL_MEMO_CAP: usize = 8192;
 
 /// Sentinel transition id for emissions with `prob <= 0.0`, which the DP
 /// skips without ever consulting a transition vector.
@@ -83,15 +66,17 @@ const SKIPPED: u32 = u32::MAX;
 /// walking the dense table directly instead of through the memo.
 const RAW: u32 = u32::MAX - 1;
 
-/// Longest label (in bytes) worth interning. Short labels — FullSFA's
-/// per-character emissions, punctuation chunks — repeat across the whole
-/// corpus, so composing their transition vector once is a corpus-wide
-/// saving. Long labels (Staccato's line-specific chunk text) almost
-/// never repeat: hashing and composing them would cost more than the
-/// one DP walk they feed, so they stay un-memoized and are walked in
-/// place by the convergence-aware set walks ([`DenseDfa::advance_mask`],
-/// [`DenseDfa::advance_states`]) — identical transitions, no allocation.
-const MEMO_LABEL_MAX: usize = 4;
+/// Memo slot whose class sequence has no composed vector yet.
+const UNSET: u32 = u32::MAX;
+
+/// Longest label (in bytes) resolved through the memo. 1- and 2-byte
+/// labels — FullSFA's per-character emissions, most of Staccato's —
+/// index a `k + k²` table by their byte-class sequence, so the memo is
+/// bounded by the DFA, not by the corpus. Longer labels (line-specific
+/// chunk text) are walked in place by the convergence-aware set walks
+/// ([`DenseDfa::advance_mask`], [`DenseDfa::advance_states`]) —
+/// identical transitions, no allocation.
+const MEMO_LABEL_MAX: usize = 2;
 
 /// Result of evaluating one line through the kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,10 +99,8 @@ pub struct ScanKernel {
     dense: DenseDfa,
     /// Required literal: every accepted line contains it (case-sensitive).
     literal: Option<String>,
-    /// Distinct bytes of the literal, for the tier-1 byte-presence test.
-    literal_bytes: Vec<u8>,
-    /// The same distinct bytes as a 256-bit map, so the tier-1 scan can
-    /// count them off and stop as soon as all are found.
+    /// The literal's bytes as a 256-bit set, laid out like
+    /// [`DecodeArena::label_bytes`] for the tier-1 test.
     literal_bitmap: [u64; 4],
     /// Bit per accepting DFA state; `None` when `q > 64` (tier 2 disabled).
     accept_mask: Option<u64>,
@@ -144,15 +127,9 @@ impl ScanKernel {
                 .filter(|&s| dense.is_accept(s))
                 .fold(0u64, |m, s| m | 1u64 << s)
         });
-        let mut literal_bytes: Vec<u8> = literal
-            .as_deref()
-            .map(|l| l.as_bytes().to_vec())
-            .unwrap_or_default();
-        literal_bytes.sort_unstable();
-        literal_bytes.dedup();
         let mut literal_bitmap = [0u64; 4];
-        for &b in &literal_bytes {
-            literal_bitmap[(b >> 6) as usize] |= 1u64 << (b & 63);
+        for b in literal.iter().flat_map(|l| l.bytes()) {
+            literal_bitmap[usize::from(b >> 6)] |= 1u64 << (b & 63);
         }
         let string_zero: f64 = std::iter::empty::<f64>().sum();
         let blob_zero: f64 = (0..q as u32)
@@ -163,7 +140,6 @@ impl ScanKernel {
             id: KERNEL_IDS.fetch_add(1, Ordering::Relaxed),
             dense,
             literal,
-            literal_bytes,
             literal_bitmap,
             accept_mask,
             string_zero,
@@ -171,45 +147,19 @@ impl ScanKernel {
         }
     }
 
-    /// The compiled dense automaton.
-    pub fn dense(&self) -> &DenseDfa {
-        &self.dense
-    }
-
-    /// The prescreen literal, if the pattern has one.
-    pub fn literal(&self) -> Option<&str> {
-        self.literal.as_deref()
-    }
-
     /// Evaluate one MAP string. Equivalent to
     /// `eval_strings(dfa, once((s, p)))`: `p` if the string is accepted,
     /// `+0.0` otherwise. The prescreen skips the DFA run when the
     /// required literal is absent — the DFA could only reject.
     pub fn eval_string(&self, s: &str, p: f64) -> EvalOutcome {
-        if let Some(lit) = &self.literal {
-            if !s.contains(lit.as_str()) {
-                // No literal ⇒ the DFA would reject ⇒ the naive sum is
-                // its empty-fold identity.
-                return EvalOutcome {
-                    probability: self.string_zero,
-                    prescreened: true,
-                };
-            }
-        }
-        EvalOutcome {
-            probability: if self.dense.matches(s.as_bytes()) {
-                self.string_zero + p
-            } else {
-                self.string_zero
-            },
-            prescreened: false,
-        }
+        self.eval_string_group(std::iter::once((s, p)))
     }
 
     /// Evaluate a k-MAP group: the sum of `p` over accepted strings, in
     /// iteration order — the accumulation [`crate::reference::eval_strings`]
     /// performs. `prescreened` is true when every string (of a non-empty
-    /// group) was rejected by the literal test alone.
+    /// group) was rejected by the literal test alone: without the literal
+    /// the DFA could only reject, so the naive sum skips the string.
     pub fn eval_string_group<'a, I>(&self, strings: I) -> EvalOutcome
     where
         I: IntoIterator<Item = (&'a str, f64)>,
@@ -264,7 +214,7 @@ impl ScanKernel {
         let ScanScratch {
             bound,
             arena,
-            interner,
+            memo,
             trans,
             compose_tmp,
             em_trans,
@@ -275,56 +225,36 @@ impl ScanKernel {
             free,
             ..
         } = scratch;
+        let (q, k) = (self.dense.state_count(), self.dense.num_classes());
         // A scratch carries transition vectors composed against one
         // kernel's DFA; rebind (and drop the memo) if it last served a
         // different kernel.
         if *bound != self.id {
-            interner.clear();
+            memo.clear();
+            memo.resize((1..=MEMO_LABEL_MAX as u32).map(|n| k.pow(n)).sum(), UNSET);
             trans.clear();
             *bound = self.id;
         }
         codec::decode_into_arena(blob, arena)?;
 
-        // Tier 1: every distinct literal byte must occur in some label.
-        // Counting the literal bytes off as they first appear lets rows
-        // that do contain them all (the common case for short literals)
-        // exit after a few labels instead of scanning every one.
-        if !self.literal_bytes.is_empty() {
-            let mut present = [0u64; 4];
-            let mut missing = self.literal_bytes.len();
-            'tier1: for em in arena.emissions() {
-                for &b in &blob[em.label_range()] {
-                    let (w, bit) = ((b >> 6) as usize, 1u64 << (b & 63));
-                    if present[w] & bit == 0 {
-                        present[w] |= bit;
-                        if self.literal_bitmap[w] & bit != 0 {
-                            missing -= 1;
-                            if missing == 0 {
-                                break 'tier1;
-                            }
-                        }
-                    }
-                }
-            }
-            if missing > 0 {
-                return Ok(EvalOutcome {
-                    probability: self.blob_zero,
-                    prescreened: true,
-                });
-            }
+        // Tier 1: every byte of the literal must occur in some label. The
+        // decode recorded the set of label bytes, so this is four word
+        // operations.
+        let present = arena.label_bytes();
+        if (0..4).any(|w| self.literal_bitmap[w] & !present[w] != 0) {
+            return Ok(EvalOutcome {
+                probability: self.blob_zero,
+                prescreened: true,
+            });
         }
 
-        // Resolve each positive-probability emission to its interned
-        // transition vector; compose and memoize short labels on first
-        // sight. The memo persists across rows (same scratch), so a
-        // repeated label costs one composition corpus-wide, and is reset
-        // wholesale at the cap — never mid-row, so resolved ids stay
-        // valid below. Long labels bypass the memo entirely (see
-        // `MEMO_LABEL_MAX`) and are walked in place.
-        if trans.len() >= LABEL_MEMO_CAP {
-            interner.clear();
-            trans.clear();
-        }
+        // Resolve each positive-probability emission to a transition id.
+        // A label of at most `MEMO_LABEL_MAX` bytes indexes the memo by
+        // its byte-class sequence, read as a bijective base-`k` numeral
+        // (1-byte labels land in `0..k`, 2-byte ones in `k..k + k²`), and
+        // its vector is composed on first sight. The memo persists across
+        // rows of the same kernel and cannot overflow. Longer labels are
+        // walked in place.
         em_trans.clear();
         for em in arena.emissions() {
             if em.prob <= 0.0 {
@@ -336,17 +266,16 @@ impl ScanKernel {
                 em_trans.push(RAW);
                 continue;
             }
-            let id = match interner.get(label) {
-                Some(&id) => id,
-                None => {
-                    self.dense.compose_label(label, compose_tmp);
-                    let id = trans.len() as u32;
-                    trans.push(compose_tmp.as_slice().into());
-                    interner.insert(label.into(), id);
-                    id
-                }
-            };
-            em_trans.push(id);
+            let slot = label
+                .iter()
+                .fold(0, |acc, &b| acc * k + self.dense.class(b) + 1)
+                - 1;
+            if memo[slot] == UNSET {
+                self.dense.compose_label(label, compose_tmp);
+                memo[slot] = (trans.len() / q) as u32;
+                trans.extend_from_slice(compose_tmp);
+            }
+            em_trans.push(memo[slot]);
         }
 
         // Tier 2: bitset reachability over (node, DFA-state set). The
@@ -378,7 +307,7 @@ impl ScanKernel {
                             let em = arena.emissions()[ei as usize];
                             out_bits |= self.dense.advance_mask(bv, &blob[em.label_range()]);
                         } else {
-                            let tv = &trans[t as usize];
+                            let tv = &trans[t as usize * q..];
                             let mut rem = bv;
                             while rem != 0 {
                                 let s = rem.trailing_zeros() as usize;
@@ -403,16 +332,13 @@ impl ScanKernel {
         }
 
         // Exact DP — the loop of `eval_sfa`, with the label walk replaced
-        // by the interned transition gather and state vectors drawn from
+        // by the memoized transition gather and state vectors drawn from
         // a pool instead of allocated per row.
-        let q = self.dense.state_count();
         let n = arena.node_count() as usize;
         if vectors.len() < n {
             vectors.resize_with(n, Vec::new);
         }
-        let mut start_vec = free.pop().unwrap_or_default();
-        start_vec.clear();
-        start_vec.resize(q, 0.0);
+        let mut start_vec = zeroed(free, q);
         start_vec[self.dense.start() as usize] = 1.0;
         vectors[arena.start() as usize] = start_vec;
 
@@ -450,17 +376,14 @@ impl ScanKernel {
                         if t == RAW {
                             self.dense.advance_states(dests, &blob[em.label_range()]);
                         } else {
-                            let tv = &trans[t as usize];
+                            let tv = &trans[t as usize * q..];
                             for d in dests.iter_mut() {
                                 *d = tv[*d as usize];
                             }
                         }
                         let dst = &mut vectors[e.to as usize];
                         if dst.is_empty() {
-                            let mut fresh = free.pop().unwrap_or_default();
-                            fresh.clear();
-                            fresh.resize(q, 0.0);
-                            *dst = fresh;
+                            *dst = zeroed(free, q);
                         }
                         for (&(_, mass), &d) in pairs.iter().zip(dests.iter()) {
                             dst[d as usize] += mass * em.prob;
@@ -506,7 +429,7 @@ impl ScanKernel {
     /// own bounded DP (the score is a `max`, so the DPs do not merge).
     /// Labels are walked in place through the dense table rather than
     /// through the label memo: a projection touches a fraction of a
-    /// line's emissions once or twice, so interning all of them would
+    /// line's emissions once or twice, so resolving all of them would
     /// cost more than the walks it saves — the `state → state` function
     /// is the same either way. Edge ids that are not edges of the blob —
     /// a stale or corrupt posting — are skipped; with no usable start
@@ -655,10 +578,11 @@ pub struct ScanScratch {
     /// (0 = none yet).
     bound: u64,
     arena: DecodeArena,
-    /// Label bytes → index into `trans`.
-    interner: LabelMap,
-    /// Memoized `state → state` transition vector per interned label.
-    trans: Vec<Box<[u32]>>,
+    /// Byte-class sequence of a short label → its vector id in `trans`,
+    /// or [`UNSET`].
+    memo: Vec<u32>,
+    /// Memoized `state → state` transition vectors, `q` entries each.
+    trans: Vec<u32>,
     compose_tmp: Vec<u32>,
     /// Per-emission resolved transition id for the current row.
     em_trans: Vec<u32>,
@@ -687,9 +611,10 @@ impl ScanScratch {
         ScanScratch::default()
     }
 
-    /// Number of distinct labels currently memoized (diagnostics).
+    /// Number of label class sequences whose transition vector is
+    /// currently memoized (diagnostics).
     pub fn interned_labels(&self) -> usize {
-        self.trans.len()
+        self.memo.iter().filter(|&&t| t != UNSET).count()
     }
 }
 

@@ -226,6 +226,9 @@ pub struct DecodeArena {
     /// chasing edge indices.
     out_to: Vec<u32>,
     topo: Vec<u32>,
+    /// Set of byte values occurring in any label, bit `b & 63` of word
+    /// `b >> 6` for byte `b`.
+    label_bytes: [u64; 4],
     // Scratch reused across decodes.
     indeg: Vec<u32>,
     head: Vec<u32>,
@@ -286,6 +289,14 @@ impl DecodeArena {
     pub fn topo(&self) -> &[u32] {
         &self.topo
     }
+
+    /// The 256-bit set of byte values that occur in any label of the last
+    /// decoded blob (bit `b & 63` of word `b >> 6` for byte `b`), whatever
+    /// the emission's probability. Each decode replaces it.
+    #[inline]
+    pub fn label_bytes(&self) -> [u64; 4] {
+        self.label_bytes
+    }
 }
 
 /// Parse and validate an SFA blob into a reusable [`DecodeArena`] without
@@ -326,6 +337,9 @@ pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaE
     arena.start = start;
     arena.finish = finish;
 
+    // One flag per byte value, packed into `label_bytes` at the end: a
+    // plain store per label byte is cheaper than setting bits in place.
+    let mut seen = [false; 256];
     for edge_idx in 0..edge_count {
         let from = r.u32()?;
         let to = r.u32()?;
@@ -340,6 +354,7 @@ pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaE
             });
         }
         let em_start = arena.emissions.len() as u32;
+        let (mut sorted, mut prev) = (true, f64::INFINITY);
         for _ in 0..n_em {
             let label_start = r.pos + 2;
             let (label_bytes, prob) = r.emission()?;
@@ -347,19 +362,27 @@ pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaE
             // valid UTF-8 by construction; labels are a few bytes, so a
             // branchless OR-fold beats the library `is_ascii` call and
             // only genuinely multi-byte labels pay the full validator.
-            let ascii = label_bytes.iter().fold(0u8, |acc, &b| acc | b) < 0x80;
-            if !ascii && std::str::from_utf8(label_bytes).is_err() {
+            // The same pass flags each byte for the label-byte set.
+            let mut or = 0u8;
+            for &b in label_bytes {
+                or |= b;
+                seen[usize::from(b)] = true;
+            }
+            if or >= 0x80 && std::str::from_utf8(label_bytes).is_err() {
                 return Err(SfaError::BadLabel);
             }
             if label_bytes.is_empty() {
                 return Err(SfaError::EmptyLabel { edge: edge_idx });
             }
-            if !prob.is_finite() || !(0.0..=1.0 + 1e-9).contains(&prob) {
+            // The range test also rejects NaN and both infinities.
+            if !(0.0..=1.0 + 1e-9).contains(&prob) {
                 return Err(SfaError::BadProbability {
                     edge: edge_idx,
                     prob,
                 });
             }
+            sorted &= prev >= prob;
+            prev = prob;
             arena.emissions.push(ArenaEmission {
                 label_start: label_start as u32,
                 label_end: (label_start + label_bytes.len()) as u32,
@@ -375,12 +398,12 @@ pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaE
         // `Sfa::add_edge` stably sorts emissions by decreasing probability;
         // replicate it so evaluation visits emissions in the same order.
         // Blobs written by `encode` are already in that order (the `Sfa`
-        // sorted at construction), so check before paying the sort — the
-        // probabilities were validated finite above, making `>=` a
-        // faithful stand-in for the sort's comparator.
-        let run = &mut arena.emissions[em_start as usize..];
-        if !run.windows(2).all(|w| w[0].prob >= w[1].prob) {
-            run.sort_by(|a, b| {
+        // sorted at construction), so the loop above tracks whether the
+        // run is sorted before paying the sort — the probabilities were
+        // validated finite, making `>=` a faithful stand-in for the sort's
+        // comparator.
+        if !sorted {
+            arena.emissions[em_start as usize..].sort_by(|a, b| {
                 b.prob
                     .partial_cmp(&a.prob)
                     .unwrap_or(std::cmp::Ordering::Equal)
@@ -392,6 +415,10 @@ pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaE
             em_start,
             em_end: arena.emissions.len() as u32,
         });
+    }
+    arena.label_bytes = [0; 4];
+    for (b, &hit) in seen.iter().enumerate() {
+        arena.label_bytes[b >> 6] |= u64::from(hit) << (b & 63);
     }
 
     validate_arena_structure(arena)
@@ -765,6 +792,30 @@ mod tests {
         assert!(decode_into_arena(&big[..big.len() - 3], &mut arena).is_err());
         decode_into_arena(&small, &mut arena).unwrap();
         assert_eq!(arena.node_count(), 2);
+    }
+
+    #[test]
+    fn label_byte_set_is_the_union_of_label_bytes_and_each_decode_replaces_it() {
+        let fig = encode(&figure1());
+        let mut b = SfaBuilder::new();
+        let s = b.add_node();
+        let f = b.add_node();
+        // A two-byte UTF-8 label, and a label whose emission has no mass.
+        let emissions = vec![Emission::new("\u{e9}~", 0.75), Emission::new("x", 0.0)];
+        b.add_edge(s, f, emissions);
+        let other = encode(&b.build(s, f).unwrap());
+        let mut arena = DecodeArena::new();
+        // Each blob's set is its own union, never the previous one's too.
+        for blob in [&fig, &other, &fig, &other] {
+            decode_into_arena(blob, &mut arena).unwrap();
+            let mut union = [0u64; 4];
+            for em in arena.emissions() {
+                for &byte in &blob[em.label_range()] {
+                    union[usize::from(byte >> 6)] |= 1u64 << (byte & 63);
+                }
+            }
+            assert_eq!(arena.label_bytes(), union);
+        }
     }
 
     #[test]

@@ -85,10 +85,10 @@ impl BlobStore {
     }
 
     /// Run `f` over a blob's bytes without materializing them when
-    /// possible: a single-page blob (the common case for row-sized
-    /// payloads — `BLOB_PAYLOAD` is just under 4 kB) is borrowed
-    /// straight from the buffer-pool page under its read latch; longer
-    /// chains are assembled into `buf` first. `f` runs with the latch
+    /// possible: a single-page blob (at most `BLOB_PAYLOAD`, 8 180 bytes)
+    /// is borrowed straight from the buffer-pool page under its read
+    /// latch; longer chains — every Staccato and FullSFA line blob of
+    /// the benchmark corpus — are assembled into `buf` first. `f` runs with the latch
     /// held, so it must not write through the same pool (reads of other
     /// pages are fine).
     pub fn with_blob<R>(

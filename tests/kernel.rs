@@ -3,15 +3,18 @@
 //! the naive reference evaluators (`eval_sfa` / `eval_strings`), across
 //! random SFAs, random patterns, and all four representations — and a
 //! prescreen skip must only ever happen on rows whose exact probability
-//! under the full DP is zero. The index probe's projection entry
+//! under the full DP is zero. Which rows are prescreened is held to its
+//! definition over the decoded graph. The index probe's projection entry
 //! (`eval_projection`) is held to `reference::project_eval` the same way.
 
 use proptest::prelude::*;
 use staccato::approx::{approximate, StaccatoParams};
+use staccato::automata::required_literal;
 use staccato::query::kernel::ScanScratch;
 use staccato::query::reference::project_eval;
 use staccato::query::{eval_sfa, eval_strings, Query};
 use staccato::sfa::{codec, Emission, Sfa, SfaBuilder};
+use std::collections::BTreeSet;
 
 /// A small random SFA shaped like OCR output — a chain with occasional
 /// two-branch bubbles (same shape `tests/properties.rs` uses).
@@ -48,6 +51,48 @@ fn sfa_strategy() -> impl Strategy<Value = Sfa> {
             } else {
                 b.add_edge(cur, next, emissions);
             }
+            cur = next;
+        }
+        b.build(start, cur).expect("generated SFA is valid")
+    })
+}
+
+/// A random SFA with multi-byte labels: each emission's label is 1–6
+/// bytes of pattern bytes (`a`, `b`, `c`, digits) and bytes no pattern of
+/// `pattern_strategy` uses (`x`, `y`, `z`, space, the two bytes of `é`),
+/// and some emissions carry no mass. It drives the 2-byte memo, the
+/// in-place walk of longer labels, and distinct labels that share one
+/// byte-class sequence.
+fn multibyte_sfa_strategy() -> impl Strategy<Value = Sfa> {
+    let chars = prop::sample::select(vec!['a', 'b', 'c', '0', '1', 'x', 'y', 'z', ' ', '\u{e9}']);
+    let label = prop::collection::vec(chars, 1..7).prop_map(|chars| {
+        let mut label = String::new();
+        for c in chars {
+            if label.len() + c.len_utf8() > 6 {
+                break;
+            }
+            label.push(c);
+        }
+        label
+    });
+    let position = prop::collection::vec((label, 0u32..4), 1..4);
+    (prop::collection::vec(position, 2..7), any::<bool>()).prop_map(|(positions, bubble)| {
+        let mut b = SfaBuilder::new();
+        let start = b.add_node();
+        let mut cur = start;
+        for (i, position) in positions.into_iter().enumerate() {
+            let next = b.add_node();
+            let total = position.iter().map(|&(_, w)| w).sum::<u32>().max(1);
+            let emissions: Vec<Emission> = position
+                .into_iter()
+                .map(|(label, w)| Emission::new(label, f64::from(w) / f64::from(total)))
+                .collect();
+            if bubble && i == 1 {
+                let mid = b.add_node();
+                b.add_edge(cur, mid, emissions.clone());
+                b.add_edge(mid, next, vec![Emission::new("y\u{e9}", 1.0)]);
+            }
+            b.add_edge(cur, next, emissions);
             cur = next;
         }
         b.build(start, cur).expect("generated SFA is valid")
@@ -92,6 +137,65 @@ fn assert_blob_identity(q: &Query, blob: &[u8], scratch: &mut ScanScratch) {
     if out.prescreened {
         assert_eq!(naive, 0.0, "prescreen skipped a row with mass");
     }
+}
+
+/// Whether the kernel must prescreen `blob` under the regex query `q`, by
+/// definition: some byte of the required literal occurs in no label, or —
+/// where the bitset tier runs (`q ≤ 64` DFA states) — no accepting DFA
+/// state is reached along any path of positive-probability emissions.
+fn prescreened_by_definition(q: &Query, blob: &[u8]) -> bool {
+    let sfa = codec::decode(blob).unwrap();
+    let label_bytes: BTreeSet<u8> = sfa
+        .edges()
+        .flat_map(|(_, e)| &e.emissions)
+        .flat_map(|em| em.label.bytes())
+        .collect();
+    let literal = required_literal(&q.ast).unwrap_or_default();
+    if literal.bytes().any(|b| !label_bytes.contains(&b)) {
+        return true;
+    }
+    if q.dfa.state_count() > 64 {
+        return false;
+    }
+    let mut reached = vec![BTreeSet::new(); sfa.node_count()];
+    reached[sfa.start() as usize].insert(q.dfa.start());
+    for v in sfa.try_topo_order().unwrap() {
+        let states = std::mem::take(&mut reached[v as usize]);
+        for &eid in sfa.out_edges(v) {
+            let e = sfa.edge(eid).unwrap();
+            for em in e.emissions.iter().filter(|em| em.prob > 0.0) {
+                for &s in &states {
+                    let t = q.dfa.run_from(s, &em.label);
+                    if q.dfa.is_accept(t) {
+                        return false;
+                    }
+                    reached[e.to as usize].insert(t);
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Assert one kernel evaluation of `blob` is bit-identical to the naive
+/// DP and prescreened exactly when [`prescreened_by_definition`] says so.
+fn assert_blob_exact(q: &Query, blob: &[u8], scratch: &mut ScanScratch) {
+    let naive = eval_sfa(&q.dfa, &codec::decode(blob).unwrap());
+    let out = q.kernel.eval_blob(scratch, blob).unwrap();
+    assert_eq!(
+        out.probability.to_bits(),
+        naive.to_bits(),
+        "pattern {:?}: kernel={} naive={}",
+        q.pattern,
+        out.probability,
+        naive
+    );
+    assert_eq!(
+        out.prescreened,
+        prescreened_by_definition(q, blob),
+        "pattern {:?}: prescreened flag against its definition",
+        q.pattern
+    );
 }
 
 /// Assert `eval_projection` over `blob` from `start_edges` equals the
@@ -310,6 +414,59 @@ proptest! {
                 s,
                 q.pattern
             );
+        }
+    }
+
+    // Multi-byte labels under random regexes and keywords: 1-byte labels
+    // and 2-byte labels resolve through the class-sequence memo, longer
+    // ones through the in-place walk, and labels of different bytes but
+    // one class sequence share a vector. One scratch serves every blob
+    // and both kernels, as consecutive statements on one scan would.
+    #[test]
+    fn kernel_multibyte_blob_eval_is_bit_identical(
+        sfa in multibyte_sfa_strategy(),
+        other in multibyte_sfa_strategy(),
+        pattern in pattern_strategy(),
+        word in "[abcxyz01]{1,4}",
+    ) {
+        let mut scratch = ScanScratch::new();
+        for q in [Query::regex(&pattern).unwrap(), Query::keyword(&word).unwrap()] {
+            for graph in [&sfa, &other, &sfa] {
+                assert_blob_exact(&q, &codec::encode(graph), &mut scratch);
+            }
+        }
+    }
+
+    // `prescreened` against its definition on both strategies, rows of
+    // different label sets alternating on one scratch. The literal comes
+    // from the first graph, so it is present in one row and often absent
+    // from the next; the third pattern kind has more than 64 DFA states,
+    // so tier 1 alone decides its rows and a label-byte set left over
+    // from the previous row shows.
+    #[test]
+    fn kernel_prescreen_matches_its_definition(
+        sfa in sfa_strategy(),
+        multi in multibyte_sfa_strategy(),
+        pattern in pattern_strategy(),
+        cut in (any::<u16>(), 2usize..5),
+        pattern_kind in 0usize..3,
+    ) {
+        let (map, _) = staccato::sfa::map_string(&sfa).expect("non-empty SFA");
+        let at = cut.0 as usize % map.len();
+        let word = &map[at..(at + cut.1).min(map.len())];
+        let q = match pattern_kind {
+            0 => Query::regex(&pattern),
+            1 => Query::keyword(word),
+            _ => Query::regex(&format!(r"{word}(\x)*[a-m]\x\x\x\x\x\x[n-z0-9]")),
+        }
+        .unwrap();
+        if pattern_kind == 2 {
+            assert!(q.dfa.state_count() > 64);
+        }
+        let approx = approximate(&sfa, StaccatoParams::new(4, 3));
+        let mut scratch = ScanScratch::new();
+        for graph in [&sfa, &multi, &approx, &multi, &sfa] {
+            assert_blob_exact(&q, &codec::encode(graph), &mut scratch);
         }
     }
 }
