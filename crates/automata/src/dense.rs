@@ -196,7 +196,7 @@ impl DenseDfa {
     /// states) return immediately; states that exactly one byte value
     /// escapes — a keyword containment DFA's no-progress state, where
     /// such runs spend almost all their bytes — skip ahead to that
-    /// byte's next occurrence with [`find_byte`] instead of walking the
+    /// byte's next occurrence with `find_byte` instead of walking the
     /// table. Both shortcuts leave the reached state exactly as the
     /// plain byte-by-byte walk would.
     #[inline]

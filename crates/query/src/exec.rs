@@ -243,7 +243,9 @@ impl Sink<'_> {
 /// *borrowed* (no per-line `String`/`Sfa` materialization), blobs run
 /// through the arena DP with interned label transitions, and the anchor
 /// prescreen skips lines that provably cannot match — counted in
-/// [`ExecStats::prescreen_skipped`]. Skipped lines still count as
+/// [`ExecStats::prescreen_skipped`]. A Staccato line that tier 0 rejects
+/// from its row's synopsis is never fetched — also counted in
+/// [`ExecStats::blobs_skipped`]. Skipped lines still count as
 /// evaluated: the prescreen changes *how* a line's probability is
 /// computed, never whether it is.
 ///
@@ -285,21 +287,39 @@ pub(crate) fn exec_filescan(
             }
             Ok(())
         }
-        Approach::FullSfa | Approach::Staccato => {
-            // Blob scans stream borrowed bytes through one reusable blob
-            // buffer and one scan scratch (no per-row `Vec`).
+        // Blob scans stream borrowed bytes through one reusable blob
+        // buffer and one scan scratch (no per-row `Vec`).
+        Approach::FullSfa => {
             let mut scratch = ScanScratch::new();
-            let each = |key: i64, blob: &[u8]| -> Result<(), QueryError> {
+            store.for_each_full_sfa_blob(|key, blob| {
                 stats.rows_scanned += 1;
                 stats.lines_evaluated += 1;
                 let out = kernel.eval_blob(&mut scratch, blob)?;
                 deliver(sink, stats, key, out);
                 Ok(())
-            };
-            match approach {
-                Approach::FullSfa => store.for_each_full_sfa_blob(each),
-                _ => store.for_each_staccato_blob(each),
-            }
+            })
+        }
+        // Tier 0 decides a Staccato row from the synopsis in its heap row;
+        // only the rows it admits fetch and decode their blob.
+        Approach::Staccato => {
+            let mut scratch = ScanScratch::new();
+            store.for_each_staccato_row(|row| {
+                stats.rows_scanned += 1;
+                stats.lines_evaluated += 1;
+                let key = row.key;
+                let synopsis = row
+                    .synopsis
+                    .ok_or(QueryError::MissingRepresentation("StaccatoGraph synopsis"))?;
+                let out = match kernel.eval_synopsis(synopsis) {
+                    Some(out) => {
+                        stats.blobs_skipped += 1;
+                        out
+                    }
+                    None => row.with_blob(|blob| kernel.eval_blob(&mut scratch, blob))??,
+                };
+                deliver(sink, stats, key, out);
+                Ok(())
+            })
         }
     }
 }

@@ -15,14 +15,18 @@
 //!   [`DecodeArena`] (borrowed labels, CSR adjacency, recycled buffers);
 //!   the DP's state vectors are pooled and reused across rows. The
 //!   decode also records the set of bytes that occur in any label.
-//! * **Two-tier prescreen** — rows that provably cannot match are skipped
-//!   before the full DP: tier 1 tests the pattern's required literal
-//!   against the decode's label-byte set (four word operations;
-//!   substring containment for MAP/k-MAP strings), tier 2 is a bitset
-//!   reachability DP over `(node, DFA-state set)`. Both tiers only ever
-//!   skip rows whose exact probability is `+0.0`, so results stay
-//!   **bit-identical** to the naive path (see the soundness notes on
-//!   [`ScanKernel::eval_blob`]).
+//! * **Three-tier prescreen** — rows that provably cannot match are
+//!   skipped before the full DP. Tier 0 ([`ScanKernel::eval_synopsis`])
+//!   reads a Staccato line's label synopsis ([`blob_synopsis`]), stored
+//!   in its heap row, and decides the row before its blob is fetched:
+//!   the literal's bytes against the label-byte set, then its adjacent
+//!   pairs against a 64 × 64 byte-class bigram matrix. Tier 1 tests the
+//!   pattern's required literal against the decode's label-byte set
+//!   (four word operations; substring containment for MAP/k-MAP
+//!   strings), tier 2 is a bitset reachability DP over `(node,
+//!   DFA-state set)`. Every tier only ever skips rows whose exact
+//!   probability is `+0.0`, so results stay **bit-identical** to the
+//!   naive path (see the soundness notes on [`ScanKernel::eval_blob`]).
 //! * **Label transitions by class sequence** — a label's `state → state`
 //!   function depends only on its sequence of [`DenseDfa::class`]es.
 //!   1- and 2-byte labels index one flat `k + k²` memo of composed
@@ -31,10 +35,11 @@
 //!   `dfa.run_from(s, label)` becomes a gather. Longer labels are walked
 //!   in place.
 //!
-//! Per Staccato line of the benchmark corpus (seed 1, 300 lines, the
-//! seven Table 6 patterns, 2-core box) the kernel costs 17–20 µs: decode
-//! 11.8–13.6 µs (≈ 68 %), tier 1 under 0.1 µs, label resolution
-//! 2.3–2.6 µs, tier 2 and the DP together 3.0–3.5 µs.
+//! On the benchmark corpus (seed 1, 300 lines, the seven Table 6
+//! patterns, 2-core box) tier 0 costs 24–27 ns a Staccato row and decides
+//! 93.9 % of them; an admitted row pays its ≈ 7 µs fetch and 38–40 µs of
+//! kernel: decode 12–13 µs, label resolution ≈ 7 µs, tier 2 ≈ 5 µs and,
+//! on the 74 % that tier 2 does not reject, the DP ≈ 20 µs.
 //!
 //! Every floating-point operation of the reference implementation is
 //! replicated in the same order — same topological order (the arena
@@ -78,6 +83,93 @@ const UNSET: u32 = u32::MAX;
 /// identical transitions, no allocation.
 const MEMO_LABEL_MAX: usize = 2;
 
+/// Bytes of a Staccato line's label synopsis, the `Synopsis` column of
+/// its `StaccatoGraph` row: 68 little-endian `u64` words. Words 0–3 are
+/// the 256-bit label-byte set laid out like [`DecodeArena::label_bytes`];
+/// word `4 + c` has bit `d` set when some string the graph can emit holds
+/// a byte of synopsis class `c` directly followed by one of class `d`.
+/// The classes are `a`–`z` (0–25), `A`–`Z` (26–51), `0`–`9` (52–61),
+/// space (62), and every other byte (63).
+pub const SYNOPSIS_LEN: usize = 8 * (4 + 64);
+
+/// Synopsis class of every byte value (see [`SYNOPSIS_LEN`]).
+const SYNOPSIS_CLASS: [u8; 256] = {
+    let mut t = [63u8; 256];
+    let mut i = 0;
+    while i < 26 {
+        t[b'a' as usize + i] = i as u8;
+        t[b'A' as usize + i] = 26 + i as u8;
+        if i < 10 {
+            t[b'0' as usize + i] = 52 + i as u8;
+        }
+        i += 1;
+    }
+    t[b' ' as usize] = 62;
+    t
+};
+
+/// The synopsis word at `index` (see [`SYNOPSIS_LEN`]).
+#[inline]
+fn synopsis_word(synopsis: &[u8; SYNOPSIS_LEN], index: usize) -> u64 {
+    u64::from_le_bytes(
+        synopsis[8 * index..8 * index + 8]
+            .try_into()
+            .expect("eight bytes"),
+    )
+}
+
+/// Derive the label synopsis of an encoded chunk graph through the one
+/// blob decoder. Every emission counts, whatever its probability. A pair
+/// inside an emitted string lies either inside one label or across two
+/// consecutive labels at one node, so the bigram words hold each label's
+/// own pairs plus, at every node, each class of a label's last byte on an
+/// in-edge × each class of a label's first byte on an out-edge (labels
+/// are never empty). The result over-approximates the graph's strings:
+/// a pair it lacks occurs in no emitted string.
+pub fn blob_synopsis(blob: &[u8]) -> Result<[u8; SYNOPSIS_LEN], SfaError> {
+    thread_local! {
+        /// Decode arena and per-node `[into, out of]` class sets, reused.
+        static SCRATCH: std::cell::RefCell<(DecodeArena, Vec<[u64; 2]>)> =
+            std::cell::RefCell::default();
+    }
+    SCRATCH.with(|scratch| {
+        let (arena, ends) = &mut *scratch.borrow_mut();
+        codec::decode_into_arena(blob, arena)?;
+        let mut words = [0u64; 4 + 64];
+        words[..4].copy_from_slice(&arena.label_bytes());
+        let pairs = &mut words[4..];
+        ends.clear();
+        ends.resize(arena.node_count() as usize, [0; 2]);
+        for e in arena.edges() {
+            let (mut first, mut last) = (0u64, 0u64);
+            for em in &arena.emissions()[e.em_start as usize..e.em_end as usize] {
+                let label = &blob[em.label_range()];
+                let mut prev = usize::from(SYNOPSIS_CLASS[usize::from(label[0])]);
+                first |= 1 << prev;
+                for &b in &label[1..] {
+                    let c = SYNOPSIS_CLASS[usize::from(b)];
+                    pairs[prev] |= 1 << c;
+                    prev = usize::from(c);
+                }
+                last |= 1 << prev;
+            }
+            ends[e.to as usize][0] |= last;
+            ends[e.from as usize][1] |= first;
+        }
+        for &[mut into, out] in ends.iter() {
+            while into != 0 {
+                pairs[into.trailing_zeros() as usize] |= out;
+                into &= into - 1;
+            }
+        }
+        let mut out = [0u8; SYNOPSIS_LEN];
+        for (chunk, w) in out.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&w.to_le_bytes());
+        }
+        Ok(out)
+    })
+}
+
 /// Result of evaluating one line through the kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalOutcome {
@@ -102,6 +194,10 @@ pub struct ScanKernel {
     /// The literal's bytes as a 256-bit set, laid out like
     /// [`DecodeArena::label_bytes`] for the tier-1 test.
     literal_bitmap: [u64; 4],
+    /// The literal's adjacent byte pairs for the tier-0 test, by synopsis
+    /// class: `(c, mask)` asks that bigram word `c` hold every bit of
+    /// `mask`.
+    literal_pairs: Vec<(usize, u64)>,
     /// Bit per accepting DFA state; `None` when `q > 64` (tier 2 disabled).
     accept_mask: Option<u64>,
     /// What `eval_strings` returns when nothing is accepted: the empty
@@ -131,6 +227,14 @@ impl ScanKernel {
         for b in literal.iter().flat_map(|l| l.bytes()) {
             literal_bitmap[usize::from(b >> 6)] |= 1u64 << (b & 63);
         }
+        let mut literal_pairs: Vec<(usize, u64)> = Vec::new();
+        for w in literal.iter().flat_map(|l| l.as_bytes().windows(2)) {
+            let [c, d] = [w[0], w[1]].map(|b| usize::from(SYNOPSIS_CLASS[usize::from(b)]));
+            match literal_pairs.iter_mut().find(|(row, _)| *row == c) {
+                Some((_, mask)) => *mask |= 1 << d,
+                None => literal_pairs.push((c, 1 << d)),
+            }
+        }
         let string_zero: f64 = std::iter::empty::<f64>().sum();
         let blob_zero: f64 = (0..q as u32)
             .filter(|&s| dense.is_accept(s))
@@ -141,6 +245,7 @@ impl ScanKernel {
             dense,
             literal,
             literal_bitmap,
+            literal_pairs,
             accept_mask,
             string_zero,
             blob_zero,
@@ -185,8 +290,30 @@ impl ScanKernel {
         }
     }
 
+    /// Tier 0: decide a Staccato row from its label synopsis alone (see
+    /// [`blob_synopsis`]), before its blob is fetched. Returns the
+    /// prescreened outcome [`ScanKernel::eval_blob`] would give a row
+    /// that cannot match — `blob_zero`, `prescreened: true` — when some
+    /// byte of the required literal is in no label or some adjacent pair
+    /// of it is in no emitted string; `None` when the row must be fetched
+    /// and evaluated. An accepted string contains the literal, hence
+    /// every byte and adjacent pair of it, so a rejected row's exact
+    /// probability is `+0.0` (see the soundness notes on `eval_blob`).
+    pub fn eval_synopsis(&self, synopsis: &[u8; SYNOPSIS_LEN]) -> Option<EvalOutcome> {
+        let lacks = |word: usize, mask: u64| mask & !synopsis_word(synopsis, word) != 0;
+        let rejected = (0..4).any(|w| lacks(w, self.literal_bitmap[w]))
+            || self
+                .literal_pairs
+                .iter()
+                .any(|&(c, mask)| lacks(4 + c, mask));
+        rejected.then_some(EvalOutcome {
+            probability: self.blob_zero,
+            prescreened: true,
+        })
+    }
+
     /// Evaluate an encoded SFA blob: decode into the scratch arena, run
-    /// the two-tier prescreen, then (on any hit) the exact DP.
+    /// prescreen tiers 1 and 2, then (on any hit) the exact DP.
     ///
     /// **Prescreen soundness** — a skip is taken only when the naive DP
     /// provably returns exactly `+0.0`:

@@ -270,6 +270,10 @@ pub struct ExecStats {
     /// probability without running the full evaluation (a subset of
     /// `lines_evaluated`).
     pub prescreen_skipped: u64,
+    /// Staccato lines the prescreen's tier 0 decided from the label
+    /// synopsis in their heap row, without fetching or decoding the graph
+    /// blob (a subset of `prescreen_skipped`).
+    pub blobs_skipped: u64,
     /// Wall-clock time spent compiling the pattern and choosing the plan.
     pub plan_wall: Duration,
     /// Wall-clock time spent executing the chosen plan.
@@ -460,8 +464,12 @@ pub fn render_explain_analyze(
         fmt_wall(stats.wall())
     ));
     out.push_str(&format!(
-        "  rows scanned: {}, lines evaluated: {}, postings probed: {}, prescreen skipped: {}\n",
-        stats.rows_scanned, stats.lines_evaluated, stats.postings_probed, stats.prescreen_skipped
+        "  rows scanned: {}, lines evaluated: {}, postings probed: {}, prescreen skipped: {}, blobs skipped: {}\n",
+        stats.rows_scanned,
+        stats.lines_evaluated,
+        stats.postings_probed,
+        stats.prescreen_skipped,
+        stats.blobs_skipped
     ));
     out.push_str(&format!(
         "  buffer pool: {} hits, {} misses, {} evictions ({:.1}% hit rate)\n",

@@ -7,7 +7,7 @@
 //! | `MAPData` | DataKey, Data, LogProb | the MAP transcription |
 //! | `kMAPData` | DataKey, LineNum, Data, LogProb | top-k strings (LineNum = rank) |
 //! | `FullSFAData` | DataKey, SFABlob | the full OCR SFA as a blob |
-//! | `StaccatoGraph` | DataKey, GraphBlob | the chunk graph as a blob |
+//! | `StaccatoGraph` | DataKey, GraphBlob, Synopsis | the chunk graph as a blob, and its label synopsis |
 //! | `GroundTruth` | DataKey, Data | the clean line (evaluation only) |
 //! | `StaccatoHistory` | DataKey, FileName, Provider, Confidence, ProcessingTimeMs, IngestedAt, BatchSeq | one row per *ingested* document |
 //!
@@ -15,6 +15,14 @@
 //! keeps the MAP filescan's I/O proportional to one string per line, as a
 //! separate k = 1 dataset would.) B+-tree primary indexes are built on the
 //! blob tables so index-assisted queries can fetch single lines.
+//!
+//! `Synopsis` is a fixed [`SYNOPSIS_LEN`]-byte summary of the strings the
+//! graph can emit — the set of label bytes and a 64 × 64 matrix of
+//! byte-class bigrams ([`blob_synopsis`]) — that sits in the heap row, so
+//! a filescan decides most lines (tier 0 of the scan kernel) without
+//! fetching their blob. `insert_line_artifacts` derives it from the blob
+//! being stored, so load, ingest and WAL replay write identical rows; a
+//! store whose `StaccatoGraph` lacks the column is refused at reopen.
 //!
 //! The paper's Table 5 also has a `StaccatoData` table of per-chunk
 //! top-k strings. The `StaccatoGraph` blob already holds every chunk's
@@ -28,12 +36,13 @@
 
 use crate::error::QueryError;
 use crate::ingest::HistoryRow;
+use crate::kernel::{blob_synopsis, SYNOPSIS_LEN};
 use staccato_core::{approximate, StaccatoParams};
 use staccato_ocr::{Channel, ChannelConfig, Dataset};
 use staccato_sfa::{codec, k_best_paths, Sfa};
 use staccato_storage::{
-    BTree, BlobStore, BufferPool, ColumnType, Database, HeapFile, HeapScan, Rid, RowReader, Schema,
-    StorageError, Value,
+    BTree, BlobStore, BufferPool, ColumnType, Database, HeapFile, HeapScan, PageId, Rid, RowReader,
+    Schema, StorageError, Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -87,7 +96,7 @@ pub struct RepresentationSizes {
     pub kmap: u64,
     /// FullSFA blobs.
     pub full_sfa: u64,
-    /// Staccato graph blobs.
+    /// Staccato graph blobs plus their [`SYNOPSIS_LEN`]-byte synopses.
     pub staccato: u64,
 }
 
@@ -180,8 +189,8 @@ impl OcrStore {
         db.create_table("MasterData", master_schema())?;
         db.create_table("MAPData", map_schema())?;
         db.create_table("kMAPData", kmap_schema())?;
-        db.create_table("FullSFAData", blob_schema("SFABlob"))?;
-        db.create_table("StaccatoGraph", blob_schema("GraphBlob"))?;
+        db.create_table("FullSFAData", full_sfa_schema())?;
+        db.create_table("StaccatoGraph", staccato_schema())?;
         db.create_table("GroundTruth", truth_schema())?;
         db.create_table("StaccatoHistory", history_schema())?;
         db.create_index("FullSFAData_pk")?;
@@ -206,8 +215,15 @@ impl OcrStore {
     /// from `MasterData` and recompute the representation sizes by
     /// rescanning every table — the catalog persists rows and blobs,
     /// not the loader's accounting. Part of the crash-recovery path
-    /// ([`crate::Staccato::recover`]).
+    /// ([`crate::Staccato::recover`]). A file whose `StaccatoGraph` rows
+    /// carry no synopsis is refused: reload it from the corpus.
     pub fn reopen(db: Database, opts: &LoadOptions) -> Result<OcrStore, QueryError> {
+        if db.table("StaccatoGraph")?.0 != staccato_schema() {
+            return Err(StorageError::SchemaMismatch(
+                "StaccatoGraph is not (DataKey, GraphBlob, Synopsis); reload the corpus",
+            )
+            .into());
+        }
         let channel = Channel::new(opts.channel.clone());
         // Database files written before the write path existed have no
         // history table; give them an empty one.
@@ -249,7 +265,7 @@ impl OcrStore {
         }
         for item in store.staccato_blobs()? {
             let (_, bytes) = item?;
-            sizes.staccato += bytes.len() as u64;
+            sizes.staccato += (bytes.len() + SYNOPSIS_LEN) as u64;
         }
         store.lines.store(lines, Ordering::Release);
         *store.sizes.lock().expect("sizes lock") = sizes;
@@ -323,19 +339,24 @@ impl OcrStore {
         let rid = full_t.insert(
             pool,
             &enc(
-                &blob_schema("SFABlob"),
+                &full_sfa_schema(),
                 &vec![Value::Int(key), Value::Blob(full_blob)],
             )?,
         )?;
         full_pk.insert(pool, &key.to_be_bytes(), rid.to_u64())?;
 
-        delta.staccato += art.stac_blob.len() as u64;
+        delta.staccato += (art.stac_blob.len() + SYNOPSIS_LEN) as u64;
+        let synopsis = blob_synopsis(&art.stac_blob)?;
         let stac_blob = BlobStore::put(pool, &art.stac_blob)?;
         let rid = stacg_t.insert(
             pool,
             &enc(
-                &blob_schema("GraphBlob"),
-                &vec![Value::Int(key), Value::Blob(stac_blob)],
+                &staccato_schema(),
+                &vec![
+                    Value::Int(key),
+                    Value::Blob(stac_blob),
+                    Value::Bytes(synopsis.to_vec()),
+                ],
             )?,
         )?;
         stacg_pk.insert(pool, &key.to_be_bytes(), rid.to_u64())?;
@@ -474,27 +495,39 @@ impl OcrStore {
         })
     }
 
-    /// Visit every blob of `table` with borrowed bytes: one reusable blob
-    /// buffer, no per-row allocation. The filescan's path; [`BlobCursor`]
-    /// is the owned sibling.
-    fn for_each_blob(
+    /// Visit every row of a blob table in heap order, with one reusable
+    /// blob buffer and no per-row allocation: `visit` sees the row's key
+    /// and synopsis and fetches the blob only if it asks to
+    /// ([`BlobRow::with_blob`]). The filescan's path; [`BlobCursor`] is
+    /// the owned sibling.
+    fn for_each_blob_row(
         &self,
         table: &'static str,
-        mut f: impl FnMut(i64, &[u8]) -> Result<(), QueryError>,
+        mut visit: impl FnMut(BlobRow<'_>) -> Result<(), QueryError>,
     ) -> Result<(), QueryError> {
         let (schema, heap) = self.db.table(table)?;
         let pool = self.db.pool();
-        let mut blob_buf: Vec<u8> = Vec::new();
+        let mut buf: Vec<u8> = Vec::new();
         heap.for_each_row(pool, |_, bytes| -> Result<(), QueryError> {
             let mut r = RowReader::new(&schema, bytes);
             let key = r.int()?;
             let blob = r.blob()?;
+            // `StaccatoGraph` rows end with their synopsis; `FullSFAData`
+            // rows have none.
+            let synopsis = match schema.cols.len() {
+                2 => None,
+                _ => Some(r.bytes()?.try_into().map_err(|_| {
+                    StorageError::SchemaMismatch("a StaccatoGraph synopsis has the wrong length")
+                })?),
+            };
             r.finish()?;
-            // Row-sized blobs are borrowed straight off their buffer-pool
-            // page (no copy); only multi-page chains assemble into the
-            // reusable buffer. The callback only reads, so holding the
-            // page's read latch across it is fine.
-            BlobStore::with_blob(pool, blob, &mut blob_buf, |bytes| f(key, bytes))?
+            visit(BlobRow {
+                key,
+                synopsis,
+                blob,
+                pool,
+                buf: &mut buf,
+            })
         })
     }
 
@@ -502,17 +535,34 @@ impl OcrStore {
     /// [`OcrStore::staccato_blobs`] for the owned cursor).
     pub fn for_each_full_sfa_blob(
         &self,
-        f: impl FnMut(i64, &[u8]) -> Result<(), QueryError>,
+        mut f: impl FnMut(i64, &[u8]) -> Result<(), QueryError>,
     ) -> Result<(), QueryError> {
-        self.for_each_blob("FullSFAData", f)
+        self.for_each_blob_row("FullSFAData", |row| {
+            let key = row.key;
+            row.with_blob(|bytes| f(key, bytes))?
+        })
     }
 
-    /// Visit every Staccato graph blob with borrowed bytes.
+    /// Visit every Staccato graph blob with borrowed bytes: the
+    /// filescan's row loop with every row fetched.
     pub fn for_each_staccato_blob(
         &self,
-        f: impl FnMut(i64, &[u8]) -> Result<(), QueryError>,
+        mut f: impl FnMut(i64, &[u8]) -> Result<(), QueryError>,
     ) -> Result<(), QueryError> {
-        self.for_each_blob("StaccatoGraph", f)
+        self.for_each_staccato_row(|row| {
+            let key = row.key;
+            row.with_blob(|bytes| f(key, bytes))?
+        })
+    }
+
+    /// Visit every `StaccatoGraph` row: `visit` reads its key and label
+    /// synopsis from the heap row and fetches the graph blob only for the
+    /// rows it cannot decide without it.
+    pub(crate) fn for_each_staccato_row(
+        &self,
+        visit: impl FnMut(BlobRow<'_>) -> Result<(), QueryError>,
+    ) -> Result<(), QueryError> {
+        self.for_each_blob_row("StaccatoGraph", visit)
     }
 
     fn blob_cursor(&self, table: &'static str) -> Result<BlobCursor<'_>, QueryError> {
@@ -586,6 +636,27 @@ impl OcrStore {
     }
 }
 
+/// One heap row of a blob table during a filescan (see
+/// [`OcrStore::for_each_staccato_row`]): its key, its label synopsis
+/// (`StaccatoGraph` rows only), and its blob, not yet fetched.
+pub(crate) struct BlobRow<'r> {
+    pub(crate) key: i64,
+    pub(crate) synopsis: Option<&'r [u8; SYNOPSIS_LEN]>,
+    blob: PageId,
+    pool: &'r BufferPool,
+    buf: &'r mut Vec<u8>,
+}
+
+impl BlobRow<'_> {
+    /// Fetch the row's blob and hand it to `f` borrowed: straight off its
+    /// buffer-pool page when it fits one (`f` only reads, so holding the
+    /// page's read latch across it is fine), assembled into the scan's
+    /// reusable buffer when it spans several.
+    pub(crate) fn with_blob<R>(self, f: impl FnOnce(&[u8]) -> R) -> Result<R, QueryError> {
+        Ok(BlobStore::with_blob(self.pool, self.blob, self.buf, f)?)
+    }
+}
+
 /// Borrowed point fetch of `StaccatoGraph` blobs (see
 /// [`OcrStore::staccato_point_reader`]).
 pub(crate) struct StaccatoPointReader<'s> {
@@ -616,6 +687,7 @@ impl StaccatoPointReader<'_> {
         let mut r = RowReader::new(&self.schema, &row);
         r.int()?;
         let blob = r.blob()?;
+        r.bytes()?;
         r.finish()?;
         Ok(BlobStore::with_blob(
             self.pool,
@@ -838,8 +910,16 @@ fn kmap_schema() -> Schema {
     ])
 }
 
-fn blob_schema(blob_col: &str) -> Schema {
-    Schema::new(&[("DataKey", ColumnType::Int), (blob_col, ColumnType::Blob)])
+fn full_sfa_schema() -> Schema {
+    Schema::new(&[("DataKey", ColumnType::Int), ("SFABlob", ColumnType::Blob)])
+}
+
+fn staccato_schema() -> Schema {
+    Schema::new(&[
+        ("DataKey", ColumnType::Int),
+        ("GraphBlob", ColumnType::Blob),
+        ("Synopsis", ColumnType::Bytes),
+    ])
 }
 
 fn truth_schema() -> Schema {
@@ -986,6 +1066,23 @@ mod tests {
         assert!(s.staccato > s.map, "{s:?}");
         assert!(s.kmap > s.map, "{s:?}");
         assert!(s.text > 0);
+    }
+
+    #[test]
+    fn staccato_size_counts_each_blob_and_its_synopsis_on_load_insert_and_reopen() {
+        let expected = |store: &OcrStore| -> u64 {
+            let blobs = store.staccato_blobs().unwrap().map(|item| item.unwrap().1);
+            blobs.map(|b| (b.len() + SYNOPSIS_LEN) as u64).sum()
+        };
+        let store = tiny_store();
+        assert_eq!(store.sizes().staccato, expected(&store));
+        let art = build_line(&store.channel, &store.opts, "an added line", 99);
+        store.insert_line_artifacts(12, &art).unwrap();
+        assert_eq!(store.sizes().staccato, expected(&store));
+        let loaded = store.sizes();
+        let OcrStore { db, opts, .. } = store;
+        let reopened = OcrStore::reopen(db, &opts).unwrap();
+        assert_eq!(reopened.sizes(), loaded);
     }
 
     #[test]

@@ -102,6 +102,7 @@ impl Catalog {
                     ColumnType::Float => 1,
                     ColumnType::Text => 2,
                     ColumnType::Blob => 3,
+                    ColumnType::Bytes => 4,
                 });
             }
             out.extend_from_slice(&t.first_page.to_le_bytes());
@@ -129,6 +130,7 @@ impl Catalog {
                     1 => ColumnType::Float,
                     2 => ColumnType::Text,
                     3 => ColumnType::Blob,
+                    4 => ColumnType::Bytes,
                     _ => {
                         return Err(StorageError::CorruptPage {
                             page: 0,
@@ -382,6 +384,14 @@ mod tests {
                 name: "Claims".into(),
                 schema: claims_schema(),
                 first_page: 7,
+            },
+        );
+        cat.tables.insert(
+            "Graph".into(),
+            TableDef {
+                name: "Graph".into(),
+                schema: Schema::new(&[("Key", ColumnType::Int), ("Syn", ColumnType::Bytes)]),
+                first_page: 8,
             },
         );
         cat.indexes.insert(

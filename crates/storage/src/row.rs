@@ -1,9 +1,10 @@
 //! Typed values and row (de)serialization against a schema.
 //!
 //! Covers the column types of the paper's Table 5: `INTEGER`, `FLOAT8`,
-//! `VARCHAR`/`TEXT`, and `OID` (blob reference). Rows are encoded
-//! schema-directed (no per-value tags): fixed-width for `Int`/`Float`/
-//! `Blob`, length-prefixed for `Text`.
+//! `VARCHAR`/`TEXT`, and `OID` (blob reference), plus inline `BYTEA` for
+//! short binary values kept in the row. Rows are encoded schema-directed
+//! (no per-value tags): fixed-width for `Int`/`Float`/`Blob`,
+//! length-prefixed for `Text`/`Bytes`.
 
 use crate::error::StorageError;
 use crate::PageId;
@@ -19,6 +20,8 @@ pub enum ColumnType {
     Text,
     /// Blob reference (`OID`).
     Blob,
+    /// Inline binary value (`BYTEA`), stored in the row itself.
+    Bytes,
 }
 
 /// A table schema: named, typed columns.
@@ -53,6 +56,8 @@ pub enum Value {
     Text(String),
     /// Blob id (first page of the chain).
     Blob(PageId),
+    /// Inline bytes.
+    Bytes(Vec<u8>),
 }
 
 impl Value {
@@ -111,6 +116,10 @@ pub fn encode_row(schema: &Schema, row: &Row) -> Result<Vec<u8>, StorageError> {
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
                 out.extend_from_slice(s.as_bytes());
             }
+            (ColumnType::Bytes, Value::Bytes(b)) => {
+                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+                out.extend_from_slice(b);
+            }
             _ => {
                 return Err(StorageError::SchemaMismatch(
                     "value type does not match column",
@@ -152,6 +161,10 @@ pub fn decode_row(schema: &Schema, bytes: &[u8]) -> Result<Row, StorageError> {
                         .map_err(|_| StorageError::SchemaMismatch("text is not UTF-8"))?
                         .to_string(),
                 ));
+            }
+            ColumnType::Bytes => {
+                let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("len")) as usize;
+                row.push(Value::Bytes(take(&mut pos, len)?.to_vec()));
             }
         }
     }
@@ -229,6 +242,13 @@ impl<'a> RowReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
     }
 
+    /// Read the next column as `Bytes`, borrowing from the row bytes.
+    pub fn bytes(&mut self) -> Result<&'a [u8], StorageError> {
+        self.expect(ColumnType::Bytes)?;
+        let len = u32::from_le_bytes(self.take(4)?.try_into().expect("len")) as usize;
+        self.take(len)
+    }
+
     /// Read the next column as `Text`, borrowing from the row bytes.
     pub fn text(&mut self) -> Result<&'a str, StorageError> {
         self.expect(ColumnType::Text)?;
@@ -271,15 +291,24 @@ mod tests {
             ("f", ColumnType::Float),
             ("t", ColumnType::Text),
             ("b", ColumnType::Blob),
+            ("y", ColumnType::Bytes),
         ]);
         let row: Row = vec![
             Value::Int(-42),
             Value::Float(2.75),
             Value::Text("U.S.C. 2345".into()),
             Value::Blob(9001),
+            Value::Bytes(vec![0, 0xFF, 7]),
         ];
         let bytes = encode_row(&schema, &row).unwrap();
         assert_eq!(decode_row(&schema, &bytes).unwrap(), row);
+        let mut r = RowReader::new(&schema, &bytes);
+        r.int().unwrap();
+        r.float().unwrap();
+        r.text().unwrap();
+        r.blob().unwrap();
+        assert_eq!(r.bytes().unwrap(), &[0, 0xFF, 7]);
+        r.finish().unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use staccato::approx::StaccatoParams;
 use staccato::ocr::{generate, ChannelConfig, CorpusKind};
 use staccato::query::store::LoadOptions;
-use staccato::query::{Query, QueryError, RecoverOptions};
+use staccato::query::{OcrStore, Query, QueryError, RecoverOptions};
 use staccato::server::{HttpClient, Server, ServerConfig};
 use staccato::sfa::codec;
 use staccato::storage::{
@@ -165,6 +165,105 @@ fn corrupt_candidate_blob_fails_the_probe_with_a_typed_error() {
     assert!(matches!(err, QueryError::Sfa(_)), "got {err:?}");
 }
 
+/// The first `StaccatoGraph` row of `session`: its key and blob page.
+fn first_staccato_row(session: &Staccato) -> (i64, PageId) {
+    let store = session.store();
+    let (schema, heap) = store.table("StaccatoGraph").expect("table");
+    let (_, bytes) = heap
+        .scan(store.db().pool())
+        .next()
+        .expect("row")
+        .expect("scan");
+    let row = staccato::storage::row::decode_row(&schema, &bytes).expect("row");
+    (row[0].as_int().unwrap(), row[1].as_blob().unwrap())
+}
+
+#[test]
+fn corrupt_blob_on_an_admitted_staccato_row_fails_the_filescan() {
+    let session = tiny_session();
+    let (key, blob_page) = first_staccato_row(&session);
+    // A piece of the line's own most likely string: its synopsis admits
+    // the row, so the scan fetches and decodes the blob.
+    let (_, blob) = session
+        .store()
+        .staccato_blobs()
+        .unwrap()
+        .map(|item| item.unwrap())
+        .find(|(k, _)| *k == key)
+        .unwrap();
+    let (map, _) = staccato::sfa::map_string(&codec::decode(&blob).unwrap()).unwrap();
+    let word: String = map.chars().take(4).collect();
+    let request = QueryRequest::keyword(&word)
+        .num_ans(100)
+        .approach(Approach::Staccato);
+    let before = session.execute(&request).expect("intact scan");
+    assert!(before.stats.blobs_skipped < before.stats.rows_scanned);
+    {
+        let mut page = session.store().db().pool().fetch_write(blob_page).unwrap();
+        page[12..16].copy_from_slice(b"XXXX");
+    }
+    let err = session.execute(&request).unwrap_err();
+    assert!(matches!(err, QueryError::Sfa(_)), "got {err:?}");
+}
+
+#[test]
+fn staccato_synopsis_of_the_wrong_length_is_a_typed_error() {
+    for len in [0usize, 543, 545] {
+        let session = tiny_session();
+        let (_, blob_page) = first_staccato_row(&session);
+        let store = session.store();
+        let (schema, heap) = store.table("StaccatoGraph").expect("table");
+        let row = vec![
+            Value::Int(1_000),
+            Value::Blob(blob_page),
+            Value::Bytes(vec![0xFF; len]),
+        ];
+        heap.insert(
+            store.db().pool(),
+            &staccato::storage::row::encode_row(&schema, &row).unwrap(),
+        )
+        .unwrap();
+        // Neither admitted nor skipped: a pattern with a literal no line
+        // holds and one with no literal at all both fail on the row.
+        for request in [
+            QueryRequest::keyword("qxjqxj"),
+            QueryRequest::regex("(a|b)"),
+        ] {
+            let err = session
+                .execute(&request.approach(Approach::Staccato))
+                .unwrap_err();
+            assert!(
+                matches!(err, QueryError::Storage(StorageError::SchemaMismatch(_))),
+                "len {len}: got {err:?}"
+            );
+        }
+        let err = store.for_each_staccato_blob(|_, _| Ok(())).unwrap_err();
+        assert!(
+            matches!(err, QueryError::Storage(StorageError::SchemaMismatch(_))),
+            "len {len}: got {err:?}"
+        );
+    }
+}
+
+#[test]
+fn store_without_synopses_is_refused_at_reopen() {
+    // A `StaccatoGraph` written before the synopsis column existed.
+    let db = Database::in_memory(64).expect("db");
+    let old = Schema::new(&[
+        ("DataKey", ColumnType::Int),
+        ("GraphBlob", ColumnType::Blob),
+    ]);
+    db.create_table("StaccatoGraph", old).expect("table");
+    let err = match OcrStore::reopen(db, &LoadOptions::default()) {
+        Err(err) => err,
+        Ok(_) => panic!("a store without synopses reopened"),
+    };
+    assert!(
+        matches!(&err, QueryError::Storage(StorageError::SchemaMismatch(why)) if why.contains("StaccatoGraph")),
+        "got {err:?}"
+    );
+}
+
 #[test]
 fn truncated_blob_chain_is_detected() {
     let db = Database::in_memory(128).expect("db");
@@ -218,6 +317,7 @@ fn paper_table5_schema_fidelity() {
     // The store must create the paper's tables (Table 5 plus the MAPData
     // split) with the right columns, except `StaccatoData`: its chunk rows
     // would copy the `StaccatoGraph` blob, so no such heap is created.
+    // `StaccatoGraph` also carries each graph's label synopsis.
     let session = tiny_session();
     let store = session.store();
     let expect: &[(&str, &[&str])] = &[
@@ -225,7 +325,7 @@ fn paper_table5_schema_fidelity() {
         ("MAPData", &["DataKey", "Data", "LogProb"]),
         ("kMAPData", &["DataKey", "LineNum", "Data", "LogProb"]),
         ("FullSFAData", &["DataKey", "SFABlob"]),
-        ("StaccatoGraph", &["DataKey", "GraphBlob"]),
+        ("StaccatoGraph", &["DataKey", "GraphBlob", "Synopsis"]),
         ("GroundTruth", &["DataKey", "Data"]),
     ];
     for (table, cols) in expect {

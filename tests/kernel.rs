@@ -6,13 +6,15 @@
 //! under the full DP is zero. Which rows are prescreened is held to its
 //! definition over the decoded graph. The index probe's projection entry
 //! (`eval_projection`) is held to `reference::project_eval` the same way.
+//! A blob's label synopsis is held to its definition over the strings the
+//! graph emits, and a tier-0 rejection to what `eval_blob` computes.
 
 use proptest::prelude::*;
 use staccato::approx::{approximate, StaccatoParams};
 use staccato::automata::required_literal;
-use staccato::query::kernel::ScanScratch;
+use staccato::query::kernel::{blob_synopsis, ScanScratch, SYNOPSIS_LEN};
 use staccato::query::reference::project_eval;
-use staccato::query::{eval_sfa, eval_strings, Query};
+use staccato::query::{eval_sfa, eval_strings, EvalOutcome, Query};
 use staccato::sfa::{codec, Emission, Sfa, SfaBuilder};
 use std::collections::BTreeSet;
 
@@ -228,6 +230,79 @@ fn assert_projection_identity(
         "pattern {:?} from edges {start_edges:?} depth {depth}: kernel={got} reference={want}",
         q.pattern
     );
+}
+
+/// The synopsis class of a byte, by definition: `a`–`z`, `A`–`Z`, `0`–`9`,
+/// space, and one class for every other byte.
+fn synopsis_class(b: u8) -> usize {
+    match b {
+        b'a'..=b'z' => usize::from(b - b'a'),
+        b'A'..=b'Z' => 26 + usize::from(b - b'A'),
+        b'0'..=b'9' => 52 + usize::from(b - b'0'),
+        b' ' => 62,
+        _ => 63,
+    }
+}
+
+/// Bit `bit` of a synopsis read as one little-endian bit string: bits
+/// 0–255 are the label-byte set, bit `256 + 64c + d` the class bigram
+/// `(c, d)`.
+fn synopsis_bit(synopsis: &[u8; SYNOPSIS_LEN], bit: usize) -> bool {
+    synopsis[bit / 8] >> (bit % 8) & 1 == 1
+}
+
+/// Assert every byte and every adjacent byte-class pair of every string
+/// `sfa` can emit is in its blob's synopsis.
+fn assert_synopsis_covers(sfa: &Sfa) {
+    let synopsis = blob_synopsis(&codec::encode(sfa)).unwrap();
+    for (string, _) in sfa.enumerate_strings(usize::MAX) {
+        let bytes = string.as_bytes();
+        for &b in bytes {
+            assert!(
+                synopsis_bit(&synopsis, usize::from(b)),
+                "byte {b} of {string:?}"
+            );
+        }
+        for w in bytes.windows(2) {
+            let bit = 256 + 64 * synopsis_class(w[0]) + synopsis_class(w[1]);
+            assert!(synopsis_bit(&synopsis, bit), "pair {w:?} of {string:?}");
+        }
+    }
+}
+
+/// Tier 0's verdict on `blob`, beside what `eval_blob` and the naive DP
+/// compute for it: `(rejection, eval_blob outcome, naive probability)`.
+fn tier0_and_eval_blob(
+    q: &Query,
+    blob: &[u8],
+    scratch: &mut ScanScratch,
+) -> (Option<EvalOutcome>, EvalOutcome, f64) {
+    let rejected = q.kernel.eval_synopsis(&blob_synopsis(blob).unwrap());
+    let out = q.kernel.eval_blob(scratch, blob).unwrap();
+    (
+        rejected,
+        out,
+        eval_sfa(&q.dfa, &codec::decode(blob).unwrap()),
+    )
+}
+
+/// A query over words of `sfa`: a piece of its most likely string (often
+/// admitted by tier 0), that piece reversed (its bytes present, its
+/// pairs often not), a random word, a random regex, or — `kind` 4 — a
+/// regex of more than 64 DFA states.
+fn tier0_query(sfa: &Sfa, cut: (u16, usize), kind: usize, word: &str, pattern: &str) -> Query {
+    let (map, _) = staccato::sfa::map_string(sfa).expect("non-empty SFA");
+    let at = cut.0 as usize % map.len();
+    let piece = &map[at..(at + cut.1).min(map.len())];
+    let reversed: String = piece.chars().rev().collect();
+    match kind {
+        0 => Query::keyword(piece),
+        1 => Query::keyword(&reversed),
+        2 => Query::keyword(word),
+        3 => Query::regex(pattern),
+        _ => Query::regex(&format!(r"{piece}(\x)*[a-m]\x\x\x\x\x\x[n-z0-9]")),
+    }
+    .unwrap()
 }
 
 /// The reconvergent graph that separates shortest-distance projection
@@ -467,6 +542,71 @@ proptest! {
         let mut scratch = ScanScratch::new();
         for graph in [&sfa, &multi, &approx, &multi, &sfa] {
             assert_blob_exact(&q, &codec::encode(graph), &mut scratch);
+        }
+    }
+
+    // The synopsis against its definition: every byte and class bigram
+    // of every string each graph emits — labels of one byte and of
+    // several, pairs inside a label and across two labels at a node,
+    // bubbles, zero-mass emissions — is in the blob's synopsis.
+    #[test]
+    fn synopsis_holds_every_byte_and_class_bigram_of_every_emitted_string(
+        sfa in sfa_strategy(),
+        multi in multibyte_sfa_strategy(),
+    ) {
+        assert_synopsis_covers(&sfa);
+        assert_synopsis_covers(&approximate(&sfa, StaccatoParams::new(3, 2)));
+        assert_synopsis_covers(&multi);
+    }
+
+    // A tier-0 rejection stands for the row's exact result: its
+    // probability is bit-identical to `eval_blob`'s and the naive DP's,
+    // on every pattern kind, the > 64-state one included. Some rows of
+    // every case are rejected, so the check is never vacuous.
+    #[test]
+    fn tier0_rejection_is_the_exact_zero_eval_blob_computes(
+        sfa in sfa_strategy(),
+        multi in multibyte_sfa_strategy(),
+        pattern in pattern_strategy(),
+        word in "[abcxyz01]{2,4}",
+        cut in (any::<u16>(), 2usize..5),
+        kind in 0usize..5,
+    ) {
+        let q = tier0_query(&sfa, cut, kind, &word, &pattern);
+        let mut scratch = ScanScratch::new();
+        let zero = q.kernel.eval_synopsis(&[0; SYNOPSIS_LEN]);
+        let literal = required_literal(&q.ast);
+        prop_assert_eq!(zero.is_some(), literal.is_some());
+        let approx = approximate(&sfa, StaccatoParams::new(4, 3));
+        for graph in [&sfa, &multi, &approx, &multi] {
+            let (rejected, out, naive) = tier0_and_eval_blob(&q, &codec::encode(graph), &mut scratch);
+            if let Some(rejected) = rejected {
+                prop_assert!(rejected.prescreened);
+                prop_assert_eq!(rejected.probability.to_bits(), out.probability.to_bits());
+                prop_assert_eq!(rejected.probability.to_bits(), naive.to_bits());
+            }
+        }
+    }
+
+    // Where tier 2 runs (q ≤ 64 DFA states), every row tier 0 rejects is
+    // one `eval_blob` prescreens too, so moving the decision before the
+    // fetch leaves `prescreen_skipped` where it was.
+    #[test]
+    fn tier0_rejections_are_rows_eval_blob_prescreens(
+        sfa in sfa_strategy(),
+        multi in multibyte_sfa_strategy(),
+        pattern in pattern_strategy(),
+        word in "[abcxyz01]{2,4}",
+        cut in (any::<u16>(), 2usize..5),
+        kind in 0usize..4,
+    ) {
+        let q = tier0_query(&sfa, cut, kind, &word, &pattern);
+        let mut scratch = ScanScratch::new();
+        let approx = approximate(&sfa, StaccatoParams::new(4, 3));
+        for graph in [&sfa, &multi, &approx, &multi] {
+            let (rejected, out, _) = tier0_and_eval_blob(&q, &codec::encode(graph), &mut scratch);
+            let tier2_runs = q.dfa.state_count() <= 64;
+            prop_assert!(!tier2_runs || rejected.is_none() || out.prescreened, "{:?}", q.pattern);
         }
     }
 }

@@ -289,6 +289,36 @@ fn explain_select_agrees_with_builder_explain() {
 }
 
 #[test]
+fn explain_analyze_counts_the_blobs_the_synopsis_skipped() {
+    let s = session(30, 131);
+    let sql = "SELECT DataKey FROM StaccatoData WHERE Data REGEXP 'qxjqxj' LIMIT 10";
+    let out = s.sql(&format!("EXPLAIN ANALYZE {sql}")).expect("analyze");
+    let text = out.explain.expect("EXPLAIN ANALYZE sets the text");
+    // No line holds the literal, so tier 0 decides every row from its
+    // synopsis: no blob is fetched, and every skip is also a prescreen.
+    assert!(out.answers.is_empty());
+    assert_eq!(out.stats.rows_scanned as usize, s.line_count());
+    assert_eq!(out.stats.blobs_skipped, out.stats.rows_scanned);
+    assert_eq!(out.stats.prescreen_skipped, out.stats.rows_scanned);
+    assert!(
+        text.contains(&format!("blobs skipped: {}", out.stats.blobs_skipped)),
+        "{text}"
+    );
+    // The statement reads the `StaccatoGraph` heap pages and nothing else.
+    let (_, heap) = s.store().table("StaccatoGraph").expect("table");
+    let pool = s.store().db().pool();
+    let heap_pages = staccato::storage::heap::chain_length(pool, heap.first_page()).unwrap();
+    assert_eq!(out.stats.pool.hits + out.stats.pool.misses, heap_pages);
+    // A literal some line holds fetches that line's blob.
+    let hit = s
+        .sql("SELECT DataKey FROM StaccatoData WHERE Data REGEXP 'the' LIMIT 10")
+        .expect("scan");
+    assert!(!hit.answers.is_empty());
+    assert!(hit.stats.blobs_skipped < hit.stats.rows_scanned);
+    assert!(hit.stats.pool.hits + hit.stats.pool.misses > heap_pages);
+}
+
+#[test]
 fn explain_analyze_executes_and_reports_counters() {
     let s = session(30, 131);
     let sql = "SELECT DataKey, Prob FROM MAPData WHERE Data REGEXP 'President' LIMIT 10";
