@@ -85,9 +85,10 @@ impl InvertedIndex {
 
     /// Index one more line's stored chunk graph — the ingest path's
     /// incremental maintenance hook, run on the Staccato blob the line is
-    /// stored as. Inserts the same `(term ␀ DataKey seq)` keys a full
-    /// rebuild would produce for `key`, so an extended index equals one
-    /// built after the fact.
+    /// stored as, whose decode `scratch` holds ([`PostingScratch::decode`]).
+    /// Inserts the same `(term ␀ DataKey seq)` keys a full rebuild would
+    /// produce for `key`, so an extended index equals one built after the
+    /// fact.
     pub(crate) fn extend_with_line(
         &self,
         pool: &BufferPool,
@@ -96,8 +97,7 @@ impl InvertedIndex {
         blob: &[u8],
         scratch: &mut PostingScratch,
     ) -> Result<(), QueryError> {
-        let posts = blob_postings(trie, blob, scratch)
-            .map_err(|e| QueryError::Ingest(format!("Staccato blob failed to decode: {e}")))?;
+        let posts = decoded_postings(trie, blob, scratch);
         insert_line_postings(&self.postings, pool, trie, key, posts)?;
         self.posting_count
             .fetch_add(posts.len() as u64, Ordering::AcqRel);
@@ -155,12 +155,30 @@ pub fn blob_postings<'s>(
     blob: &[u8],
     scratch: &'s mut PostingScratch,
 ) -> Result<&'s [(TermId, Posting)], SfaError> {
+    scratch.decode(blob)?;
+    Ok(decoded_postings(trie, blob, scratch))
+}
+
+impl PostingScratch {
+    /// Decode `blob` into the arena [`InvertedIndex::extend_with_line`]
+    /// reads, and lend it for the caller's other uses of the decode.
+    pub(crate) fn decode(&mut self, blob: &[u8]) -> Result<&DecodeArena, SfaError> {
+        decode_into_arena(blob, &mut self.arena)?;
+        Ok(&self.arena)
+    }
+}
+
+/// [`blob_postings`] of `blob`, whose decode `scratch`'s arena holds.
+fn decoded_postings<'s>(
+    trie: &Trie,
+    blob: &[u8],
+    scratch: &'s mut PostingScratch,
+) -> &'s [(TermId, Posting)] {
     let PostingScratch {
         arena,
         walks,
         found,
     } = scratch;
-    decode_into_arena(blob, arena)?;
     found.clear();
     walks.iter_mut().for_each(Vec::clear);
     walks.resize_with(walks.len().max(arena.node_count() as usize), Vec::new);
@@ -194,7 +212,7 @@ pub fn blob_postings<'s>(
     }
     found.sort_unstable();
     found.dedup();
-    Ok(found)
+    found
 }
 
 /// Step a trie walk from `state` through `bytes`, recording `origin`

@@ -128,46 +128,51 @@ fn synopsis_word(synopsis: &[u8; SYNOPSIS_LEN], index: usize) -> u64 {
 /// a pair it lacks occurs in no emitted string.
 pub fn blob_synopsis(blob: &[u8]) -> Result<[u8; SYNOPSIS_LEN], SfaError> {
     thread_local! {
-        /// Decode arena and per-node `[into, out of]` class sets, reused.
-        static SCRATCH: std::cell::RefCell<(DecodeArena, Vec<[u64; 2]>)> =
-            std::cell::RefCell::default();
+        static ARENA: std::cell::RefCell<DecodeArena> = std::cell::RefCell::default();
     }
-    SCRATCH.with(|scratch| {
-        let (arena, ends) = &mut *scratch.borrow_mut();
+    ARENA.with(|arena| {
+        let arena = &mut *arena.borrow_mut();
         codec::decode_into_arena(blob, arena)?;
-        let mut words = [0u64; 4 + 64];
-        words[..4].copy_from_slice(&arena.label_bytes());
-        let pairs = &mut words[4..];
-        ends.clear();
-        ends.resize(arena.node_count() as usize, [0; 2]);
-        for e in arena.edges() {
-            let (mut first, mut last) = (0u64, 0u64);
-            for em in &arena.emissions()[e.em_start as usize..e.em_end as usize] {
-                let label = &blob[em.label_range()];
-                let mut prev = usize::from(SYNOPSIS_CLASS[usize::from(label[0])]);
-                first |= 1 << prev;
-                for &b in &label[1..] {
-                    let c = SYNOPSIS_CLASS[usize::from(b)];
-                    pairs[prev] |= 1 << c;
-                    prev = usize::from(c);
-                }
-                last |= 1 << prev;
-            }
-            ends[e.to as usize][0] |= last;
-            ends[e.from as usize][1] |= first;
-        }
-        for &[mut into, out] in ends.iter() {
-            while into != 0 {
-                pairs[into.trailing_zeros() as usize] |= out;
-                into &= into - 1;
-            }
-        }
-        let mut out = [0u8; SYNOPSIS_LEN];
-        for (chunk, w) in out.chunks_exact_mut(8).zip(words) {
-            chunk.copy_from_slice(&w.to_le_bytes());
-        }
-        Ok(out)
+        Ok(decoded_synopsis(arena, blob))
     })
+}
+
+/// [`blob_synopsis`] of `blob` read off `arena`, which holds its decode:
+/// the ingest path derives the synopsis from the one decode that also
+/// feeds index extension.
+pub(crate) fn decoded_synopsis(arena: &DecodeArena, blob: &[u8]) -> [u8; SYNOPSIS_LEN] {
+    let mut words = [0u64; 4 + 64];
+    words[..4].copy_from_slice(&arena.label_bytes());
+    let pairs = &mut words[4..];
+    // Per node, the classes of the label ends `[into, out of]` it.
+    let mut ends = vec![[0u64; 2]; arena.node_count() as usize];
+    for e in arena.edges() {
+        let (mut first, mut last) = (0u64, 0u64);
+        for em in &arena.emissions()[e.em_start as usize..e.em_end as usize] {
+            let label = &blob[em.label_range()];
+            let mut prev = usize::from(SYNOPSIS_CLASS[usize::from(label[0])]);
+            first |= 1 << prev;
+            for &b in &label[1..] {
+                let c = SYNOPSIS_CLASS[usize::from(b)];
+                pairs[prev] |= 1 << c;
+                prev = usize::from(c);
+            }
+            last |= 1 << prev;
+        }
+        ends[e.to as usize][0] |= last;
+        ends[e.from as usize][1] |= first;
+    }
+    for [mut into, out] in ends {
+        while into != 0 {
+            pairs[into.trailing_zeros() as usize] |= out;
+            into &= into - 1;
+        }
+    }
+    let mut out = [0u8; SYNOPSIS_LEN];
+    for (chunk, w) in out.chunks_exact_mut(8).zip(words) {
+        chunk.copy_from_slice(&w.to_le_bytes());
+    }
+    out
 }
 
 /// Result of evaluating one line through the kernel.

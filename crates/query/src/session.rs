@@ -50,6 +50,7 @@ use crate::ingest::{
     IngestBatch, IngestReceipt, IngestStats,
 };
 use crate::invindex::{build_index, exec_index_probe, InvertedIndex, PostingScratch};
+use crate::kernel::decoded_synopsis;
 use crate::plan::{
     plan_request, render_explain, render_explain_analyze, ExecStats, Plan, QueryRequest,
     WalCounters,
@@ -829,7 +830,9 @@ impl Staccato {
     /// appended to every registered inverted index. Readers see the whole
     /// batch or none of it. Concurrent calls build in parallel and commit
     /// in the order they reserved their keys; a batch with an undecodable
-    /// SFA blob is rejected before it takes a key or a sequence number.
+    /// SFA blob is rejected before it takes a key or a sequence number,
+    /// and one whose SFA has an edge of only zero-probability emissions
+    /// is rejected while it is built, handing its keys back.
     pub fn ingest(&self, batch: IngestBatch) -> Result<IngestReceipt, QueryError> {
         Ok(self.ingest_inner(batch)?.0)
     }
@@ -863,7 +866,7 @@ impl Staccato {
         let opts = self.store.load_options();
         // The channel is seeded with the line key, so a batch is built
         // for the key range it will occupy.
-        let build = |first_key: i64| -> Vec<DecodedDoc> {
+        let build = |first_key: i64| -> Result<Vec<DecodedDoc>, QueryError> {
             batch
                 .docs
                 .iter()
@@ -871,7 +874,7 @@ impl Staccato {
                 .enumerate()
                 .map(|(i, (d, sfa))| {
                     let mut art = match sfa {
-                        Some(sfa) => build_line_from_sfa(opts, sfa, &d.text),
+                        Some(sfa) => build_line_from_sfa(opts, sfa, &d.text)?,
                         None => {
                             let key = first_key + i as i64;
                             build_line(self.store.channel(), opts, &d.text, key as u64)
@@ -879,13 +882,13 @@ impl Staccato {
                     };
                     art.doc_name = d.name.clone();
                     art.sfa_num = 0;
-                    DecodedDoc {
+                    Ok(DecodedDoc {
                         art,
                         provider: d.provider.clone(),
                         confidence: d.confidence,
                         processing_time_ms: d.processing_time_ms,
                         ingested_at,
-                    }
+                    })
                 })
                 .collect()
         };
@@ -894,7 +897,7 @@ impl Staccato {
         let mut ticket = self
             .turns
             .reserve(batch.docs.len(), || self.store.line_count());
-        let mut docs = build(ticket.first_key);
+        let mut docs = build(ticket.first_key)?;
         // Commit in ticket order: every earlier batch has applied (or
         // failed) before this one takes the writer latch, so the latch
         // assigns sequence numbers and LSNs in key order.
@@ -904,7 +907,7 @@ impl Staccato {
         if first_key != ticket.first_key {
             // An earlier ticket failed and handed its keys back: rebuild
             // on the committed tail, so keys never gap and never repeat.
-            docs = build(first_key);
+            docs = build(first_key)?;
         }
         let batch_seq = writer.next_seq;
         let decoded = DecodedBatch {
@@ -986,7 +989,11 @@ impl Staccato {
         let mut scratch = PostingScratch::default();
         for (i, doc) in batch.docs.iter().enumerate() {
             let key = batch.first_key + i as i64;
-            self.store.insert_line_artifacts(key, &doc.art)?;
+            // One decode of the Staccato blob yields its synopsis and
+            // feeds every index's extension.
+            let blob = &doc.art.stac_blob;
+            let synopsis = decoded_synopsis(scratch.decode(blob)?, blob);
+            self.store.insert_line(key, &doc.art, &synopsis)?;
             self.store.insert_history(&HistoryRow {
                 data_key: key,
                 file_name: doc.art.doc_name.clone(),
@@ -996,7 +1003,6 @@ impl Staccato {
                 ingested_at: doc.ingested_at,
                 batch_seq: batch.batch_seq,
             })?;
-            let blob = &doc.art.stac_blob;
             for reg in indexes.iter() {
                 reg.index
                     .extend_with_line(pool, &reg.trie, key, blob, &mut scratch)?;

@@ -122,12 +122,33 @@ pub(crate) fn build_line(
     line_id: u64,
 ) -> LineArtifacts {
     let sfa = channel.line_to_sfa(line, line_id);
-    build_line_from_sfa(opts, &sfa, line)
+    line_artifacts(opts, &sfa, line)
 }
 
 /// [`build_line`] for a pre-built SFA (ingest of external OCR output):
-/// skips the channel, runs k-best and the Staccato approximation.
-pub(crate) fn build_line_from_sfa(opts: &LoadOptions, sfa: &Sfa, line: &str) -> LineArtifacts {
+/// skips the channel, runs k-best and the Staccato approximation. An SFA
+/// with an edge whose every emission has probability 0 is rejected with
+/// [`QueryError::Ingest`] before the approximation runs: a region around
+/// such an edge can retain no string, so it could not be collapsed. The
+/// channel emits no zero-probability label, so [`build_line`] needs no
+/// such check.
+pub(crate) fn build_line_from_sfa(
+    opts: &LoadOptions,
+    sfa: &Sfa,
+    line: &str,
+) -> Result<LineArtifacts, QueryError> {
+    if let Some((id, _)) = sfa
+        .edges()
+        .find(|(_, e)| e.emissions.iter().all(|em| em.prob == 0.0))
+    {
+        return Err(QueryError::Ingest(format!(
+            "SFA edge {id} has no emission of positive probability"
+        )));
+    }
+    Ok(line_artifacts(opts, sfa, line))
+}
+
+fn line_artifacts(opts: &LoadOptions, sfa: &Sfa, line: &str) -> LineArtifacts {
     let kmap = k_best_paths(sfa, opts.kmap_k)
         .into_iter()
         .map(|p| (p.string, p.prob))
@@ -259,14 +280,16 @@ impl OcrStore {
                 sizes.kmap += s.len() as u64 + 16;
             }
         }
-        for item in store.full_sfa_blobs()? {
-            let (_, bytes) = item?;
-            sizes.full_sfa += bytes.len() as u64;
-        }
-        for item in store.staccato_blobs()? {
-            let (_, bytes) = item?;
-            sizes.staccato += (bytes.len() + SYNOPSIS_LEN) as u64;
-        }
+        // Blob lengths come off the chains' page headers; no blob is copied.
+        let pool = store.db.pool();
+        store.for_each_blob_row("FullSFAData", |row| {
+            sizes.full_sfa += BlobStore::len(pool, row.blob)? as u64;
+            Ok(())
+        })?;
+        store.for_each_staccato_row(|row| {
+            sizes.staccato += (BlobStore::len(pool, row.blob)? + SYNOPSIS_LEN) as u64;
+            Ok(())
+        })?;
         store.lines.store(lines, Ordering::Release);
         *store.sizes.lock().expect("sizes lock") = sizes;
         Ok(store)
@@ -280,6 +303,17 @@ impl OcrStore {
         &self,
         key: i64,
         art: &LineArtifacts,
+    ) -> Result<(), QueryError> {
+        self.insert_line(key, art, &blob_synopsis(&art.stac_blob)?)
+    }
+
+    /// [`OcrStore::insert_line_artifacts`] given the synopsis of
+    /// `art.stac_blob`, for a caller that has the blob decoded already.
+    pub(crate) fn insert_line(
+        &self,
+        key: i64,
+        art: &LineArtifacts,
+        synopsis: &[u8; SYNOPSIS_LEN],
     ) -> Result<(), QueryError> {
         let pool = self.db.pool();
         let enc = staccato_storage::row::encode_row;
@@ -346,7 +380,6 @@ impl OcrStore {
         full_pk.insert(pool, &key.to_be_bytes(), rid.to_u64())?;
 
         delta.staccato += (art.stac_blob.len() + SYNOPSIS_LEN) as u64;
-        let synopsis = blob_synopsis(&art.stac_blob)?;
         let stac_blob = BlobStore::put(pool, &art.stac_blob)?;
         let rid = stacg_t.insert(
             pool,

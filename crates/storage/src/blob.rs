@@ -129,7 +129,11 @@ impl BlobStore {
                 return Err(StorageError::CorruptBlob { first_page: id });
             }
             let page = pool.fetch_read(pid)?;
-            total += u32::from_le_bytes(page[8..12].try_into().expect("len")) as usize;
+            let len = u32::from_le_bytes(page[8..12].try_into().expect("len")) as usize;
+            if len > BLOB_PAYLOAD {
+                return Err(StorageError::CorruptBlob { first_page: id });
+            }
+            total += len;
             pid = u64::from_le_bytes(page[0..8].try_into().expect("len"));
         }
         Ok(total)

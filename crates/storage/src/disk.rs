@@ -127,10 +127,13 @@ impl Disk for FileDisk {
         Ok(())
     }
 
+    /// Extend the file by one page with `set_len`, writing no bytes: the
+    /// extension reads as zeros. The buffer pool installs the page as a
+    /// zeroed dirty frame ([`crate::BufferPool::allocate`]), so its
+    /// bytes reach the file at eviction or at the next flush.
     fn allocate(&mut self) -> Result<PageId, StorageError> {
         let pid = self.pages;
-        self.file.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
-        self.file.write_all(&[0u8; PAGE_SIZE])?;
+        self.file.set_len((pid + 1) * PAGE_SIZE as u64)?;
         self.pages += 1;
         Ok(pid)
     }

@@ -21,7 +21,9 @@
 //! and capacity budget. A page *hit* — the hot case for read-heavy
 //! query traffic — takes the read side: a hash lookup, a relaxed
 //! recency store and an `Arc` pin. The write side is taken only on the
-//! miss path (disk read, eviction, write-back). `flush_all` takes the
+//! miss path (disk read, eviction, write-back) and by
+//! [`BufferPool::allocate`], which installs a fresh page as a zeroed
+//! dirty frame instead of reading it from the device. `flush_all` takes the
 //! read side, so hits keep flowing during a checkpoint. Statistics are
 //! relaxed per-shard atomics aggregated on demand by
 //! [`BufferPool::stats`], so `EXPLAIN ANALYZE` attribution never
@@ -365,9 +367,18 @@ impl BufferPool {
         })
     }
 
-    /// Allocate a fresh zeroed page on disk and return its id.
+    /// Allocate a fresh page on disk and install it as a zeroed, dirty
+    /// frame, so the caller's first fetch of it is a hit that neither
+    /// reads the device nor counts as a miss. The zeros reach the device
+    /// with the page's first write-back, at eviction or flush.
     pub fn allocate(&self) -> Result<PageId, StorageError> {
-        self.disk.lock().allocate()
+        let pid = self.disk.lock().allocate()?;
+        let idx = self.shard_of(pid);
+        let shard = &self.shards[idx];
+        let tick = shard.next_tick();
+        let mut inner = shard.inner.write();
+        self.install(idx, &mut inner, pid, Arc::new([0u8; PAGE_SIZE]), true, tick)?;
+        Ok(pid)
     }
 
     /// Number of pages on the underlying device.
@@ -460,10 +471,25 @@ impl BufferPool {
         let mut page = Arc::new([0u8; PAGE_SIZE]);
         let fresh = Arc::get_mut(&mut page).expect("a new Arc is unique");
         self.disk.lock().read_page(pid, fresh)?;
-        if inner.frames.len() >= inner.capacity && !shard.evict_one(&mut inner, &self.disk)? {
+        self.install(idx, &mut inner, pid, page, dirty, tick)
+    }
+
+    /// Make room in shard `idx` (whose write guard the caller holds) and
+    /// insert `page` as `pid`'s frame, returning its pinned slot.
+    fn install(
+        &self,
+        idx: usize,
+        inner: &mut ShardInner,
+        pid: PageId,
+        page: Arc<PageBuf>,
+        dirty: bool,
+        tick: u64,
+    ) -> Result<Arc<Slot>, StorageError> {
+        let shard = &self.shards[idx];
+        if inner.frames.len() >= inner.capacity && !shard.evict_one(inner, &self.disk)? {
             // Every local frame is pinned: borrow capacity from a
             // neighbor before giving up (see module docs).
-            if !self.steal_capacity(idx, &mut inner) {
+            if !self.steal_capacity(idx, inner) {
                 return Err(StorageError::PoolExhausted);
             }
             Shard::bump(&shard.steals);
@@ -526,7 +552,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemDisk;
+    use crate::disk::{FileDisk, MemDisk};
 
     fn pool(frames: usize, pages: usize) -> BufferPool {
         let mut disk = MemDisk::new();
@@ -547,6 +573,28 @@ mod tests {
         let r = p.fetch_read(1).unwrap();
         assert_eq!(r[0], 42);
         assert_eq!(r[PAGE_SIZE - 1], 7);
+    }
+
+    #[test]
+    fn allocate_installs_a_zeroed_frame_without_device_io() {
+        let path =
+            std::env::temp_dir().join(format!("staccato-pager-alloc-{}.db", std::process::id()));
+        let p = BufferPool::new(Box::new(FileDisk::create(&path).unwrap()), 4);
+        for n in 0..3u64 {
+            let before = p.stats();
+            let pid = p.allocate().unwrap();
+            assert_eq!(pid, n);
+            assert!(p.fetch_read(pid).unwrap().iter().all(|&b| b == 0));
+            let after = p.stats();
+            assert_eq!(after.misses, before.misses, "a fresh page is never read");
+            assert_eq!(after.hits, before.hits + 1);
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(len, (n + 1) * PAGE_SIZE as u64);
+        }
+        // The fresh frames are dirty: the flush writes each one out.
+        p.flush_all().unwrap();
+        assert_eq!(p.stats().writebacks, 3);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -7,7 +7,7 @@ use staccato::ocr::{generate, ChannelConfig, CorpusKind};
 use staccato::query::store::LoadOptions;
 use staccato::query::{OcrStore, Query, QueryError, RecoverOptions};
 use staccato::server::{HttpClient, Server, ServerConfig};
-use staccato::sfa::codec;
+use staccato::sfa::{codec, Emission, NodeId, Sfa, SfaBuilder};
 use staccato::storage::{
     BlobStore, BufferPool, ColumnType, Database, Disk, MemDisk, PageId, Schema, StorageError,
     Value, PAGE_SIZE,
@@ -20,12 +20,16 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn tiny_session() -> Staccato {
+    tiny_session_with(StaccatoParams::new(4, 3))
+}
+
+fn tiny_session_with(staccato: StaccatoParams) -> Staccato {
     let dataset = generate(CorpusKind::DbPapers, 8, 1);
     let db = Database::in_memory(256).expect("db");
     let opts = LoadOptions {
         channel: ChannelConfig::compact(1),
         kmap_k: 3,
-        staccato: StaccatoParams::new(4, 3),
+        staccato,
         parallelism: 1,
     };
     Staccato::load(db, &dataset, &opts).expect("load")
@@ -62,6 +66,62 @@ fn corrupt_sfa_blob_surfaces_typed_error() {
     session
         .execute(&request.approach(Approach::Staccato))
         .expect("STACCATO still works");
+}
+
+/// A chain `a · b · c` whose middle edge has probability `p_b`, or a
+/// diamond `a (b c | d e) f` whose lower branch has probability `p_d`.
+fn small_sfa(diamond: bool, p: f64) -> Sfa {
+    let mut b = SfaBuilder::new();
+    let edge = |b: &mut SfaBuilder, from, to, label: &str, prob| {
+        b.add_edge(from, to, vec![Emission::new(label, prob)]);
+    };
+    if diamond {
+        let n: Vec<NodeId> = (0..6).map(|_| b.add_node()).collect();
+        edge(&mut b, n[0], n[1], "a", 1.0);
+        edge(&mut b, n[1], n[2], "b", 1.0 - p);
+        edge(&mut b, n[2], n[4], "c", 1.0);
+        edge(&mut b, n[1], n[3], "d", p);
+        edge(&mut b, n[3], n[4], "e", 1.0);
+        edge(&mut b, n[4], n[5], "f", 1.0);
+        b.build(n[0], n[5]).expect("diamond")
+    } else {
+        let n: Vec<NodeId> = (0..4).map(|_| b.add_node()).collect();
+        edge(&mut b, n[0], n[1], "a", 1.0);
+        edge(&mut b, n[1], n[2], "b", p);
+        edge(&mut b, n[2], n[3], "c", 1.0);
+        b.build(n[0], n[3]).expect("chain")
+    }
+}
+
+fn sfa_doc(name: &str, sfa: &Sfa) -> IngestBatch {
+    let mut doc = DocumentInput::new(name, "abc");
+    doc.sfa = Some(codec::encode(sfa));
+    IngestBatch::new().doc(doc)
+}
+
+#[test]
+fn sfa_with_a_dead_edge_is_rejected_at_ingest_without_a_panic() {
+    // Every emission of one edge has probability 0. In the chain, chunks
+    // of at most two edges give the dead edge a region that retains no
+    // string, which the approximation cannot collapse. The diamond's live
+    // branch shares every region with the dead one, but the rule is per
+    // edge: the dead edge emits nothing, so the SFA is refused all the same.
+    let session = tiny_session_with(StaccatoParams::new(2, 1));
+    for (name, diamond) in [("chain", false), ("diamond", true)] {
+        let err = session
+            .ingest(sfa_doc(name, &small_sfa(diamond, 0.0)))
+            .unwrap_err();
+        assert!(matches!(err, QueryError::Ingest(_)), "{name}: got {err:?}");
+        assert_eq!(session.line_count(), 8, "{name}: nothing applied");
+    }
+    // The session takes the next ingest, on the keys handed back.
+    for (name, diamond) in [("chain", false), ("diamond", true)] {
+        let receipt = session
+            .ingest(sfa_doc(name, &small_sfa(diamond, 0.5)))
+            .expect("a live SFA ingests");
+        assert_eq!(receipt.first_key, 8 + i64::from(diamond), "{name}");
+    }
+    assert_eq!(session.line_count(), 10);
 }
 
 /// `tiny_session` with the §4 index registered over 'data', plus the
