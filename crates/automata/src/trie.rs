@@ -35,7 +35,10 @@ pub struct Trie {
 
 impl Trie {
     /// Build a trie from a dictionary. Terms are folded to lowercase and
-    /// deduplicated; empty and non-ASCII terms are skipped.
+    /// deduplicated; empty and non-ASCII terms are skipped, and so are terms
+    /// holding a NUL byte: the inverted index keys a posting as
+    /// `term ␀ DataKey seq`, so the keys of `data\0zz` would sort under the
+    /// `data ␀` prefix a probe of `data` scans.
     pub fn build<I, S>(terms: I) -> Trie
     where
         I: IntoIterator<Item = S>,
@@ -48,7 +51,7 @@ impl Trie {
         let mut seen: HashMap<String, ()> = HashMap::new();
         for term in terms {
             let folded = term.as_ref().to_ascii_lowercase();
-            if folded.is_empty() || !folded.is_ascii() {
+            if folded.is_empty() || !folded.is_ascii() || folded.contains('\0') {
                 continue;
             }
             if seen.insert(folded.clone(), ()).is_some() {
@@ -182,6 +185,16 @@ mod tests {
     fn duplicates_and_empties_skipped() {
         let t = Trie::build(["a", "A", "", "a"]);
         assert_eq!(t.term_count(), 1);
+    }
+
+    #[test]
+    fn nul_bearing_terms_skipped() {
+        let t = Trie::build(["data", "data\0zz", "\0", "x\0"]);
+        assert_eq!(t.term_count(), 1);
+        assert!(t.lookup("data").is_some());
+        assert!(t.lookup("data\0zz").is_none());
+        // The skipped term left no states behind: d-a-t-a plus root.
+        assert_eq!(t.state_count(), 5);
     }
 
     #[test]

@@ -20,9 +20,12 @@
 //! through the primary key as borrowed bytes, and evaluates only a
 //! *projection* of it — the nodes within the pattern's span of the posted
 //! start (§4, "Projection") — on the compiled scan kernel
-//! ([`ScanKernel::eval_projection`](crate::kernel::ScanKernel::eval_projection)),
-//! the same arena decode and label resolution the filescan runs. The
-//! naive projection it replaced is the test oracle
+//! ([`ScanKernel::eval_projection`](crate::kernel::ScanKernel::eval_projection)).
+//! That decodes only what the projection reads: a skeleton pass checks
+//! the whole blob's counts, lengths and structure, and only the emission
+//! runs of the projected edges are decoded and checked (the arena and
+//! codec the filescan uses, at the codec's shallow depth). The naive
+//! projection it replaced is the test oracle
 //! [`crate::reference::project_eval`].
 
 use crate::error::QueryError;
@@ -34,7 +37,7 @@ use crate::store::OcrStore;
 use staccato_automata::{TermId, Trie};
 use staccato_sfa::codec::{self, decode_into_arena};
 use staccato_sfa::{DecodeArena, Sfa, SfaError};
-use staccato_storage::{BTree, BufferPool};
+use staccato_storage::{BTree, BufferPool, StorageError};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A term-start location within one line's chunk graph.
@@ -273,7 +276,9 @@ pub fn build_index(store: &OcrStore, trie: &Trie, name: &str) -> Result<Inverted
     })
 }
 
-/// All postings for `term`, grouped by line.
+/// All postings for `term`, grouped by line. A key under the term's
+/// prefix that is not `term ␀ DataKey seq` long — which no build writes —
+/// is reported as a corrupt index page instead of being sliced.
 pub fn probe_term(
     store: &OcrStore,
     index: &InvertedIndex,
@@ -284,10 +289,16 @@ pub fn probe_term(
     let pool = store.db().pool();
     let mut grouped: Vec<(i64, Vec<Posting>)> = Vec::new();
     for (k, v) in index.postings.scan_prefix(pool, &prefix)? {
-        let key_bytes: [u8; 8] = k[prefix.len()..prefix.len() + 8]
-            .try_into()
-            .expect("posting key layout");
-        let data_key = i64::from_be_bytes(key_bytes);
+        // `DataKey` then `seq`, after the prefix the scan matched.
+        let rest = &k[prefix.len()..];
+        if rest.len() != 12 {
+            return Err(StorageError::CorruptPage {
+                page: index.postings.meta_page(),
+                reason: "posting key is not term, NUL, DataKey and sequence number",
+            }
+            .into());
+        }
+        let data_key = i64::from_be_bytes(rest[..8].try_into().expect("length checked"));
         let posting = Posting::unpack(v);
         match grouped.last_mut() {
             Some((dk, v)) if *dk == data_key => v.push(posting),
@@ -302,8 +313,9 @@ pub fn probe_term(
 /// each candidate line's encoded graph point-wise as borrowed bytes, and
 /// evaluate §4's projection from the posted edges on the scan kernel
 /// ([`ScanKernel::eval_projection`](crate::kernel::ScanKernel::eval_projection))
-/// — one decode into the statement's [`ScanScratch`] arena per candidate,
-/// no owned `Sfa`. Counts work into `stats`. The returned *answer set*
+/// — one skeleton pass plus the projected emission runs into the
+/// statement's [`ScanScratch`] arena per candidate, no owned `Sfa`. Counts
+/// work, including the runs decoded and skipped, into `stats`. The returned *answer set*
 /// equals a Staccato filescan for anchored patterns; probabilities are the
 /// projection's (over)estimate conditioned on the match starting at a
 /// posted location.
@@ -335,6 +347,9 @@ pub(crate) fn exec_index_probe(
                 .kernel
                 .eval_projection(&mut scratch, blob, &start_edges, depth)
         })??;
+        let (decoded, runs) = scratch.projected_runs();
+        stats.runs_decoded += u64::from(decoded);
+        stats.runs_skipped += u64::from(runs - decoded);
         stats.rows_scanned += 1;
         stats.lines_evaluated += 1;
         sink.offer(Answer {

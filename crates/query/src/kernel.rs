@@ -49,10 +49,15 @@
 //! / [`crate::reference::eval_strings`] holds on every row, which the
 //! differential proptests in `tests/kernel.rs` enforce.
 //!
-//! The index probe enters through [`ScanKernel::eval_projection`]: the
-//! same arena decode, then §4's depth-bounded projection DP from each
-//! posted start node, held bit-identical to
-//! [`crate::reference::project_eval`] the same way.
+//! The index probe enters through [`ScanKernel::eval_projection`], which
+//! decodes at the codec's shallow depth: a skeleton pass over the whole
+//! blob (every count, every length, the graph's structure), then only the
+//! emission runs of the edges inside some posted start node's projection,
+//! then §4's depth-bounded projection DP from each start node — held
+//! bit-identical to [`crate::reference::project_eval`] the same way. The
+//! probe validates every byte it reads and none of the runs it skips: a
+//! bad label or probability outside every projection does not fail it,
+//! as a row tier 0 rejects unfetched does not fail a filescan.
 
 use staccato_automata::{DenseDfa, Dfa};
 use staccato_sfa::{codec, DecodeArena, SfaError};
@@ -557,15 +562,23 @@ impl ScanKernel {
     /// — bit-identical to folding [`crate::reference::project_eval`] with
     /// `f64::max` from `+0.0` over those nodes.
     ///
-    /// The blob is decoded once per call; each start node then runs its
-    /// own bounded DP (the score is a `max`, so the DPs do not merge).
-    /// Labels are walked in place through the dense table rather than
-    /// through the label memo: a projection touches a fraction of a
-    /// line's emissions once or twice, so resolving all of them would
-    /// cost more than the walks it saves — the `state → state` function
-    /// is the same either way. Edge ids that are not edges of the blob —
-    /// a stale or corrupt posting — are skipped; with no usable start
-    /// edge the result is `+0.0`.
+    /// The blob is decoded at the codec's shallow depth: one skeleton pass
+    /// per call ([`codec::decode_skeleton`]: every count, length and the
+    /// graph's structure), then, per start node, a BFS for the projected
+    /// node set and a decode of the emission runs of the edges with both
+    /// ends in it ([`codec::decode_run`]) — a superset of what the DP
+    /// reads — before that node's DP. A run is decoded at most once per
+    /// call; the runs of the other edges are never read, so a defect in
+    /// their labels or probabilities does not fail the probe. Each start
+    /// node runs its own bounded DP (the score is a `max`, so the DPs do
+    /// not merge). Labels are walked in place through the dense table
+    /// rather than through the label memo: a projection touches a fraction
+    /// of a line's emissions once or twice, so resolving them would cost
+    /// more than the walks it saves — the `state → state` function is the
+    /// same either way. Edge ids that are not edges of the blob — a stale
+    /// or corrupt posting — are skipped; with no usable start edge the
+    /// result is `+0.0`. [`ScanScratch::projected_runs`] reports how many
+    /// runs the call decoded.
     pub fn eval_projection(
         &self,
         scratch: &mut ScanScratch,
@@ -573,7 +586,9 @@ impl ScanKernel {
         start_edges: &[u32],
         depth: usize,
     ) -> Result<f64, SfaError> {
-        codec::decode_into_arena(blob, &mut scratch.arena)?;
+        scratch.projected_runs = (0, 0);
+        codec::decode_skeleton(blob, &mut scratch.arena)?;
+        let mut decoded = 0;
         let n = scratch.arena.node_count() as usize;
         scratch.started.clear();
         scratch.started.resize(n, false);
@@ -588,17 +603,20 @@ impl ScanKernel {
             if std::mem::replace(&mut scratch.started[from as usize], true) {
                 continue;
             }
-            best = best.max(self.project_from(scratch, blob, from, depth));
+            decoded += decode_projection(scratch, blob, from, depth)?;
+            best = best.max(self.project_from(scratch, blob, from));
         }
+        scratch.projected_runs = (decoded, scratch.arena.edges().len() as u32);
         Ok(best)
     }
 
-    /// One projection DP over the decoded line held in `scratch` — the
-    /// loop of [`crate::reference::project_eval`] in the
-    /// same accumulation order (topo → out-edge → emission → ascending
-    /// source state), over the arena's CSR with pooled vectors.
-    fn project_from(&self, scratch: &mut ScanScratch, blob: &[u8], from: u32, depth: usize) -> f64 {
-        const UNREACHED: u32 = u32::MAX;
+    /// One projection DP over the line held in `scratch`, whose `dist`
+    /// holds the projected node set of `from` and whose arena holds the
+    /// runs of every edge inside that set ([`decode_projection`]) — the loop of
+    /// [`crate::reference::project_eval`] in the same accumulation order
+    /// (topo → out-edge → emission → ascending source state), over the
+    /// arena's CSR with pooled vectors.
+    fn project_from(&self, scratch: &mut ScanScratch, blob: &[u8], from: u32) -> f64 {
         let ScanScratch {
             arena,
             pairs,
@@ -606,34 +624,9 @@ impl ScanKernel {
             vectors,
             free,
             dist,
-            queue,
             ..
         } = scratch;
         let n = arena.node_count() as usize;
-
-        // The projected node set: shortest edge distance ≤ `depth`, by
-        // level-order BFS with a per-node depth stamp.
-        dist.clear();
-        dist.resize(n, UNREACHED);
-        dist[from as usize] = 0;
-        queue.clear();
-        queue.push(from);
-        let mut head = 0;
-        while let Some(&v) = queue.get(head) {
-            head += 1;
-            let d = dist[v as usize];
-            if d as usize >= depth {
-                continue;
-            }
-            for &eid in arena.out_edges(v) {
-                let to = arena.edges()[eid as usize].to as usize;
-                if dist[to] == UNREACHED {
-                    dist[to] = d + 1;
-                    queue.push(to as u32);
-                }
-            }
-        }
-
         let q = self.dense.state_count();
         if vectors.len() < n {
             vectors.resize_with(n, Vec::new);
@@ -692,6 +685,56 @@ impl ScanKernel {
     }
 }
 
+/// `dist` value of a node outside the projected set.
+const UNREACHED: u32 = u32::MAX;
+
+/// Stamp the projected node set of `from` into `scratch`'s `dist` —
+/// shortest edge distance ≤ `depth`, by level-order BFS over the arena's
+/// skeleton — and decode the emission runs of the edges with both ends in
+/// it that are not decoded yet, returning how many it decoded.
+fn decode_projection(
+    scratch: &mut ScanScratch,
+    blob: &[u8],
+    from: u32,
+    depth: usize,
+) -> Result<u32, SfaError> {
+    let ScanScratch {
+        arena, dist, queue, ..
+    } = scratch;
+    dist.clear();
+    dist.resize(arena.node_count() as usize, UNREACHED);
+    dist[from as usize] = 0;
+    queue.clear();
+    queue.push(from);
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
+        let d = dist[v as usize];
+        if d as usize >= depth {
+            continue;
+        }
+        for &eid in arena.out_edges(v) {
+            let to = arena.edges()[eid as usize].to as usize;
+            if dist[to] == UNREACHED {
+                dist[to] = d + 1;
+                queue.push(to as u32);
+            }
+        }
+    }
+    let mut decoded = 0;
+    for &v in queue.iter() {
+        for i in 0..arena.out_edges(v).len() {
+            let eid = arena.out_edges(v)[i];
+            let to = arena.edges()[eid as usize].to;
+            if dist[to as usize] != UNREACHED && !arena.run_decoded(eid) {
+                codec::decode_run(blob, arena, eid)?;
+                decoded += 1;
+            }
+        }
+    }
+    Ok(decoded)
+}
+
 /// A zeroed `q`-length DP state vector, recycled from `free` when one is
 /// spare.
 #[inline]
@@ -734,6 +777,9 @@ pub struct ScanScratch {
     queue: Vec<u32>,
     /// Projection: nodes already evaluated as a start node for this line.
     started: Vec<bool>,
+    /// Projection: the emission runs the last call decoded, and the runs
+    /// its blob holds.
+    projected_runs: (u32, u32),
 }
 
 impl ScanScratch {
@@ -741,6 +787,13 @@ impl ScanScratch {
     /// reused row to row.
     pub fn new() -> ScanScratch {
         ScanScratch::default()
+    }
+
+    /// The emission runs the last [`ScanKernel::eval_projection`] decoded,
+    /// and the runs its blob holds (one per edge); `(0, 0)` before the
+    /// first call and after a failed one.
+    pub fn projected_runs(&self) -> (u32, u32) {
+        self.projected_runs
     }
 
     /// Number of label class sequences whose transition vector is

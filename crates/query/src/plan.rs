@@ -274,6 +274,13 @@ pub struct ExecStats {
     /// synopsis in their heap row, without fetching or decoding the graph
     /// blob (a subset of `prescreen_skipped`).
     pub blobs_skipped: u64,
+    /// Emission runs an index probe decoded: the runs of the edges inside
+    /// some candidate's projection (0 for filescans, which decode every
+    /// run of every blob they fetch).
+    pub runs_decoded: u64,
+    /// Emission runs of the probe's candidates that it never decoded,
+    /// because no projection reads them (0 for filescans).
+    pub runs_skipped: u64,
     /// Wall-clock time spent compiling the pattern and choosing the plan.
     pub plan_wall: Duration,
     /// Wall-clock time spent executing the chosen plan.
@@ -464,12 +471,14 @@ pub fn render_explain_analyze(
         fmt_wall(stats.wall())
     ));
     out.push_str(&format!(
-        "  rows scanned: {}, lines evaluated: {}, postings probed: {}, prescreen skipped: {}, blobs skipped: {}\n",
+        "  rows scanned: {}, lines evaluated: {}, postings probed: {}, prescreen skipped: {}, blobs skipped: {}, runs decoded: {} of {}\n",
         stats.rows_scanned,
         stats.lines_evaluated,
         stats.postings_probed,
         stats.prescreen_skipped,
-        stats.blobs_skipped
+        stats.blobs_skipped,
+        stats.runs_decoded,
+        stats.runs_decoded + stats.runs_skipped
     ));
     out.push_str(&format!(
         "  buffer pool: {} hits, {} misses, {} evictions ({:.1}% hit rate)\n",

@@ -21,6 +21,19 @@
 //! Decoding is hardened against corrupt blobs: every count is checked
 //! against the remaining length before allocating, so a hostile or
 //! truncated blob produces a typed error instead of an OOM or panic.
+//!
+//! The format is read here only, through one header parser, one
+//! edge-header parser and one emission-run parser, at two depths:
+//!
+//! * [`decode_into_arena`] — the full entry, one fused pass that decodes
+//!   and checks everything. The filescan, ingest, replay and index build
+//!   read blobs through it (and [`decode`] through them).
+//! * [`decode_skeleton`] then [`decode_run`] — the index probe's shallow
+//!   entry. The skeleton checks every count, every length and the graph's
+//!   structure, and decodes no emission; each run the probe's projection
+//!   reads is then decoded with every per-emission check. The labels and
+//!   probabilities of the runs it skips are not validated — the stance
+//!   the filescan's tier-0 prescreen takes for the rows it never fetches.
 
 use crate::error::SfaError;
 use crate::model::{Emission, Sfa, SfaBuilder};
@@ -108,6 +121,22 @@ impl<'a> Reader<'a> {
         Ok((label, prob))
     }
 
+    /// Step over one emission record under the same bounds checks as
+    /// [`Reader::emission`], returning its label's byte length.
+    #[inline]
+    fn skip_emission(&mut self) -> Result<usize, SfaError> {
+        let rem = &self.buf[self.pos..];
+        if rem.len() < 2 {
+            return Err(SfaError::Truncated);
+        }
+        let len = u16::from_le_bytes([rem[0], rem[1]]) as usize;
+        if rem.len() < 2 + len + 8 {
+            return Err(SfaError::Truncated);
+        }
+        self.pos += 2 + len + 8;
+        Ok(len)
+    }
+
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -115,7 +144,7 @@ impl<'a> Reader<'a> {
 
 /// Deserialize an SFA previously produced by [`encode`] into an owned
 /// [`Sfa`]: [`decode_into_arena`] parses and validates the bytes — the
-/// format is read in exactly one place — and the arena is then
+/// format is read in this module only — and the arena is then
 /// materialised through [`SfaBuilder`], so a decoded blob is as
 /// trustworthy as a freshly built SFA and the two decoders cannot
 /// disagree on which blobs they accept or which error they report.
@@ -185,8 +214,9 @@ pub struct ArenaEdge {
     pub em_end: u32,
 }
 
-/// Reusable, allocation-free decode target for SFA blobs — what
-/// [`decode_into_arena`], the one parser of the blob format, fills.
+/// Reusable, allocation-free decode target for SFA blobs — what the
+/// codec's two entries, [`decode_into_arena`] and [`decode_skeleton`] with
+/// [`decode_run`], fill.
 ///
 /// An owned [`Sfa`] is a `Vec` of nodes, a `Vec` per adjacency list, and
 /// one `String` per emission label. On a filescan that is the dominant
@@ -203,13 +233,17 @@ pub struct ArenaEdge {
 ///   ascending, then FIFO following edge-index order), so evaluation over
 ///   the arena visits nodes in the same order as over a decoded [`Sfa`].
 ///
-/// Every check on untrusted bytes lives in [`decode_into_arena`] — header
-/// and count checks, UTF-8 and probability checks, and the structural
-/// invariants of `SfaBuilder::build` (acyclicity, distinct start/finish
-/// with no in-/out-edges respectively, full start→finish reachability).
-/// [`decode`] materialises its [`Sfa`] from a filled arena, so both accept
-/// exactly the same blobs with the same [`SfaError`] values. After an
-/// error the arena contents are unspecified; the next decode resets it.
+/// The full entry, [`decode_into_arena`], applies every check on
+/// untrusted bytes — header and count checks, UTF-8 and probability
+/// checks, and the structural invariants of `SfaBuilder::build`
+/// (acyclicity, distinct start/finish with no in-/out-edges respectively,
+/// full start→finish reachability). [`decode`] materialises its [`Sfa`]
+/// from a filled arena, so both accept exactly the same blobs with the
+/// same [`SfaError`] values. The shallow entry, [`decode_skeleton`], fills
+/// everything but the emission runs and applies every check but the
+/// per-emission ones; [`decode_run`] then decodes and checks one edge's
+/// run at a time. After an error the arena contents are unspecified; the
+/// next decode resets it.
 #[derive(Debug, Default)]
 pub struct DecodeArena {
     nodes: u32,
@@ -226,6 +260,9 @@ pub struct DecodeArena {
     /// chasing edge indices.
     out_to: Vec<u32>,
     topo: Vec<u32>,
+    /// Per edge, the blob offset of its emission run and the run's
+    /// emission count — recorded by [`decode_skeleton`] only.
+    runs: Vec<(u32, u32)>,
     /// Set of byte values occurring in any label, bit `b & 63` of word
     /// `b >> 6` for byte `b`.
     label_bytes: [u64; 4],
@@ -269,9 +306,20 @@ impl DecodeArena {
     }
 
     /// All decoded emissions; index with an edge's `em_start..em_end`.
+    /// After [`decode_skeleton`] it holds only the runs [`decode_run`]
+    /// decoded, in the order they were decoded.
     #[inline]
     pub fn emissions(&self) -> &[ArenaEmission] {
         &self.emissions
+    }
+
+    /// Whether edge `edge`'s emission run is decoded: always after
+    /// [`decode_into_arena`], after [`decode_skeleton`] once [`decode_run`]
+    /// has decoded it. A decoded run is never empty.
+    #[inline]
+    pub fn run_decoded(&self, edge: u32) -> bool {
+        let e = self.edges[edge as usize];
+        e.em_start != e.em_end
     }
 
     /// Out-edge indexes of node `v`, ascending (same order as
@@ -292,7 +340,8 @@ impl DecodeArena {
 
     /// The 256-bit set of byte values that occur in any label of the last
     /// decoded blob (bit `b & 63` of word `b >> 6` for byte `b`), whatever
-    /// the emission's probability. Each decode replaces it.
+    /// the emission's probability. Each decode replaces it; only
+    /// [`decode_into_arena`] fills it ([`decode_skeleton`] leaves it empty).
     #[inline]
     pub fn label_bytes(&self) -> [u64; 4] {
         self.label_bytes
@@ -300,11 +349,100 @@ impl DecodeArena {
 }
 
 /// Parse and validate an SFA blob into a reusable [`DecodeArena`] without
-/// per-row allocation. This is the only reader of the blob format; see
-/// [`DecodeArena`] for the ordering guarantees.
+/// per-row allocation: the full entry, one fused pass that applies every
+/// check of the format and decodes every emission run. See [`DecodeArena`]
+/// for the ordering guarantees.
 pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaError> {
+    let (mut r, edge_count) = read_header(buf, arena)?;
+    // One flag per byte value, packed into `label_bytes` at the end: a
+    // plain store per label byte is cheaper than setting bits in place.
+    let mut seen = [false; 256];
+    for edge_idx in 0..edge_count {
+        let (from, to, n_em) = read_edge_header(&mut r, arena.nodes)?;
+        let em_start = arena.emissions.len() as u32;
+        read_run(&mut r, edge_idx, n_em, &mut arena.emissions, &mut seen)?;
+        arena.edges.push(ArenaEdge {
+            from,
+            to,
+            em_start,
+            em_end: arena.emissions.len() as u32,
+        });
+    }
+    arena.label_bytes = [0; 4];
+    for (b, &hit) in seen.iter().enumerate() {
+        arena.label_bytes[b >> 6] |= u64::from(hit) << (b & 63);
+    }
+
+    validate_arena_structure(arena)
+}
+
+/// The probe's shallow entry, first pass: parse the header and every edge
+/// header, walk every emission's length with the truncation, count and
+/// empty-label checks of [`decode_into_arena`], record where each edge's
+/// run starts, and run the same structural validation. No emission run is
+/// decoded: every edge's `em_start..em_end` is empty until
+/// [`decode_run`] decodes it, and [`DecodeArena::label_bytes`] is empty.
+///
+/// A blob this rejects is rejected by [`decode_into_arena`] with the same
+/// [`SfaError`] whenever its first defect is one of those checks. What it
+/// does not check — labels' UTF-8 and probabilities' range — is checked
+/// by [`decode_run`] for the runs a caller reads, and never for the rest.
+pub fn decode_skeleton(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaError> {
+    let (mut r, edge_count) = read_header(buf, arena)?;
+    for edge_idx in 0..edge_count {
+        let (from, to, n_em) = read_edge_header(&mut r, arena.nodes)?;
+        let at = r.pos as u32;
+        for _ in 0..n_em {
+            if r.skip_emission()? == 0 {
+                return Err(SfaError::EmptyLabel { edge: edge_idx });
+            }
+        }
+        arena.runs.push((at, n_em));
+        arena.edges.push(ArenaEdge {
+            from,
+            to,
+            em_start: 0,
+            em_end: 0,
+        });
+    }
+    arena.label_bytes = [0; 4];
+    validate_arena_structure(arena)
+}
+
+/// The probe's shallow entry, second pass: decode edge `edge`'s emission
+/// run into `arena`, which holds [`decode_skeleton`]'s pass over the same
+/// `buf`, with every per-emission check of [`decode_into_arena`] (UTF-8,
+/// probability range, the stable re-sort of an unsorted run). The run is
+/// appended to [`DecodeArena::emissions`] and the edge's `em_start..em_end`
+/// set to it; a run already decoded is left as it is.
+///
+/// # Panics
+///
+/// If `edge` is not an edge of the decoded blob.
+pub fn decode_run(buf: &[u8], arena: &mut DecodeArena, edge: u32) -> Result<(), SfaError> {
+    if arena.run_decoded(edge) {
+        return Ok(());
+    }
+    let (pos, n_em) = arena.runs[edge as usize];
+    let mut r = Reader {
+        buf,
+        pos: pos as usize,
+    };
+    let em_start = arena.emissions.len() as u32;
+    read_run(&mut r, edge, n_em, &mut arena.emissions, &mut [false; 256])?;
+    let e = &mut arena.edges[edge as usize];
+    e.em_start = em_start;
+    e.em_end = arena.emissions.len() as u32;
+    Ok(())
+}
+
+/// Reset `arena` and parse the blob header — magic, node count, start,
+/// finish, edge count — with its count and node checks. Returns the
+/// reader, positioned at the first edge header, and the edge count.
+fn read_header<'a>(buf: &'a [u8], arena: &mut DecodeArena) -> Result<(Reader<'a>, u32), SfaError> {
     arena.edges.clear();
     arena.emissions.clear();
+    arena.runs.clear();
     arena.out_off.clear();
     arena.out_edges.clear();
     arena.topo.clear();
@@ -336,92 +474,91 @@ pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaE
     arena.nodes = nodes;
     arena.start = start;
     arena.finish = finish;
+    Ok((r, edge_count))
+}
 
-    // One flag per byte value, packed into `label_bytes` at the end: a
-    // plain store per label byte is cheaper than setting bits in place.
-    let mut seen = [false; 256];
-    for edge_idx in 0..edge_count {
-        let from = r.u32()?;
-        let to = r.u32()?;
-        if from >= nodes || to >= nodes {
-            return Err(SfaError::InvalidNode(from.max(to)));
+/// Parse one edge header — `from`, `to`, emission count — checking both
+/// endpoints against `nodes` and the count against the bytes left (an
+/// edge emits at least one label).
+#[inline]
+fn read_edge_header(r: &mut Reader<'_>, nodes: u32) -> Result<(u32, u32, u32), SfaError> {
+    let from = r.u32()?;
+    let to = r.u32()?;
+    if from >= nodes || to >= nodes {
+        return Err(SfaError::InvalidNode(from.max(to)));
+    }
+    let n_em = r.u32()?;
+    if n_em == 0 || n_em as u64 * 10 > r.remaining() as u64 {
+        return Err(SfaError::CorruptCount {
+            what: "emission",
+            count: n_em as u64,
+        });
+    }
+    Ok((from, to, n_em))
+}
+
+/// Parse edge `edge_idx`'s run of `n_em` emissions into `emissions` with
+/// every per-emission check, flagging each label byte in `seen`, and
+/// stably re-sort the run by decreasing probability if it is not sorted.
+#[inline]
+fn read_run(
+    r: &mut Reader<'_>,
+    edge_idx: u32,
+    n_em: u32,
+    emissions: &mut Vec<ArenaEmission>,
+    seen: &mut [bool; 256],
+) -> Result<(), SfaError> {
+    let em_start = emissions.len();
+    let (mut sorted, mut prev) = (true, f64::INFINITY);
+    for _ in 0..n_em {
+        let label_start = r.pos + 2;
+        let (label_bytes, prob) = r.emission()?;
+        // ASCII (the overwhelmingly common case for OCR text) is
+        // valid UTF-8 by construction; labels are a few bytes, so a
+        // branchless OR-fold beats the library `is_ascii` call and
+        // only genuinely multi-byte labels pay the full validator.
+        // The same pass flags each byte for the label-byte set.
+        let mut or = 0u8;
+        for &b in label_bytes {
+            or |= b;
+            seen[usize::from(b)] = true;
         }
-        let n_em = r.u32()?;
-        if n_em as u64 * 10 > r.remaining() as u64 {
-            return Err(SfaError::CorruptCount {
-                what: "emission",
-                count: n_em as u64,
-            });
+        if or >= 0x80 && std::str::from_utf8(label_bytes).is_err() {
+            return Err(SfaError::BadLabel);
         }
-        let em_start = arena.emissions.len() as u32;
-        let (mut sorted, mut prev) = (true, f64::INFINITY);
-        for _ in 0..n_em {
-            let label_start = r.pos + 2;
-            let (label_bytes, prob) = r.emission()?;
-            // ASCII (the overwhelmingly common case for OCR text) is
-            // valid UTF-8 by construction; labels are a few bytes, so a
-            // branchless OR-fold beats the library `is_ascii` call and
-            // only genuinely multi-byte labels pay the full validator.
-            // The same pass flags each byte for the label-byte set.
-            let mut or = 0u8;
-            for &b in label_bytes {
-                or |= b;
-                seen[usize::from(b)] = true;
-            }
-            if or >= 0x80 && std::str::from_utf8(label_bytes).is_err() {
-                return Err(SfaError::BadLabel);
-            }
-            if label_bytes.is_empty() {
-                return Err(SfaError::EmptyLabel { edge: edge_idx });
-            }
-            // The range test also rejects NaN and both infinities.
-            if !(0.0..=1.0 + 1e-9).contains(&prob) {
-                return Err(SfaError::BadProbability {
-                    edge: edge_idx,
-                    prob,
-                });
-            }
-            sorted &= prev >= prob;
-            prev = prob;
-            arena.emissions.push(ArenaEmission {
-                label_start: label_start as u32,
-                label_end: (label_start + label_bytes.len()) as u32,
+        if label_bytes.is_empty() {
+            return Err(SfaError::EmptyLabel { edge: edge_idx });
+        }
+        // The range test also rejects NaN and both infinities.
+        if !(0.0..=1.0 + 1e-9).contains(&prob) {
+            return Err(SfaError::BadProbability {
+                edge: edge_idx,
                 prob,
             });
         }
-        if n_em == 0 {
-            return Err(SfaError::CorruptCount {
-                what: "emission",
-                count: 0,
-            });
-        }
-        // `Sfa::add_edge` stably sorts emissions by decreasing probability;
-        // replicate it so evaluation visits emissions in the same order.
-        // Blobs written by `encode` are already in that order (the `Sfa`
-        // sorted at construction), so the loop above tracks whether the
-        // run is sorted before paying the sort — the probabilities were
-        // validated finite, making `>=` a faithful stand-in for the sort's
-        // comparator.
-        if !sorted {
-            arena.emissions[em_start as usize..].sort_by(|a, b| {
-                b.prob
-                    .partial_cmp(&a.prob)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-        }
-        arena.edges.push(ArenaEdge {
-            from,
-            to,
-            em_start,
-            em_end: arena.emissions.len() as u32,
+        sorted &= prev >= prob;
+        prev = prob;
+        emissions.push(ArenaEmission {
+            label_start: label_start as u32,
+            label_end: (label_start + label_bytes.len()) as u32,
+            prob,
         });
     }
-    arena.label_bytes = [0; 4];
-    for (b, &hit) in seen.iter().enumerate() {
-        arena.label_bytes[b >> 6] |= u64::from(hit) << (b & 63);
+    // `Sfa::add_edge` stably sorts emissions by decreasing probability;
+    // replicate it so evaluation visits emissions in the same order.
+    // Blobs written by `encode` are already in that order (the `Sfa`
+    // sorted at construction), so the loop above tracks whether the
+    // run is sorted before paying the sort — the probabilities were
+    // validated finite, making `>=` a faithful stand-in for the sort's
+    // comparator.
+    if !sorted {
+        emissions[em_start..].sort_by(|a, b| {
+            b.prob
+                .partial_cmp(&a.prob)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
     }
-
-    validate_arena_structure(arena)
+    Ok(())
 }
 
 /// The structural checks of `SfaBuilder::build` (`check_structure`) over
@@ -770,6 +907,110 @@ mod tests {
                 (a, b) => panic!("stomp at {pos}: decode={a:?} arena={b:?}"),
             }
         }
+    }
+
+    /// Assert the shallow entry agrees with the full one on `blob`: where
+    /// the full entry's error is a header, count, length or structure
+    /// defect, the skeleton fails with the same error; where the full
+    /// entry accepts, the skeleton accepts and decoding every run yields
+    /// the full arena; where the full entry rejects a label or a
+    /// probability, the skeleton fails or decoding the runs in edge order
+    /// reports that same error.
+    fn assert_skeleton_agrees(blob: &[u8], full: &mut DecodeArena, shallow: &mut DecodeArena) {
+        let want = decode_into_arena(blob, full);
+        let got = decode_skeleton(blob, shallow);
+        let per_emission = matches!(
+            want,
+            Err(SfaError::BadLabel | SfaError::BadProbability { .. })
+        );
+        if !per_emission {
+            assert_eq!(got, want);
+        }
+        if got.is_err() {
+            return;
+        }
+        assert!(shallow.emissions().is_empty());
+        let runs =
+            (0..shallow.edges().len() as u32).try_for_each(|edge| decode_run(blob, shallow, edge));
+        if per_emission {
+            // Debug text, so a NaN probability compares equal to itself.
+            assert_eq!(format!("{runs:?}"), format!("{want:?}"));
+            return;
+        }
+        runs.unwrap();
+        assert_eq!(
+            (shallow.node_count(), shallow.start(), shallow.finish()),
+            (full.node_count(), full.start(), full.finish())
+        );
+        assert_eq!(shallow.topo(), full.topo());
+        assert_eq!(shallow.edges().len(), full.edges().len());
+        for (edge, (s, f)) in shallow.edges().iter().zip(full.edges()).enumerate() {
+            assert_eq!((s.from, s.to), (f.from, f.to));
+            assert_eq!(shallow.out_edges(s.from), full.out_edges(f.from));
+            let run = |a: &DecodeArena, e: &ArenaEdge| {
+                a.emissions()[e.em_start as usize..e.em_end as usize]
+                    .iter()
+                    .map(|em| (em.label_range(), em.prob.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(run(shallow, s), run(full, f), "edge {edge}");
+        }
+        // A second request for a decoded run changes nothing.
+        let before = shallow.emissions().len();
+        decode_run(blob, shallow, 0).unwrap();
+        assert_eq!(shallow.emissions().len(), before);
+    }
+
+    #[test]
+    fn skeleton_rejects_what_the_full_entry_rejects_with_the_same_error() {
+        let (mut full, mut shallow) = (DecodeArena::new(), DecodeArena::new());
+        let mut b = SfaBuilder::new();
+        let s = b.add_node();
+        let f = b.add_node();
+        b.add_edge(s, f, vec![Emission::new("ab", 1.0)]);
+        let small = encode(&b.build(s, f).unwrap());
+        let fig = encode(&figure1());
+        // Edge 0 of figure 1 holds "F" 0.8 then "T" 0.2, one 11-byte
+        // record each from offset 32: swapped, the run is unsorted.
+        let mut unsorted = fig.clone();
+        unsorted[32..54].rotate_left(11);
+        for blob in [&fig, &small, &unsorted] {
+            assert_skeleton_agrees(blob, &mut full, &mut shallow);
+            for cut in 0..blob.len() {
+                assert_skeleton_agrees(&blob[..cut], &mut full, &mut shallow);
+            }
+            for pos in 0..blob.len() {
+                for stomp in [0x41, 0xFF] {
+                    let mut bad = blob.clone();
+                    bad[pos] ^= stomp;
+                    assert_skeleton_agrees(&bad, &mut full, &mut shallow);
+                }
+            }
+        }
+        // The hostile cases above, one by one.
+        let mut huge_edges = fig.clone();
+        huge_edges[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bad_prob = fig.clone();
+        let len = bad_prob.len();
+        bad_prob[len - 8..].copy_from_slice(&f64::NAN.to_le_bytes());
+        let mut bad_label = small.clone();
+        let len = bad_label.len();
+        bad_label[len - 10..len - 8].copy_from_slice(&[0xFF, 0xFE]);
+        for blob in [&b"NOPE????????"[..], &huge_edges, &bad_prob, &bad_label] {
+            assert_skeleton_agrees(blob, &mut full, &mut shallow);
+        }
+        assert_eq!(
+            decode_skeleton(&huge_edges, &mut shallow),
+            decode_into_arena(&huge_edges, &mut full)
+        );
+        // The skeleton does not read the labels or probabilities...
+        decode_skeleton(&bad_prob, &mut shallow).unwrap();
+        decode_skeleton(&bad_label, &mut shallow).unwrap();
+        // ...the run that holds one does.
+        assert!(matches!(
+            decode_run(&bad_label, &mut shallow, 0),
+            Err(SfaError::BadLabel)
+        ));
     }
 
     #[test]

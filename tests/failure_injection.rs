@@ -12,7 +12,9 @@ use staccato::storage::{
     BlobStore, BufferPool, ColumnType, Database, Disk, MemDisk, PageId, Schema, StorageError,
     Value, PAGE_SIZE,
 };
-use staccato::{Approach, DocumentInput, IngestBatch, QueryRequest, Staccato, SyncPolicy};
+use staccato::{
+    Approach, DocumentInput, IngestBatch, PlanPreference, QueryRequest, Staccato, SyncPolicy,
+};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -223,6 +225,187 @@ fn corrupt_candidate_blob_fails_the_probe_with_a_typed_error() {
     assert!(session.plan(&request).expect("plan").is_index_probe());
     let err = session.execute(&request).unwrap_err();
     assert!(matches!(err, QueryError::Sfa(_)), "got {err:?}");
+}
+
+#[test]
+fn posting_key_of_the_wrong_length_fails_the_probe_with_a_typed_error() {
+    // Under the 'data' prefix: 3 bytes where 12 belong, then 13.
+    for tail in [&b"abc"[..], &[7u8; 13][..]] {
+        let (session, _, _) = probed_session();
+        let store = session.store();
+        let mut k = b"data\0".to_vec();
+        k.extend_from_slice(tail);
+        store
+            .db()
+            .index("inv_postings")
+            .expect("postings tree")
+            .insert(store.db().pool(), &k, 0)
+            .expect("insert");
+        let index = session.index("inv").expect("registered");
+        let err = staccato::query::invindex::probe_term(store, &index, "data").unwrap_err();
+        assert!(
+            matches!(err, QueryError::Storage(StorageError::CorruptPage { .. })),
+            "tail of {}: got {err:?}",
+            tail.len()
+        );
+        let err = session
+            .execute(&QueryRequest::keyword("data").num_ans(100))
+            .unwrap_err();
+        assert!(
+            matches!(err, QueryError::Storage(StorageError::CorruptPage { .. })),
+            "tail of {}: got {err:?}",
+            tail.len()
+        );
+    }
+}
+
+#[test]
+fn dictionary_term_with_a_nul_does_not_reach_the_probe_of_its_prefix() {
+    let session = tiny_session();
+    let trie = staccato::automata::Trie::build(["data", "data\0zz"]);
+    session.register_index(&trie, "inv").expect("index");
+    // A line that emits the NUL-bearing term, indexed at ingest. Were the
+    // term kept, its postings would sort under the 'data' prefix and the
+    // probe would read "zz" as the start of a line key.
+    let mut b = SfaBuilder::new();
+    let (s, f) = (b.add_node(), b.add_node());
+    b.add_edge(s, f, vec![Emission::new("data\0zz", 1.0)]);
+    let key = session
+        .ingest(sfa_doc("nul", &b.build(s, f).expect("sfa")))
+        .expect("ingest")
+        .first_key;
+    let request = QueryRequest::keyword("data").num_ans(100);
+    let probe = session.execute(&request).expect("probe");
+    assert!(probe.plan.is_index_probe());
+    let index = session.index("inv").expect("registered");
+    assert!(!index
+        .contains_term(session.store().db().pool(), "data\0zz")
+        .unwrap());
+    let scan = session
+        .execute(&request.plan_preference(PlanPreference::ForceFileScan))
+        .expect("scan");
+    let keys = |answers: &[staccato::Answer]| {
+        let mut keys: Vec<i64> = answers.iter().map(|a| a.data_key).collect();
+        keys.sort_unstable();
+        keys
+    };
+    assert_eq!(keys(&probe.answers), keys(&scan.answers));
+    // The line is a candidate through its 'data' posting; `\x` is
+    // printable ASCII, so no keyword matches across its NUL.
+    let candidates = staccato::query::invindex::probe_term(session.store(), &index, "data");
+    assert!(candidates.unwrap().iter().any(|(k, _)| *k == key));
+    assert!(!keys(&probe.answers).contains(&key));
+}
+
+/// The blob page of the `StaccatoGraph` row keyed `key`.
+fn staccato_blob_page(session: &Staccato, key: i64) -> PageId {
+    let store = session.store();
+    let (schema, heap) = store.table("StaccatoGraph").expect("table");
+    heap.scan(store.db().pool())
+        .map(|item| item.expect("scan").1)
+        .map(|bytes| staccato::storage::row::decode_row(&schema, &bytes).expect("row"))
+        .find(|row| row[0].as_int() == Some(key))
+        .expect("row")[1]
+        .as_blob()
+        .expect("blob id")
+}
+
+/// A label or a probability made invalid in place.
+#[derive(Debug, Clone, Copy)]
+enum Defect {
+    NanProbability,
+    NonUtf8Label,
+}
+
+/// Break the first emission of edge `edge` of line `key`'s stored chunk
+/// graph with `defect`. The graph must fit on one blob page.
+fn break_emission(session: &Staccato, key: i64, edge: u32, defect: Defect) {
+    let (_, blob) = session
+        .store()
+        .staccato_blobs()
+        .unwrap()
+        .map(|item| item.unwrap())
+        .find(|(k, _)| *k == key)
+        .unwrap();
+    assert!(blob.len() <= staccato::storage::blob::BLOB_PAYLOAD);
+    let mut arena = staccato::sfa::DecodeArena::new();
+    codec::decode_into_arena(&blob, &mut arena).unwrap();
+    let em = arena.emissions()[arena.edges()[edge as usize].em_start as usize];
+    let (at, bytes) = match defect {
+        Defect::NanProbability => (em.label_end as usize, f64::NAN.to_le_bytes().to_vec()),
+        Defect::NonUtf8Label => (em.label_start as usize, vec![0xFF]),
+    };
+    let page = staccato_blob_page(session, key);
+    // Blob page layout: [next u64][len u32][payload...].
+    let mut page = session.store().db().pool().fetch_write(page).unwrap();
+    page[12 + at..12 + at + bytes.len()].copy_from_slice(&bytes);
+}
+
+/// A candidate line of `probed_session` none of whose 'data' postings
+/// leaves its graph's start node, so the start node's out-edges lie
+/// outside every projection the probe runs; returns the line's key, one
+/// such edge and one posted edge.
+fn unprojected_edge(session: &Staccato) -> (i64, u32, u32) {
+    let index = session.index("inv").expect("registered");
+    let store = session.store();
+    let blobs: std::collections::HashMap<i64, Vec<u8>> = store
+        .staccato_blobs()
+        .unwrap()
+        .collect::<Result<_, _>>()
+        .unwrap();
+    let mut arena = staccato::sfa::DecodeArena::new();
+    for (key, posts) in staccato::query::invindex::probe_term(store, &index, "data").unwrap() {
+        codec::decode_into_arena(&blobs[&key], &mut arena).unwrap();
+        let start = arena.start();
+        if posts
+            .iter()
+            .all(|p| arena.edges()[p.edge as usize].from != start)
+        {
+            return (key, arena.out_edges(start)[0], posts[0].edge);
+        }
+    }
+    panic!("every candidate line is posted at its start node");
+}
+
+#[test]
+fn defect_outside_the_projection_leaves_the_probe_bit_identical() {
+    for defect in [Defect::NanProbability, Defect::NonUtf8Label] {
+        let (session, _, _) = probed_session();
+        let request = QueryRequest::keyword("data").num_ans(100);
+        let before = session.execute(&request).expect("probe");
+        let (key, outside, _) = unprojected_edge(&session);
+        break_emission(&session, key, outside, defect);
+        let after = session.execute(&request).expect("probe past the defect");
+        assert!(after.plan.is_index_probe());
+        assert!(after.stats.runs_skipped > 0);
+        assert_eq!(after.answers.len(), before.answers.len(), "{defect:?}");
+        for (a, b) in after.answers.iter().zip(&before.answers) {
+            assert_eq!(a.data_key, b.data_key, "{defect:?}");
+            assert_eq!(
+                a.probability.to_bits(),
+                b.probability.to_bits(),
+                "{defect:?}"
+            );
+        }
+        // A filescan decodes the whole row, and fails on it.
+        let err = session
+            .execute(&request.plan_preference(PlanPreference::ForceFileScan))
+            .unwrap_err();
+        assert!(matches!(err, QueryError::Sfa(_)), "{defect:?}: got {err:?}");
+    }
+}
+
+#[test]
+fn defect_inside_the_projection_fails_the_probe_with_a_typed_error() {
+    for defect in [Defect::NanProbability, Defect::NonUtf8Label] {
+        let (session, _, _) = probed_session();
+        let (key, _, posted) = unprojected_edge(&session);
+        break_emission(&session, key, posted, defect);
+        let request = QueryRequest::keyword("data").num_ans(100);
+        assert!(session.plan(&request).expect("plan").is_index_probe());
+        let err = session.execute(&request).unwrap_err();
+        assert!(matches!(err, QueryError::Sfa(_)), "{defect:?}: got {err:?}");
+    }
 }
 
 /// The first `StaccatoGraph` row of `session`: its key and blob page.

@@ -332,6 +332,38 @@ fn projection_reaches_every_node_within_depth() {
     }
 }
 
+/// The edges whose ends both lie within `depth` edges (shortest distance)
+/// of the source of some start edge: the emission runs a projection may
+/// read, by definition over the decoded graph.
+fn projected_edges(sfa: &Sfa, start_edges: &[u32], depth: usize) -> BTreeSet<u32> {
+    let mut edges = BTreeSet::new();
+    for from in start_edges
+        .iter()
+        .filter_map(|&eid| sfa.edge(eid))
+        .map(|e| e.from)
+    {
+        let mut dist = std::collections::HashMap::from([(from, 0usize)]);
+        let mut frontier = std::collections::VecDeque::from([from]);
+        while let Some(v) = frontier.pop_front() {
+            if dist[&v] < depth {
+                for &eid in sfa.out_edges(v) {
+                    let to = sfa.edge(eid).unwrap().to;
+                    if !dist.contains_key(&to) {
+                        dist.insert(to, dist[&v] + 1);
+                        frontier.push_back(to);
+                    }
+                }
+            }
+        }
+        edges.extend(
+            sfa.edges()
+                .filter(|(_, e)| dist.contains_key(&e.from) && dist.contains_key(&e.to))
+                .map(|(id, _)| id),
+        );
+    }
+    edges
+}
+
 thread_local! {
     /// One scratch for every case of the projection proptest, so state
     /// leaking from one row, kernel or entry point into the next shows.
@@ -411,6 +443,63 @@ proptest! {
                 assert_projection_identity(&q, &blob, &start_edges, depth, scratch);
                 assert_projection_identity(&q, &blob, &[], depth, scratch);
                 assert_blob_identity(&q, &blob, scratch);
+            }
+        });
+    }
+
+    // The probe decodes only the runs its projection reads. On both graph
+    // strategies, with every emission probability outside the projected
+    // edges made NaN — a run the full decode would reject — the shallow
+    // projection still equals the reference over the full decode, bit for
+    // bit, and reports exactly the projected runs as decoded.
+    #[test]
+    fn shallow_projection_equals_the_full_decode(
+        sfa in sfa_strategy(),
+        multi in multibyte_sfa_strategy(),
+        pattern in pattern_strategy(),
+        picks in prop::collection::vec(any::<u32>(), 0..6),
+        depth in 0usize..6,
+    ) {
+        let depth = if depth == 5 { usize::MAX } else { depth };
+        let q = Query::regex(&pattern).unwrap();
+        SHARED_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let graphs = [approximate(&sfa, StaccatoParams::new(3, 2)), sfa, multi];
+            for graph in &graphs {
+                let blob = codec::encode(graph);
+                let stored = codec::decode(&blob).unwrap();
+                let edge_count = stored.edge_count() as u32;
+                let start_edges: Vec<u32> = picks.iter().map(|p| p % (edge_count + 1)).collect();
+                let projected = projected_edges(&stored, &start_edges, depth);
+                let mut arena = staccato::sfa::DecodeArena::new();
+                codec::decode_into_arena(&blob, &mut arena).unwrap();
+                let mut broken = blob.clone();
+                for (eid, e) in arena.edges().iter().enumerate() {
+                    if projected.contains(&(eid as u32)) {
+                        continue;
+                    }
+                    for em in &arena.emissions()[e.em_start as usize..e.em_end as usize] {
+                        let at = em.label_end as usize;
+                        broken[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+                    }
+                }
+                let want = start_edges
+                    .iter()
+                    .filter_map(|&eid| stored.edge(eid))
+                    .map(|e| e.from)
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .map(|from| project_eval(&q.dfa, &stored, from, depth))
+                    .fold(0.0f64, f64::max);
+                for bytes in [&blob, &broken] {
+                    let got = q
+                        .kernel
+                        .eval_projection(scratch, bytes, &start_edges, depth)
+                        .unwrap();
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} from {:?}", q.pattern, start_edges);
+                    prop_assert_eq!(scratch.projected_runs(), (projected.len() as u32, edge_count));
+                }
+                prop_assert!(projected.len() as u32 == edge_count || codec::decode(&broken).is_err());
             }
         });
     }

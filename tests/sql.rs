@@ -319,6 +319,48 @@ fn explain_analyze_counts_the_blobs_the_synopsis_skipped() {
 }
 
 #[test]
+fn explain_analyze_counts_the_runs_a_probe_decoded() {
+    let s = session(30, 131);
+    s.register_index(&Trie::build(["the"]), "inv")
+        .expect("index");
+    let sql = "SELECT DataKey FROM StaccatoData WHERE Data REGEXP 'the' LIMIT 10";
+    let out = s.sql(&format!("EXPLAIN ANALYZE {sql}")).expect("analyze");
+    let text = out.explain.expect("EXPLAIN ANALYZE sets the text");
+    assert!(out.plan.is_index_probe(), "{text}");
+    assert!(!out.answers.is_empty());
+    // One run per edge of every candidate: the probe decodes only the
+    // runs inside some projection, fewer than its candidates hold.
+    let edges: std::collections::HashMap<i64, u64> = s
+        .store()
+        .staccato_cursor()
+        .unwrap()
+        .map(|item| item.map(|(key, sfa)| (key, sfa.edge_count() as u64)))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    let index = s.index("inv").expect("registered");
+    let held: u64 = staccato::query::invindex::probe_term(s.store(), &index, "the")
+        .unwrap()
+        .iter()
+        .map(|(key, _)| edges[key])
+        .sum();
+    assert_eq!(out.stats.runs_decoded + out.stats.runs_skipped, held);
+    assert!(out.stats.runs_decoded > 0);
+    assert!(out.stats.runs_decoded < held, "{text}");
+    assert!(
+        text.contains(&format!(
+            "runs decoded: {} of {held}",
+            out.stats.runs_decoded
+        )),
+        "{text}"
+    );
+    // A filescan decodes whole blobs and counts no runs.
+    let scan = s
+        .sql(&format!("EXPLAIN ANALYZE {sql}").replace("StaccatoData", "FullSFAData"))
+        .expect("scan");
+    assert_eq!((scan.stats.runs_decoded, scan.stats.runs_skipped), (0, 0));
+}
+
+#[test]
 fn explain_analyze_executes_and_reports_counters() {
     let s = session(30, 131);
     let sql = "SELECT DataKey, Prob FROM MAPData WHERE Data REGEXP 'President' LIMIT 10";
