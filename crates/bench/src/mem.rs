@@ -34,8 +34,11 @@ pub struct MemCorpus {
     pub clean: Vec<String>,
     /// Encoded full SFA per line.
     pub full_blobs: Vec<Vec<u8>>,
+    /// Σ [`codec::table1_size`] over the full SFAs.
+    full_table1: u64,
     kmap_cache: HashMap<usize, KmapRep>,
-    stac_cache: HashMap<(usize, usize), StacRep>,
+    /// Per `(m, k)`: the encoded graphs, and Σ [`codec::table1_size`].
+    stac_cache: HashMap<(usize, usize), (StacRep, u64)>,
     parallelism: usize,
 }
 
@@ -69,14 +72,18 @@ impl MemCorpus {
         let par = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
-        let full_blobs = par_map(par, &work, |(id, text)| {
-            codec::encode(&ch.line_to_sfa(text, *id))
-        });
+        let (full_blobs, sizes): (Vec<Vec<u8>>, Vec<usize>) = par_map(par, &work, |(id, text)| {
+            let sfa = ch.line_to_sfa(text, *id);
+            (codec::encode(&sfa), codec::table1_size(&sfa))
+        })
+        .into_iter()
+        .unzip();
         let clean = work.into_iter().map(|(_, l)| l).collect();
         MemCorpus {
             dataset,
             clean,
             full_blobs,
+            full_table1: sizes.iter().map(|&s| s as u64).sum(),
             kmap_cache: HashMap::new(),
             stac_cache: HashMap::new(),
             parallelism: par,
@@ -88,9 +95,11 @@ impl MemCorpus {
         self.clean.len()
     }
 
-    /// Total encoded FullSFA bytes (Table 2's "Size as SFAs").
+    /// Total FullSFA bytes in the paper's cost model (Table 2's "Size as
+    /// SFAs", and what §5.5's tuner budgets against):
+    /// [`codec::table1_size`], not the smaller stored blobs.
     pub fn full_bytes(&self) -> u64 {
-        self.full_blobs.iter().map(|b| b.len() as u64).sum()
+        self.full_table1
     }
 
     /// Total clean-text bytes.
@@ -117,17 +126,22 @@ impl MemCorpus {
 
     /// The Staccato representation (memoized), kept encoded.
     pub fn staccato(&mut self, m: usize, k: usize) -> StacRep {
-        if let Some(r) = self.stac_cache.get(&(m, k)) {
-            return r.clone();
-        }
-        let params = StaccatoParams::new(m, k);
-        let rep: Vec<Vec<u8>> = par_map(self.parallelism, &self.full_blobs, |blob| {
-            let sfa = codec::decode(blob).expect("stored blob");
-            codec::encode(&approximate(&sfa, params))
-        });
-        let rep = Arc::new(rep);
-        self.stac_cache.insert((m, k), rep.clone());
-        rep
+        self.staccato_entry(m, k).0.clone()
+    }
+
+    fn staccato_entry(&mut self, m: usize, k: usize) -> &(StacRep, u64) {
+        let par = self.parallelism;
+        let full_blobs = &self.full_blobs;
+        self.stac_cache.entry((m, k)).or_insert_with(|| {
+            let params = StaccatoParams::new(m, k);
+            let (rep, sizes): (Vec<Vec<u8>>, Vec<usize>) = par_map(par, full_blobs, |blob| {
+                let sfa = approximate(&codec::decode(blob).expect("stored blob"), params);
+                (codec::encode(&sfa), codec::table1_size(&sfa))
+            })
+            .into_iter()
+            .unzip();
+            (Arc::new(rep), sizes.iter().map(|&s| s as u64).sum())
+        })
     }
 
     /// k-MAP bytes including Table 1's 16-byte per-tuple metadata.
@@ -138,9 +152,10 @@ impl MemCorpus {
             .sum()
     }
 
-    /// Staccato bytes (encoded graph blobs).
+    /// Staccato bytes in the paper's cost model, the units of
+    /// [`MemCorpus::full_bytes`].
     pub fn staccato_bytes(&mut self, m: usize, k: usize) -> u64 {
-        self.staccato(m, k).iter().map(|b| b.len() as u64).sum()
+        self.staccato_entry(m, k).1
     }
 
     /// Ground truth for a query.

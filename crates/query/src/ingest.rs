@@ -12,21 +12,23 @@
 //! Payload layout (all integers little-endian):
 //!
 //! ```text
-//! [magic "SWB2"] [batch_seq u64] [first_key i64] [ndocs u32] docs...
+//! [magic "SWB3"] [batch_seq u64] [first_key i64] [ndocs u32] docs...
 //! doc  := meta artifacts
 //! meta := str(provider) f64(confidence) i64(processing_time_ms)
 //!         i64(ingested_at)
 //! artifacts := str(doc_name) i64(sfa_num) str(clean)
 //!              u32(nk) [str f64]*nk          -- k-MAP strings
-//!              bytes(full_blob) bytes(stac_blob)
+//!              bytes(full_blob) bytes(stac_blob)  -- SFA2 blobs
 //! str/bytes := u32 length + payload
 //! ```
 //!
-//! The previous format, `SWB1`, also logged one row per Staccato chunk
-//! string after the blobs. No reader for it is kept: a log holding an
-//! `SWB1` record is refused with a [`QueryError::CorruptWal`] that says
-//! so, before any batch is replayed, and is recovered with the previous
-//! binary, which can then checkpoint it away.
+//! The two previous formats are refused, before any batch is replayed,
+//! with a [`QueryError::CorruptWal`] that says so: `SWB2`, the same layout
+//! carrying `SFA1` blobs, and `SWB1`, which also logged one row per
+//! Staccato chunk string after the blobs. No reader for either is kept,
+//! and the log is left as it is. A store whose blobs are `SFA1` is
+//! refused too (at the first read of a blob, [`staccato_sfa::SfaError::BadMagic`]),
+//! so such a store is rebuilt from its source rather than recovered.
 
 use crate::error::QueryError;
 use crate::store::LineArtifacts;
@@ -39,7 +41,8 @@ pub struct DocumentInput {
     pub name: String,
     /// The (noisy) line text the OCR channel reads.
     pub text: String,
-    /// Pre-built SFA blob from an external OCR engine (codec format).
+    /// Pre-built SFA blob from an external OCR engine, in the codec's
+    /// `SFA2` format ([`staccato_sfa::codec::encode`]).
     /// When absent the store's own channel builds the SFA from `text`.
     pub sfa: Option<Vec<u8>>,
     /// OCR engine that produced the document.
@@ -177,7 +180,7 @@ pub(crate) struct DecodedDoc {
     pub(crate) ingested_at: i64,
 }
 
-const MAGIC: &[u8; 4] = b"SWB2";
+const MAGIC: &[u8; 4] = b"SWB3";
 
 pub(crate) fn encode_batch(batch: &DecodedBatch) -> Vec<u8> {
     let mut out = Vec::new();
@@ -208,10 +211,10 @@ pub(crate) fn encode_batch(batch: &DecodedBatch) -> Vec<u8> {
 pub(crate) fn decode_batch(bytes: &[u8]) -> Result<DecodedBatch, QueryError> {
     let mut r = Reader { bytes, pos: 0 };
     let magic = r.take(4)?;
-    if magic == b"SWB1" {
+    if magic == b"SWB1" || magic == b"SWB2" {
         return Err(QueryError::CorruptWal(
-            "batch written in the previous WAL format (SWB1): recover this log with the \
-             previous binary and checkpoint before upgrading",
+            "batch written in a previous WAL format (SWB1 or SWB2, whose blobs are SFA1): \
+             reload the store from its source; this binary reads SFA2 stores only",
         ));
     }
     if magic != MAGIC {
@@ -405,12 +408,14 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(decode_batch(&wrong_magic).is_err());
-        let mut previous_format = bytes.clone();
-        previous_format[..4].copy_from_slice(b"SWB1");
-        assert!(matches!(
-            decode_batch(&previous_format),
-            Err(QueryError::CorruptWal(why)) if why.contains("previous WAL format")
-        ));
+        for magic in [b"SWB1", b"SWB2"] {
+            let mut previous_format = bytes.clone();
+            previous_format[..4].copy_from_slice(magic);
+            assert!(matches!(
+                decode_batch(&previous_format),
+                Err(QueryError::CorruptWal(why)) if why.contains("previous WAL format")
+            ));
+        }
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(decode_batch(&trailing).is_err());

@@ -94,9 +94,11 @@ pub struct RepresentationSizes {
     pub map: u64,
     /// k-MAP strings (incl. 16-byte per-tuple metadata, as Table 1 counts).
     pub kmap: u64,
-    /// FullSFA blobs.
+    /// FullSFA blobs as stored (`SFA2` bytes, not the paper's cost model,
+    /// [`staccato_sfa::codec::table1_size`]).
     pub full_sfa: u64,
-    /// Staccato graph blobs plus their [`SYNOPSIS_LEN`]-byte synopses.
+    /// Staccato graph blobs as stored plus their [`SYNOPSIS_LEN`]-byte
+    /// synopses.
     pub staccato: u64,
 }
 

@@ -2,18 +2,36 @@
 //!
 //! In the paper, FullSFA stores "the entire SFA as a BLOB inside the RDBMS"
 //! and Staccato stores its chunk graph the same way (Table 5's `SFABlob` /
-//! `GraphBlob` columns). This module defines that byte format.
+//! `GraphBlob` columns). This module defines that byte format, `SFA2`.
 //!
-//! Layout (little-endian):
+//! Layout (a varint is an unsigned LEB128 `u32` in its shortest form, at
+//! most five bytes):
 //!
 //! ```text
-//! magic  b"SFA1"
-//! u32    node count          u32 start    u32 finish
-//! u32    edge count
-//! per edge:
-//!   u32 from   u32 to   u32 emission count
-//!   per emission: u16 label byte length, label bytes (UTF-8), f64 prob
+//! magic  b"SFA2"
+//! varint node count   varint start   varint finish   varint edge count
+//! varint label count  varint label bytes
+//!                     the labels' bytes back to back (UTF-8), then per
+//!                     label: varint byte length
+//! varint prob count   per prob: u64 LE (the f64's bits)
+//! per edge:  varint from   varint to   varint emission count
+//! per edge, its run:  per emission a label id, then a prob id
 //! ```
+//!
+//! An id is little-endian in the fewest of one, two or four bytes that
+//! number every entry of its dictionary, so every emission of a blob
+//! takes the same bytes, each edge's run offset follows from the emission
+//! counts before it, and a run decodes without a branch per id length.
+//! The runs close the blob.
+//!
+//! The two dictionaries hold each distinct label and each distinct
+//! probability once, in ascending order — labels by their bytes,
+//! probabilities by their bits — so the coding is lossless, an SFA always
+//! encodes to the same bytes, and a repeated entry shows against the one
+//! before it. An OCR edge emits the whole alphabet from a handful of
+//! confusion weights, so a FullSFA blob is about a fifth of the `SFA1`
+//! layout the paper's cost model counts ([`table1_size`]), and a Staccato
+//! blob about a third.
 //!
 //! The SFA is written in its topological renumbering — nodes numbered in
 //! [`Sfa::topo_order`], live edges in id order — straight from the graph:
@@ -22,27 +40,31 @@
 //! against the remaining length before allocating, so a hostile or
 //! truncated blob produces a typed error instead of an OOM or panic.
 //!
-//! The format is read here only, through one header parser, one
-//! edge-header parser and one emission-run parser, at two depths:
+//! The format is read here only, at two depths:
 //!
-//! * [`decode_into_arena`] — the full entry, one fused pass that decodes
-//!   and checks everything. The filescan, ingest, replay and index build
-//!   read blobs through it (and [`decode`] through them).
 //! * [`decode_skeleton`] then [`decode_run`] — the index probe's shallow
-//!   entry. The skeleton checks every count, every length and the graph's
-//!   structure, and decodes no emission; each run the probe's projection
-//!   reads is then decoded with every per-emission check. The labels and
-//!   probabilities of the runs it skips are not validated — the stance
-//!   the filescan's tier-0 prescreen takes for the rows it never fetches.
+//!   entry. The skeleton reads the header, both dictionaries and every
+//!   edge header, and checks them in full — every count, that the runs
+//!   fill the rest of the blob, each label's UTF-8, each probability's
+//!   range, the order that rules out a repeated entry — and the graph's
+//!   structure; each run the probe's projection reads is then decoded
+//!   with its ids checked. The runs it skips are not read, so a bad id
+//!   there does not fail the probe — the stance the filescan's tier-0
+//!   prescreen takes for the rows it never fetches.
+//! * [`decode_into_arena`] — the full entry: the skeleton, the label-byte
+//!   set, then every run. The filescan, ingest, replay and index build
+//!   read blobs through it (and [`decode`] through them).
 
 use crate::error::SfaError;
 use crate::model::{Emission, Sfa, SfaBuilder};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
-const MAGIC: &[u8; 4] = b"SFA1";
+const MAGIC: &[u8; 4] = b"SFA2";
 
 /// Serialize an SFA into a fresh byte buffer.
 pub fn encode(sfa: &Sfa) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(encoded_size(sfa));
+    let mut buf = Vec::new();
     encode_into(sfa, &mut buf);
     buf
 }
@@ -50,28 +72,83 @@ pub fn encode(sfa: &Sfa) -> Vec<u8> {
 /// Serialize an SFA, appending to `buf`.
 pub fn encode_into(sfa: &Sfa, buf: &mut Vec<u8>) {
     let remap = sfa.topo_remap();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(sfa.node_count() as u32).to_le_bytes());
-    buf.extend_from_slice(&remap[sfa.start() as usize].to_le_bytes());
-    buf.extend_from_slice(&remap[sfa.finish() as usize].to_le_bytes());
-    buf.extend_from_slice(&(sfa.edge_count() as u32).to_le_bytes());
+    // Each distinct label and probability, and per emission the two, as
+    // ids in order of first occurrence. A one-byte label — every FullSFA
+    // label — is looked up by its byte, and a probability equal to the
+    // previous emission's (a run is sorted by probability) by its id.
+    let mut labels: Vec<&[u8]> = Vec::new();
+    let mut label_ids: HashMap<&[u8], u32> = HashMap::new();
+    let mut byte_ids = [u32::MAX; 256];
+    let mut probs: Vec<u64> = Vec::new();
+    let mut prob_ids: HashMap<u64, u32> = HashMap::new();
+    let mut ids = Vec::with_capacity(sfa.edges().map(|(_, e)| e.emissions.len()).sum());
     for (_, e) in sfa.edges() {
-        buf.extend_from_slice(&remap[e.from as usize].to_le_bytes());
-        buf.extend_from_slice(&remap[e.to as usize].to_le_bytes());
-        buf.extend_from_slice(&(e.emissions.len() as u32).to_le_bytes());
+        let mut last = None;
         for em in &e.emissions {
             let bytes = em.label.as_bytes();
-            debug_assert!(bytes.len() <= u16::MAX as usize, "label too long to encode");
-            buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-            buf.extend_from_slice(bytes);
-            buf.extend_from_slice(&em.prob.to_le_bytes());
+            let label = match bytes {
+                [b] => &mut byte_ids[usize::from(*b)],
+                _ => label_ids.entry(bytes).or_insert(u32::MAX),
+            };
+            if *label == u32::MAX {
+                *label = labels.len() as u32;
+                labels.push(bytes);
+            }
+            let bits = em.prob.to_bits();
+            let prob = match last {
+                Some((seen, id)) if seen == bits => id,
+                _ => *prob_ids.entry(bits).or_insert_with(|| {
+                    probs.push(bits);
+                    probs.len() as u32 - 1
+                }),
+            };
+            last = Some((bits, prob));
+            ids.push((*label, prob));
         }
+    }
+    // The dictionaries are stored in ascending order, and the ids renamed
+    // to match.
+    let label_rank = sort_dictionary(&mut labels, |label| prefix_word(label, 0, label.len()));
+    let prob_rank = sort_dictionary(&mut probs, |bits| bits);
+    buf.extend_from_slice(MAGIC);
+    let (start, finish) = (remap[sfa.start() as usize], remap[sfa.finish() as usize]);
+    for v in [
+        sfa.node_count() as u32,
+        start,
+        finish,
+        sfa.edge_count() as u32,
+    ] {
+        put_varint(buf, v);
+    }
+    put_varint(buf, labels.len() as u32);
+    put_varint(buf, labels.iter().map(|label| label.len() as u32).sum());
+    labels.iter().for_each(|label| buf.extend_from_slice(label));
+    for label in &labels {
+        put_varint(buf, label.len() as u32);
+    }
+    put_varint(buf, probs.len() as u32);
+    for bits in &probs {
+        buf.extend_from_slice(&bits.to_le_bytes());
+    }
+    for (_, e) in sfa.edges() {
+        let (from, to) = (remap[e.from as usize], remap[e.to as usize]);
+        for v in [from, to, e.emissions.len() as u32] {
+            put_varint(buf, v);
+        }
+    }
+    let widths = (id_width(labels.len()), id_width(probs.len()));
+    for (label, prob) in ids {
+        put_id(buf, label_rank[label as usize], widths.0);
+        put_id(buf, prob_rank[prob as usize], widths.1);
     }
 }
 
-/// Exact size in bytes [`encode`] will produce. This is the storage cost
-/// that Table 1 and the dataset statistics (Table 2) account for.
-pub fn encoded_size(sfa: &Sfa) -> usize {
+/// Size in bytes of `sfa` in the paper's cost model — the storage cost
+/// that Table 1, Table 2 and §5.5's tuner account for: the `SFA1` layout,
+/// a 20-byte header, 12 bytes per edge, and per emission a `u16` label
+/// length, the label bytes and an `f64`. [`encode`] stores the same SFA
+/// in fewer bytes.
+pub fn table1_size(sfa: &Sfa) -> usize {
     let mut size = 4 + 4 + 4 + 4 + 4; // magic + node count + start + finish + edge count
     for (_, e) in sfa.edges() {
         size += 4 + 4 + 4;
@@ -80,6 +157,62 @@ pub fn encoded_size(sfa: &Sfa) -> usize {
         }
     }
     size
+}
+
+/// Bytes per id of a dictionary of `entries`: one, two or four, the
+/// fewest that number every entry.
+fn id_width(entries: usize) -> usize {
+    match entries {
+        0..=0x100 => 1,
+        0x101..=0x1_0000 => 2,
+        _ => 4,
+    }
+}
+
+/// Append `id` in `width` bytes (see [`id_width`]).
+#[inline]
+fn put_id(buf: &mut Vec<u8>, id: u32, width: usize) {
+    match width {
+        1 => buf.push(id as u8),
+        2 => buf.extend_from_slice(&(id as u16).to_le_bytes()),
+        _ => buf.extend_from_slice(&id.to_le_bytes()),
+    }
+}
+
+/// An id of `width` bytes (see [`id_width`]) from the front of `bytes`.
+#[inline]
+fn read_id(bytes: &[u8], width: usize) -> u32 {
+    match width {
+        1 => u32::from(bytes[0]),
+        2 => u32::from(u16::from_le_bytes([bytes[0], bytes[1]])),
+        _ => u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]),
+    }
+}
+
+fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Sort a dictionary of distinct entries into ascending order, returning
+/// each entry's new position by its old one. `word` is a prefix of the
+/// order, compared first: ties fall back to the entries themselves.
+fn sort_dictionary<T: Ord + Copy>(entries: &mut Vec<T>, word: impl Fn(T) -> u64) -> Vec<u32> {
+    let mut order: Vec<(u64, T, u32)> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, &entry)| (word(entry), entry, i as u32))
+        .collect();
+    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    let mut rank = vec![0; entries.len()];
+    for (at, &(_, _, i)) in order.iter().enumerate() {
+        rank[i as usize] = at as u32;
+    }
+    *entries = order.into_iter().map(|(_, entry, _)| entry).collect();
+    rank
 }
 
 struct Reader<'a> {
@@ -97,44 +230,45 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u32(&mut self) -> Result<u32, SfaError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("len checked"),
+    fn u64(&mut self) -> Result<u64, SfaError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("len checked"),
         ))
     }
 
-    /// One whole emission record — `u16` label length, label bytes, and
-    /// the `f64` probability — under two bounds checks total. Decoding
-    /// pays this per emission, so the fused read matters.
-    fn emission(&mut self) -> Result<(&'a [u8], f64), SfaError> {
-        let rem = &self.buf[self.pos..];
-        if rem.len() < 2 {
-            return Err(SfaError::Truncated);
+    /// A varint: an overlong encoding or a value above `u32::MAX` is
+    /// [`SfaError::BadVarint`], so every value has one encoding.
+    #[inline]
+    fn varint(&mut self) -> Result<u32, SfaError> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u32::from(b))
+            }
+            _ => self.long_varint(),
         }
-        let len = u16::from_le_bytes([rem[0], rem[1]]) as usize;
-        if rem.len() < 2 + len + 8 {
-            return Err(SfaError::Truncated);
-        }
-        let label = &rem[2..2 + len];
-        let prob = f64::from_le_bytes(rem[2 + len..2 + len + 8].try_into().expect("len checked"));
-        self.pos += 2 + len + 8;
-        Ok((label, prob))
     }
 
-    /// Step over one emission record under the same bounds checks as
-    /// [`Reader::emission`], returning its label's byte length.
-    #[inline]
-    fn skip_emission(&mut self) -> Result<usize, SfaError> {
-        let rem = &self.buf[self.pos..];
-        if rem.len() < 2 {
-            return Err(SfaError::Truncated);
+    /// [`Reader::varint`] past its one-byte case.
+    #[cold]
+    fn long_varint(&mut self) -> Result<u32, SfaError> {
+        let mut v = 0u32;
+        for shift in [0, 7, 14, 21, 28] {
+            let b = *self.buf.get(self.pos).ok_or(SfaError::Truncated)?;
+            self.pos += 1;
+            if shift == 28 && b > 0x0F {
+                break;
+            }
+            v |= u32::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return if b == 0 && shift > 0 {
+                    Err(SfaError::BadVarint)
+                } else {
+                    Ok(v)
+                };
+            }
         }
-        let len = u16::from_le_bytes([rem[0], rem[1]]) as usize;
-        if rem.len() < 2 + len + 8 {
-            return Err(SfaError::Truncated);
-        }
-        self.pos += 2 + len + 8;
-        Ok(len)
+        Err(SfaError::BadVarint)
     }
 
     fn remaining(&self) -> usize {
@@ -180,8 +314,9 @@ pub fn decode(buf: &[u8]) -> Result<Sfa, SfaError> {
     })
 }
 
-/// One emission decoded into a [`DecodeArena`]: a byte range into the
-/// source blob (the label is *not* copied) plus its probability.
+/// One emission decoded into a [`DecodeArena`]: the byte range of its
+/// label's entry in the source blob's label dictionary (the label is
+/// *not* copied) plus its probability.
 #[derive(Debug, Clone, Copy)]
 pub struct ArenaEmission {
     /// Start offset of the label bytes in the decoded blob.
@@ -214,6 +349,14 @@ pub struct ArenaEdge {
     pub em_end: u32,
 }
 
+/// Where an edge's emission run starts in the blob, and its emission
+/// count.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u32,
+    count: u32,
+}
+
 /// Reusable, allocation-free decode target for SFA blobs — what the
 /// codec's two entries, [`decode_into_arena`] and [`decode_skeleton`] with
 /// [`decode_run`], fill.
@@ -225,7 +368,7 @@ pub struct ArenaEdge {
 /// that are cleared (not freed) between rows:
 ///
 /// * emission labels stay **borrowed** — stored as byte ranges into the
-///   source blob (the codec validated them as UTF-8);
+///   source blob's label dictionary (the codec validated them as UTF-8);
 /// * adjacency is CSR (one offsets array + one flat edge-index array)
 ///   instead of per-node `Vec`s;
 /// * the topological order is computed into a reusable buffer with the
@@ -234,16 +377,16 @@ pub struct ArenaEdge {
 ///   the arena visits nodes in the same order as over a decoded [`Sfa`].
 ///
 /// The full entry, [`decode_into_arena`], applies every check on
-/// untrusted bytes — header and count checks, UTF-8 and probability
-/// checks, and the structural invariants of `SfaBuilder::build`
-/// (acyclicity, distinct start/finish with no in-/out-edges respectively,
-/// full start→finish reachability). [`decode`] materialises its [`Sfa`]
-/// from a filled arena, so both accept exactly the same blobs with the
-/// same [`SfaError`] values. The shallow entry, [`decode_skeleton`], fills
-/// everything but the emission runs and applies every check but the
-/// per-emission ones; [`decode_run`] then decodes and checks one edge's
-/// run at a time. After an error the arena contents are unspecified; the
-/// next decode resets it.
+/// untrusted bytes — header, count and offset checks, UTF-8 and
+/// probability checks on the dictionaries, id checks on the runs, and the
+/// structural invariants of `SfaBuilder::build` (acyclicity, distinct
+/// start/finish with no in-/out-edges respectively, full start→finish
+/// reachability). [`decode`] materialises its [`Sfa`] from a filled arena,
+/// so both accept exactly the same blobs with the same [`SfaError`]
+/// values. The shallow entry, [`decode_skeleton`], fills everything but
+/// the emission runs and applies every check but the runs' id checks;
+/// [`decode_run`] then decodes and checks one edge's run at a time. After
+/// an error the arena contents are unspecified; the next decode resets it.
 #[derive(Debug, Default)]
 pub struct DecodeArena {
     nodes: u32,
@@ -251,6 +394,10 @@ pub struct DecodeArena {
     finish: u32,
     edges: Vec<ArenaEdge>,
     emissions: Vec<ArenaEmission>,
+    /// Byte range of each label dictionary entry in the blob.
+    labels: Vec<(u32, u32)>,
+    /// Each probability dictionary entry.
+    probs: Vec<f64>,
     /// CSR offsets: out-edges of node `v` are
     /// `out_edges[out_off[v] as usize..out_off[v + 1] as usize]`.
     out_off: Vec<u32>,
@@ -260,9 +407,8 @@ pub struct DecodeArena {
     /// chasing edge indices.
     out_to: Vec<u32>,
     topo: Vec<u32>,
-    /// Per edge, the blob offset of its emission run and the run's
-    /// emission count — recorded by [`decode_skeleton`] only.
-    runs: Vec<(u32, u32)>,
+    /// Per edge, where its emission run lies.
+    runs: Vec<Run>,
     /// Set of byte values occurring in any label, bit `b & 63` of word
     /// `b >> 6` for byte `b`.
     label_bytes: [u64; 4],
@@ -322,6 +468,14 @@ impl DecodeArena {
         e.em_start != e.em_end
     }
 
+    /// Byte range of edge `edge`'s emission run in the blob: the bytes
+    /// [`decode_run`] reads for it.
+    pub fn run_range(&self, edge: u32) -> std::ops::Range<usize> {
+        let run = self.runs[edge as usize];
+        let width = id_width(self.labels.len()) + id_width(self.probs.len());
+        run.start as usize..run.start as usize + run.count as usize * width
+    }
+
     /// Out-edge indexes of node `v`, ascending (same order as
     /// [`Sfa::out_edges`] on the decoded graph).
     #[inline]
@@ -339,9 +493,10 @@ impl DecodeArena {
     }
 
     /// The 256-bit set of byte values that occur in any label of the last
-    /// decoded blob (bit `b & 63` of word `b >> 6` for byte `b`), whatever
-    /// the emission's probability. Each decode replaces it; only
-    /// [`decode_into_arena`] fills it ([`decode_skeleton`] leaves it empty).
+    /// decoded blob's dictionary (bit `b & 63` of word `b >> 6` for byte
+    /// `b`), whatever the emission's probability. Each decode replaces it;
+    /// only [`decode_into_arena`] fills it ([`decode_skeleton`] leaves it
+    /// empty).
     #[inline]
     pub fn label_bytes(&self) -> [u64; 4] {
         self.label_bytes
@@ -349,55 +504,41 @@ impl DecodeArena {
 }
 
 /// Parse and validate an SFA blob into a reusable [`DecodeArena`] without
-/// per-row allocation: the full entry, one fused pass that applies every
-/// check of the format and decodes every emission run. See [`DecodeArena`]
-/// for the ordering guarantees.
+/// per-row allocation: the full entry, [`decode_skeleton`] and then every
+/// edge's run in edge order, so it applies every check of the format, and
+/// the label-byte set. See [`DecodeArena`] for the ordering guarantees.
 pub fn decode_into_arena(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaError> {
-    let (mut r, edge_count) = read_header(buf, arena)?;
-    // One flag per byte value, packed into `label_bytes` at the end: a
-    // plain store per label byte is cheaper than setting bits in place.
+    decode_skeleton(buf, arena)?;
+    // The labels lie back to back. One flag per byte value, packed at the
+    // end: a plain store per byte is cheaper than setting bits in place.
     let mut seen = [false; 256];
-    for edge_idx in 0..edge_count {
-        let (from, to, n_em) = read_edge_header(&mut r, arena.nodes)?;
-        let em_start = arena.emissions.len() as u32;
-        read_run(&mut r, edge_idx, n_em, &mut arena.emissions, &mut seen)?;
-        arena.edges.push(ArenaEdge {
-            from,
-            to,
-            em_start,
-            em_end: arena.emissions.len() as u32,
-        });
+    if let (Some(first), Some(last)) = (arena.labels.first(), arena.labels.last()) {
+        for &b in &buf[first.0 as usize..last.1 as usize] {
+            seen[usize::from(b)] = true;
+        }
     }
-    arena.label_bytes = [0; 4];
     for (b, &hit) in seen.iter().enumerate() {
         arena.label_bytes[b >> 6] |= u64::from(hit) << (b & 63);
     }
-
-    validate_arena_structure(arena)
+    (0..arena.edges.len() as u32).try_for_each(|edge| decode_run(buf, arena, edge))
 }
 
-/// The probe's shallow entry, first pass: parse the header and every edge
-/// header, walk every emission's length with the truncation, count and
-/// empty-label checks of [`decode_into_arena`], record where each edge's
-/// run starts, and run the same structural validation. No emission run is
-/// decoded: every edge's `em_start..em_end` is empty until
-/// [`decode_run`] decodes it, and [`DecodeArena::label_bytes`] is empty.
+/// The probe's shallow entry, first pass: parse and check the header, both
+/// dictionaries (each label's UTF-8, each probability's range, no entry
+/// twice) and every edge header (endpoints, emission counts, and that the
+/// runs fill the rest of the blob), then run the structural validation.
+/// No emission run is read: every edge's `em_start..em_end` is empty
+/// until [`decode_run`] decodes it.
 ///
 /// A blob this rejects is rejected by [`decode_into_arena`] with the same
-/// [`SfaError`] whenever its first defect is one of those checks. What it
-/// does not check — labels' UTF-8 and probabilities' range — is checked
-/// by [`decode_run`] for the runs a caller reads, and never for the rest.
+/// [`SfaError`]. What it does not check — the ids of each run —
+/// [`decode_run`] checks for the runs a caller reads.
 pub fn decode_skeleton(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaError> {
     let (mut r, edge_count) = read_header(buf, arena)?;
-    for edge_idx in 0..edge_count {
-        let (from, to, n_em) = read_edge_header(&mut r, arena.nodes)?;
-        let at = r.pos as u32;
-        for _ in 0..n_em {
-            if r.skip_emission()? == 0 {
-                return Err(SfaError::EmptyLabel { edge: edge_idx });
-            }
-        }
-        arena.runs.push((at, n_em));
+    read_dictionaries(&mut r, arena)?;
+    for _ in 0..edge_count {
+        let (from, to, count) = read_edge_header(&mut r, arena.nodes)?;
+        arena.runs.push(Run { start: 0, count });
         arena.edges.push(ArenaEdge {
             from,
             to,
@@ -405,16 +546,26 @@ pub fn decode_skeleton(buf: &[u8], arena: &mut DecodeArena) -> Result<(), SfaErr
             em_end: 0,
         });
     }
-    arena.label_bytes = [0; 4];
+    // The runs follow the edge headers back to back in edge order: none
+    // may end past the blob, and the last ends it.
+    let width = (id_width(arena.labels.len()) + id_width(arena.probs.len())) as u64;
+    let (mut end, len) = (r.pos as u64, buf.len() as u64);
+    for (edge, run) in arena.runs.iter_mut().enumerate() {
+        run.start = end as u32;
+        end += u64::from(run.count) * width;
+        if end > len || (edge + 1 == edge_count as usize && end != len) {
+            return Err(SfaError::BadRunOffset { edge: edge as u32 });
+        }
+    }
     validate_arena_structure(arena)
 }
 
 /// The probe's shallow entry, second pass: decode edge `edge`'s emission
 /// run into `arena`, which holds [`decode_skeleton`]'s pass over the same
-/// `buf`, with every per-emission check of [`decode_into_arena`] (UTF-8,
-/// probability range, the stable re-sort of an unsorted run). The run is
-/// appended to [`DecodeArena::emissions`] and the edge's `em_start..em_end`
-/// set to it; a run already decoded is left as it is.
+/// `buf`, checking each label and probability id against the dictionaries,
+/// and stably re-sorting an unsorted run by decreasing probability. The
+/// run is appended to [`DecodeArena::emissions`] and the edge's
+/// `em_start..em_end` set to it; a run already decoded is left as it is.
 ///
 /// # Panics
 ///
@@ -423,13 +574,8 @@ pub fn decode_run(buf: &[u8], arena: &mut DecodeArena, edge: u32) -> Result<(), 
     if arena.run_decoded(edge) {
         return Ok(());
     }
-    let (pos, n_em) = arena.runs[edge as usize];
-    let mut r = Reader {
-        buf,
-        pos: pos as usize,
-    };
     let em_start = arena.emissions.len() as u32;
-    read_run(&mut r, edge, n_em, &mut arena.emissions, &mut [false; 256])?;
+    read_run(&buf[arena.run_range(edge)], edge, arena)?;
     let e = &mut arena.edges[edge as usize];
     e.em_start = em_start;
     e.em_end = arena.emissions.len() as u32;
@@ -438,10 +584,13 @@ pub fn decode_run(buf: &[u8], arena: &mut DecodeArena, edge: u32) -> Result<(), 
 
 /// Reset `arena` and parse the blob header — magic, node count, start,
 /// finish, edge count — with its count and node checks. Returns the
-/// reader, positioned at the first edge header, and the edge count.
+/// reader, positioned at the label dictionary, and the edge count.
 fn read_header<'a>(buf: &'a [u8], arena: &mut DecodeArena) -> Result<(Reader<'a>, u32), SfaError> {
     arena.edges.clear();
     arena.emissions.clear();
+    arena.labels.clear();
+    arena.probs.clear();
+    arena.label_bytes = [0; 4];
     arena.runs.clear();
     arena.out_off.clear();
     arena.out_edges.clear();
@@ -452,17 +601,18 @@ fn read_header<'a>(buf: &'a [u8], arena: &mut DecodeArena) -> Result<(Reader<'a>
     if r.take(4)? != MAGIC {
         return Err(SfaError::BadMagic);
     }
-    let nodes = r.u32()?;
+    let nodes = r.varint()?;
     if nodes as usize > buf.len() {
         return Err(SfaError::CorruptCount {
             what: "node",
             count: nodes as u64,
         });
     }
-    let start = r.u32()?;
-    let finish = r.u32()?;
-    let edge_count = r.u32()?;
-    if edge_count as u64 * 12 > r.remaining() as u64 {
+    let start = r.varint()?;
+    let finish = r.varint()?;
+    let edge_count = r.varint()?;
+    // An edge takes at least four header bytes and a two-byte run.
+    if edge_count as u64 * 6 > r.remaining() as u64 {
         return Err(SfaError::CorruptCount {
             what: "edge",
             count: edge_count as u64,
@@ -477,70 +627,151 @@ fn read_header<'a>(buf: &'a [u8], arena: &mut DecodeArena) -> Result<(Reader<'a>
     Ok((r, edge_count))
 }
 
-/// Parse one edge header — `from`, `to`, emission count — checking both
+/// Parse both dictionaries into `arena` with every check on their entries:
+/// the label lengths are non-zero and add up to the label bytes, a label
+/// is UTF-8, a probability is in `[0, 1]` (NaN and the infinities out),
+/// and each dictionary ascends strictly — labels in byte order,
+/// probabilities by their bits — so no entry repeats another.
+fn read_dictionaries(r: &mut Reader<'_>, arena: &mut DecodeArena) -> Result<(), SfaError> {
+    let bad = |what, index| Err(SfaError::BadEntry { what, index });
+    // An entry against the one before it: `[repeated, unsorted]` name the
+    // two defects of its dictionary.
+    let order = |before: Ordering, index, [repeated, unsorted]: [&'static str; 2]| match before {
+        Ordering::Less => Ok(()),
+        Ordering::Equal => bad(repeated, index),
+        Ordering::Greater => bad(unsorted, index),
+    };
+    let (count, total) = (r.varint()?, r.varint()? as usize);
+    if count as u64 * 2 > r.remaining() as u64 {
+        return Err(SfaError::CorruptCount {
+            what: "label",
+            count: count as u64,
+        });
+    }
+    // The labels' bytes back to back, then each label's length. ASCII (the
+    // overwhelmingly common case for OCR text) is valid UTF-8 by
+    // construction. Otherwise the bytes must be valid UTF-8 as a whole and
+    // every label must start on a character boundary (not on a
+    // continuation byte, `0x80..=0xBF`): then each label is valid alone.
+    let (buf, base) = (r.buf, r.pos);
+    let bytes = r.take(total)?;
+    let ascii = bytes.is_ascii();
+    if !ascii && std::str::from_utf8(bytes).is_err() {
+        return Err(SfaError::BadLabel);
+    }
+    let (mut start, mut before) = (0, (0, &bytes[..0]));
+    for index in 0..count {
+        let len = r.varint()? as usize;
+        if len == 0 || start + len > total {
+            return bad("label length", index);
+        }
+        let label = &bytes[start..start + len];
+        if !ascii && (label[0] as i8) < -0x40 {
+            return Err(SfaError::BadLabel);
+        }
+        // Each label sorts after the one before: its first eight bytes,
+        // read as one word, decide all but ties.
+        let word = prefix_word(buf, base + start, len);
+        if index > 0 {
+            let cmp = before.0.cmp(&word).then_with(|| before.1.cmp(label));
+            order(cmp, index, ["repeated label", "unsorted label"])?;
+        }
+        before = (word, label);
+        let at = (base + start) as u32;
+        arena.labels.push((at, at + len as u32));
+        start += len;
+    }
+    if start != total {
+        return Err(SfaError::CorruptCount {
+            what: "label byte",
+            count: total as u64,
+        });
+    }
+
+    let count = r.varint()?;
+    if count as u64 * 8 > r.remaining() as u64 {
+        return Err(SfaError::CorruptCount {
+            what: "probability",
+            count: count as u64,
+        });
+    }
+    for index in 0..count {
+        let bits = r.u64()?;
+        let prob = f64::from_bits(bits);
+        // The range test also rejects NaN and both infinities.
+        if !(0.0..=1.0 + 1e-9).contains(&prob) {
+            return bad("out-of-range probability", index);
+        }
+        if let Some(before) = arena.probs.last() {
+            let cmp = before.to_bits().cmp(&bits);
+            order(cmp, index, ["repeated probability", "unsorted probability"])?;
+        }
+        arena.probs.push(prob);
+    }
+    Ok(())
+}
+
+/// The label at `buf[at..at + len]`'s first eight bytes as a big-endian
+/// word, zero-padded: words order labels as their first eight bytes do.
+#[inline]
+fn prefix_word(buf: &[u8], at: usize, len: usize) -> u64 {
+    let Some(word) = buf.get(at..at + 8) else {
+        let bytes = buf[at..at + len.min(8)].iter().enumerate();
+        return bytes.fold(0, |word, (i, &b)| word | u64::from(b) << (56 - 8 * i));
+    };
+    let word = u64::from_be_bytes(word.try_into().expect("eight bytes"));
+    word & !u64::MAX.checked_shr(8 * len as u32).unwrap_or(0)
+}
+
+/// Parse one edge header's `from`, `to` and emission count, checking both
 /// endpoints against `nodes` and the count against the bytes left (an
 /// edge emits at least one label).
 #[inline]
 fn read_edge_header(r: &mut Reader<'_>, nodes: u32) -> Result<(u32, u32, u32), SfaError> {
-    let from = r.u32()?;
-    let to = r.u32()?;
+    let from = r.varint()?;
+    let to = r.varint()?;
     if from >= nodes || to >= nodes {
         return Err(SfaError::InvalidNode(from.max(to)));
     }
-    let n_em = r.u32()?;
-    if n_em == 0 || n_em as u64 * 10 > r.remaining() as u64 {
+    let count = r.varint()?;
+    if count == 0 || count as u64 * 2 > r.remaining() as u64 {
         return Err(SfaError::CorruptCount {
             what: "emission",
-            count: n_em as u64,
+            count: count as u64,
         });
     }
-    Ok((from, to, n_em))
+    Ok((from, to, count))
 }
 
-/// Parse edge `edge_idx`'s run of `n_em` emissions into `emissions` with
-/// every per-emission check, flagging each label byte in `seen`, and
-/// stably re-sort the run by decreasing probability if it is not sorted.
+/// Parse edge `edge`'s run, `run`, into `arena.emissions`, resolving each
+/// id through the dictionaries, and stably re-sort the run by decreasing
+/// probability if it is not sorted.
 #[inline]
-fn read_run(
-    r: &mut Reader<'_>,
-    edge_idx: u32,
-    n_em: u32,
-    emissions: &mut Vec<ArenaEmission>,
-    seen: &mut [bool; 256],
-) -> Result<(), SfaError> {
+fn read_run(run: &[u8], edge: u32, arena: &mut DecodeArena) -> Result<(), SfaError> {
+    let DecodeArena {
+        labels,
+        probs,
+        emissions,
+        ..
+    } = arena;
+    let (label_width, prob_width) = (id_width(labels.len()), id_width(probs.len()));
     let em_start = emissions.len();
     let (mut sorted, mut prev) = (true, f64::INFINITY);
-    for _ in 0..n_em {
-        let label_start = r.pos + 2;
-        let (label_bytes, prob) = r.emission()?;
-        // ASCII (the overwhelmingly common case for OCR text) is
-        // valid UTF-8 by construction; labels are a few bytes, so a
-        // branchless OR-fold beats the library `is_ascii` call and
-        // only genuinely multi-byte labels pay the full validator.
-        // The same pass flags each byte for the label-byte set.
-        let mut or = 0u8;
-        for &b in label_bytes {
-            or |= b;
-            seen[usize::from(b)] = true;
-        }
-        if or >= 0x80 && std::str::from_utf8(label_bytes).is_err() {
-            return Err(SfaError::BadLabel);
-        }
-        if label_bytes.is_empty() {
-            return Err(SfaError::EmptyLabel { edge: edge_idx });
-        }
-        // The range test also rejects NaN and both infinities.
-        if !(0.0..=1.0 + 1e-9).contains(&prob) {
-            return Err(SfaError::BadProbability {
-                edge: edge_idx,
-                prob,
-            });
-        }
+    for ids in run.chunks_exact(label_width + prob_width) {
+        let label_id = read_id(ids, label_width);
+        let prob_id = read_id(&ids[label_width..], prob_width);
+        let bad = |what, id| Err(SfaError::BadId { edge, what, id });
+        let Some(&(label_start, label_end)) = labels.get(label_id as usize) else {
+            return bad("label", label_id);
+        };
+        let Some(&prob) = probs.get(prob_id as usize) else {
+            return bad("probability", prob_id);
+        };
         sorted &= prev >= prob;
         prev = prob;
         emissions.push(ArenaEmission {
-            label_start: label_start as u32,
-            label_end: (label_start + label_bytes.len()) as u32,
+            label_start,
+            label_end,
             prob,
         });
     }
@@ -761,9 +992,51 @@ mod tests {
     }
 
     #[test]
-    fn encoded_size_is_exact() {
+    fn table1_size_counts_the_sfa1_layout() {
         let sfa = figure1();
-        assert_eq!(encode(&sfa).len(), encoded_size(&sfa));
+        // 20 header bytes, 12 per edge, 2 + 1 + 8 per one-byte emission.
+        assert_eq!(table1_size(&sfa), 20 + 6 * 12 + 10 * 11);
+        assert!(encode(&sfa).len() < table1_size(&sfa));
+    }
+
+    /// `blob` with the `len` bytes at `at` replaced by `with`.
+    fn splice(blob: &[u8], at: usize, len: usize, with: &[u8]) -> Vec<u8> {
+        let mut out = blob[..at].to_vec();
+        out.extend_from_slice(with);
+        out.extend_from_slice(&blob[at + len..]);
+        out
+    }
+
+    /// Offset of `prob`'s entry in `blob`'s probability dictionary.
+    fn prob_entry(blob: &[u8], prob: f64) -> usize {
+        let bits = prob.to_bits().to_le_bytes();
+        blob.windows(8)
+            .position(|w| w == bits)
+            .expect("a dictionary entry")
+    }
+
+    #[test]
+    fn dictionaries_hold_each_entry_once_in_ascending_order() {
+        let sfa = figure1();
+        let blob = encode(&sfa);
+        assert_eq!(encode(&sfa), blob);
+        let mut arena = DecodeArena::new();
+        decode_skeleton(&blob, &mut arena).unwrap();
+        let labels: Vec<&[u8]> = arena
+            .labels
+            .iter()
+            .map(|&(s, e)| &blob[s as usize..e as usize])
+            .collect();
+        // Edge by edge the labels are "F" "T", "0" "o", " ", "r", "r" "m",
+        // "d" "3"; stored, each once and in byte order.
+        let want: Vec<&[u8]> = [" ", "0", "3", "F", "T", "d", "m", "o", "r"]
+            .iter()
+            .map(|l| l.as_bytes())
+            .collect();
+        assert_eq!(labels, want);
+        assert_eq!(arena.probs, [0.1, 0.2, 0.4, 0.6, 0.8, 0.9]);
+        // The runs close the blob: ten emissions, two one-byte ids each.
+        assert_eq!(arena.run_range(0).start, blob.len() - 20);
     }
 
     #[test]
@@ -798,6 +1071,7 @@ mod tests {
                     SfaError::Truncated
                         | SfaError::BadMagic
                         | SfaError::CorruptCount { .. }
+                        | SfaError::BadRunOffset { .. }
                         | SfaError::Disconnected { .. }
                 ),
                 "cut at {cut} gave unexpected error {err:?}"
@@ -807,9 +1081,9 @@ mod tests {
 
     #[test]
     fn corrupt_edge_count_rejected_before_allocation() {
-        let mut blob = encode(&figure1());
-        // Overwrite the edge count (offset 16) with an absurd value.
-        blob[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Overwrite the edge count (the one-byte varint after magic, node
+        // count, start and finish) with an absurd value.
+        let blob = splice(&encode(&figure1()), 7, 1, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
         assert!(matches!(
             decode(&blob).unwrap_err(),
             SfaError::CorruptCount { what: "edge", .. }
@@ -819,13 +1093,15 @@ mod tests {
     #[test]
     fn corrupt_probability_rejected() {
         let mut blob = encode(&figure1());
-        let len = blob.len();
-        // The last 8 bytes are the final emission's probability.
-        blob[len - 8..].copy_from_slice(&42.0f64.to_le_bytes());
-        assert!(matches!(
+        let at = prob_entry(&blob, 0.1);
+        blob[at..at + 8].copy_from_slice(&42.0f64.to_le_bytes());
+        assert_eq!(
             decode(&blob).unwrap_err(),
-            SfaError::BadProbability { .. }
-        ));
+            SfaError::BadEntry {
+                what: "out-of-range probability",
+                index: 0
+            }
+        );
     }
 
     #[test]
@@ -836,8 +1112,8 @@ mod tests {
         b.add_edge(s, f, vec![Emission::new("ab", 1.0)]);
         let sfa = b.build(s, f).unwrap();
         let mut blob = encode(&sfa);
-        // Label bytes for "ab" sit right after the u16 length; stomp them.
-        let pos = blob.len() - 8 - 2;
+        // The label dictionary's one entry, "ab"; stomp it.
+        let pos = blob.iter().position(|&b| b == b'a').unwrap();
         blob[pos] = 0xFF;
         blob[pos + 1] = 0xFE;
         assert_eq!(decode(&blob).unwrap_err(), SfaError::BadLabel);
@@ -910,34 +1186,25 @@ mod tests {
     }
 
     /// Assert the shallow entry agrees with the full one on `blob`: where
-    /// the full entry's error is a header, count, length or structure
-    /// defect, the skeleton fails with the same error; where the full
-    /// entry accepts, the skeleton accepts and decoding every run yields
-    /// the full arena; where the full entry rejects a label or a
-    /// probability, the skeleton fails or decoding the runs in edge order
-    /// reports that same error.
+    /// the skeleton rejects it, the full entry rejects it with the same
+    /// error; where the skeleton accepts it, decoding the runs in edge
+    /// order reports the full entry's result, and on success yields the
+    /// full entry's arena.
     fn assert_skeleton_agrees(blob: &[u8], full: &mut DecodeArena, shallow: &mut DecodeArena) {
         let want = decode_into_arena(blob, full);
         let got = decode_skeleton(blob, shallow);
-        let per_emission = matches!(
-            want,
-            Err(SfaError::BadLabel | SfaError::BadProbability { .. })
-        );
-        if !per_emission {
-            assert_eq!(got, want);
-        }
         if got.is_err() {
+            assert_eq!(got, want);
             return;
         }
         assert!(shallow.emissions().is_empty());
+        assert_eq!(shallow.label_bytes(), [0; 4]);
         let runs =
             (0..shallow.edges().len() as u32).try_for_each(|edge| decode_run(blob, shallow, edge));
-        if per_emission {
-            // Debug text, so a NaN probability compares equal to itself.
-            assert_eq!(format!("{runs:?}"), format!("{want:?}"));
+        assert_eq!(runs, want);
+        if want.is_err() {
             return;
         }
-        runs.unwrap();
         assert_eq!(
             (shallow.node_count(), shallow.start(), shallow.finish()),
             (full.node_count(), full.start(), full.finish())
@@ -970,10 +1237,12 @@ mod tests {
         b.add_edge(s, f, vec![Emission::new("ab", 1.0)]);
         let small = encode(&b.build(s, f).unwrap());
         let fig = encode(&figure1());
-        // Edge 0 of figure 1 holds "F" 0.8 then "T" 0.2, one 11-byte
-        // record each from offset 32: swapped, the run is unsorted.
+        decode_skeleton(&fig, &mut shallow).unwrap();
+        let (run0, last_header) = (shallow.run_range(0), shallow.run_range(0).start - 1);
+        // Edge 0 of figure 1 holds "F" 0.8 then "T" 0.2, two id pairs:
+        // swapped, the run is unsorted.
         let mut unsorted = fig.clone();
-        unsorted[32..54].rotate_left(11);
+        unsorted[run0].rotate_left(2);
         for blob in [&fig, &small, &unsorted] {
             assert_skeleton_agrees(blob, &mut full, &mut shallow);
             for cut in 0..blob.len() {
@@ -987,30 +1256,141 @@ mod tests {
                 }
             }
         }
-        // The hostile cases above, one by one.
-        let mut huge_edges = fig.clone();
-        huge_edges[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut bad_prob = fig.clone();
-        let len = bad_prob.len();
-        bad_prob[len - 8..].copy_from_slice(&f64::NAN.to_le_bytes());
+        // The hostile cases, one by one, each with its typed error.
+        let entry = |what, index| SfaError::BadEntry { what, index };
+        let mut nan_prob = fig.clone();
+        let at = prob_entry(&fig, 0.1);
+        nan_prob[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        let mut negative_prob = fig.clone();
+        negative_prob[at..at + 8].copy_from_slice(&(-0.5f64).to_le_bytes());
+        // Sorted, figure 1's probabilities are 0.1, 0.2, 0.4, ... and its
+        // labels " 03FTdmor".
+        let mut repeated_prob = fig.clone();
+        let at = prob_entry(&fig, 0.2);
+        repeated_prob[at..at + 8].copy_from_slice(&0.1f64.to_le_bytes());
+        let mut unsorted_prob = fig.clone();
+        unsorted_prob[at..at + 8].copy_from_slice(&0.8f64.to_le_bytes());
         let mut bad_label = small.clone();
-        let len = bad_label.len();
-        bad_label[len - 10..len - 8].copy_from_slice(&[0xFF, 0xFE]);
-        for blob in [&b"NOPE????????"[..], &huge_edges, &bad_prob, &bad_label] {
+        let at = small.iter().position(|&b| b == b'a').unwrap();
+        bad_label[at..at + 2].copy_from_slice(&[0xFF, 0xFE]);
+        let mut repeated_label = fig.clone();
+        let at = fig.iter().position(|&b| b == b'T').unwrap();
+        repeated_label[at] = b'F';
+        let mut unsorted_label = fig.clone();
+        unsorted_label[at + 1] = b'!';
+        let mut bad_id = fig.clone();
+        bad_id[shallow.run_range(0).start] = 0x7F;
+        // The last edge header ends in its emission count, 2: at 3, its
+        // run would end past the blob; one more byte, and it would not end it.
+        let mut far_run = fig.clone();
+        far_run[last_header] = 3;
+        let mut trailing = fig.clone();
+        trailing.push(0);
+        let cases = [
+            (&b"NOPE????????"[..], SfaError::BadMagic),
+            (
+                &splice(&fig, 7, 1, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+                SfaError::CorruptCount {
+                    what: "edge",
+                    count: u32::MAX as u64,
+                },
+            ),
+            (&nan_prob, entry("out-of-range probability", 0)),
+            (&negative_prob, entry("out-of-range probability", 0)),
+            (&repeated_prob, entry("repeated probability", 1)),
+            (&unsorted_prob, entry("unsorted probability", 2)),
+            (&bad_label, SfaError::BadLabel),
+            (&repeated_label, entry("repeated label", 4)),
+            (&unsorted_label, entry("unsorted label", 5)),
+            (&splice(&fig, 4, 1, &[0x86, 0x00]), SfaError::BadVarint),
+            (
+                &splice(&fig, 4, 1, &[0x86, 0x80, 0x80, 0x80, 0x10]),
+                SfaError::BadVarint,
+            ),
+            (&far_run, SfaError::BadRunOffset { edge: 5 }),
+            (&trailing, SfaError::BadRunOffset { edge: 5 }),
+            (
+                &bad_id,
+                SfaError::BadId {
+                    edge: 0,
+                    what: "label",
+                    id: 0x7F,
+                },
+            ),
+        ];
+        for (blob, err) in cases {
             assert_skeleton_agrees(blob, &mut full, &mut shallow);
+            assert_eq!(decode_into_arena(blob, &mut full), Err(err));
         }
-        assert_eq!(
-            decode_skeleton(&huge_edges, &mut shallow),
-            decode_into_arena(&huge_edges, &mut full)
-        );
-        // The skeleton does not read the labels or probabilities...
-        decode_skeleton(&bad_prob, &mut shallow).unwrap();
-        decode_skeleton(&bad_label, &mut shallow).unwrap();
-        // ...the run that holds one does.
+        // The skeleton reads every dictionary entry, wherever it is used...
+        assert!(decode_skeleton(&nan_prob, &mut shallow).is_err());
+        assert!(decode_skeleton(&bad_label, &mut shallow).is_err());
+        // ...and no run: an id is checked by the run that holds it.
+        decode_skeleton(&bad_id, &mut shallow).unwrap();
+        decode_run(&bad_id, &mut shallow, 1).unwrap();
         assert!(matches!(
-            decode_run(&bad_label, &mut shallow, 0),
-            Err(SfaError::BadLabel)
+            decode_run(&bad_id, &mut shallow, 0),
+            Err(SfaError::BadId { edge: 0, .. })
         ));
+    }
+
+    /// The largest number of elements any of `arena`'s buffers has room for.
+    fn footprint(arena: &DecodeArena) -> usize {
+        [
+            arena.edges.capacity(),
+            arena.emissions.capacity(),
+            arena.labels.capacity(),
+            arena.probs.capacity(),
+            arena.out_off.capacity(),
+            arena.out_edges.capacity(),
+            arena.out_to.capacity(),
+            arena.topo.capacity(),
+            arena.runs.capacity(),
+            arena.indeg.capacity(),
+            arena.head.capacity(),
+            arena.fwd.capacity(),
+            arena.bwd.capacity(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap()
+    }
+
+    #[test]
+    fn a_cut_or_stomped_blob_never_grows_the_arena_past_twice_its_length() {
+        let mut b = SfaBuilder::new();
+        let n: Vec<_> = (0..12).map(|_| b.add_node()).collect();
+        for w in n.windows(2) {
+            let emissions = (0..40u8)
+                .map(|i| Emission::new(char::from(b'0' + i).to_string(), 0.025))
+                .collect();
+            b.add_edge(w[0], w[1], emissions);
+        }
+        let chain = encode(&b.build(n[0], n[11]).unwrap());
+        for blob in [encode(&figure1()), chain] {
+            let mut variants: Vec<Vec<u8>> =
+                (0..blob.len()).map(|cut| blob[..cut].to_vec()).collect();
+            for pos in 0..blob.len() {
+                for stomp in [0x41, 0x80, 0xFF] {
+                    let mut bad = blob.clone();
+                    bad[pos] ^= stomp;
+                    variants.push(bad);
+                }
+            }
+            for bad in &variants {
+                // A fresh arena each time: its buffers hold this blob only,
+                // a count checked against its length, doubled at most by
+                // a `Vec`'s growth.
+                let mut arena = DecodeArena::new();
+                let _ = decode_into_arena(bad, &mut arena);
+                assert!(
+                    footprint(&arena) <= 2 * bad.len() + 4,
+                    "{} elements for {} bytes",
+                    footprint(&arena),
+                    bad.len()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1047,8 +1427,11 @@ mod tests {
         let other = encode(&b.build(s, f).unwrap());
         let mut arena = DecodeArena::new();
         // Each blob's set is its own union, never the previous one's too.
+        let mut shallow = DecodeArena::new();
         for blob in [&fig, &other, &fig, &other] {
             decode_into_arena(blob, &mut arena).unwrap();
+            decode_skeleton(blob, &mut shallow).unwrap();
+            assert_eq!(shallow.label_bytes(), [0; 4]);
             let mut union = [0u64; 4];
             for em in arena.emissions() {
                 for &byte in &blob[em.label_range()] {

@@ -25,7 +25,8 @@ pub enum SfaError {
     /// Two distinct labelled paths emit the same string, violating the
     /// unique path property.
     AmbiguousString(String),
-    /// The serialized blob did not start with the expected magic bytes.
+    /// The serialized blob did not start with the expected magic bytes —
+    /// also what a blob of the previous format, `SFA1`, gets.
     BadMagic,
     /// The serialized blob ended before the declared content.
     Truncated,
@@ -34,6 +35,24 @@ pub enum SfaError {
     /// The blob declares more nodes/edges/emissions than its length could
     /// possibly hold — a corruption guard so decoding never over-allocates.
     CorruptCount { what: &'static str, count: u64 },
+    /// A dictionary entry of a serialized SFA is invalid: an empty label,
+    /// a probability outside `[0, 1]` or not finite, or a repeat of an
+    /// earlier entry of the same dictionary (`what` says which).
+    BadEntry { what: &'static str, index: u32 },
+    /// An emission of edge `edge` names a `what` dictionary entry the
+    /// serialized SFA does not hold.
+    BadId {
+        edge: u32,
+        what: &'static str,
+        id: u32,
+    },
+    /// A serialized varint is longer than its shortest form or exceeds
+    /// `u32::MAX`.
+    BadVarint,
+    /// Edge `edge`'s emission run does not lie where its header says: an
+    /// offset outside the blob or out of edge order, or a run that does
+    /// not fill the bytes up to the next run exactly.
+    BadRunOffset { edge: u32 },
 }
 
 impl fmt::Display for SfaError {
@@ -55,11 +74,24 @@ impl fmt::Display for SfaError {
             SfaError::AmbiguousString(s) => {
                 write!(f, "string {s:?} is emitted by more than one labelled path")
             }
-            SfaError::BadMagic => write!(f, "blob does not look like a serialized SFA"),
+            SfaError::BadMagic => write!(
+                f,
+                "blob does not start with the SFA2 magic (a store written before SFA2 must be reloaded)"
+            ),
             SfaError::Truncated => write!(f, "serialized SFA is truncated"),
             SfaError::BadLabel => write!(f, "serialized emission label is not valid UTF-8"),
             SfaError::CorruptCount { what, count } => {
                 write!(f, "implausible {what} count {count} in serialized SFA")
+            }
+            SfaError::BadEntry { what, index } => {
+                write!(f, "{what} at dictionary entry {index} of serialized SFA")
+            }
+            SfaError::BadId { edge, what, id } => {
+                write!(f, "edge {edge} names {what} {id}, which the dictionary lacks")
+            }
+            SfaError::BadVarint => write!(f, "overlong or out-of-range varint in serialized SFA"),
+            SfaError::BadRunOffset { edge } => {
+                write!(f, "emission run of edge {edge} is not where its header says")
             }
         }
     }

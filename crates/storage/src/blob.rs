@@ -4,9 +4,10 @@
 //! of Table 5): `FullSFAData.SFABlob` and `StaccatoGraph.GraphBlob` are
 //! stored here. A blob id is the id of its first page.
 //!
-//! Page layout: `[next u64][len u32][payload …]`. Reading a 600 kB
-//! line-SFA therefore touches ~75 pages — exactly the I/O amplification
-//! the paper's FullSFA baseline pays.
+//! Page layout: `[next u64][len u32][payload …]`, so a blob of `n` bytes
+//! takes `⌈n / 8 180⌉` pages. On the benchmark corpus a FullSFA line blob
+//! is ≈ 12 KB, two pages, and a Staccato one ≈ 4 KB, one page; the
+//! paper's FullSFA baseline pays this I/O amplification in proportion.
 
 use crate::error::StorageError;
 use crate::pager::BufferPool;
@@ -85,12 +86,12 @@ impl BlobStore {
     }
 
     /// Run `f` over a blob's bytes without materializing them when
-    /// possible: a single-page blob (at most `BLOB_PAYLOAD`, 8 180 bytes)
-    /// is borrowed straight from the buffer-pool page under its read
-    /// latch; longer chains — every Staccato and FullSFA line blob of
-    /// the benchmark corpus — are assembled into `buf` first. `f` runs with the latch
-    /// held, so it must not write through the same pool (reads of other
-    /// pages are fine).
+    /// possible: a single-page blob (at most `BLOB_PAYLOAD`, 8 180 bytes —
+    /// a Staccato line blob of the benchmark corpus) is borrowed straight
+    /// from the buffer-pool page under its read latch; a longer chain — a
+    /// FullSFA line blob — is assembled into `buf` first. `f` runs with
+    /// the latch held, so it must not write through the same pool (reads
+    /// of other pages are fine).
     pub fn with_blob<R>(
         pool: &BufferPool,
         id: PageId,

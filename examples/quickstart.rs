@@ -67,8 +67,8 @@ fn main() {
         "\nStaccato(m=2, k=2): {} chunks, retained mass {:.3}, {} of {} bytes",
         stac.edge_count(),
         total_mass(&stac),
-        codec::encoded_size(&stac),
-        codec::encoded_size(&sfa),
+        codec::encode(&stac).len(),
+        codec::encode(&sfa).len(),
     );
     let p_stac = pr(&codec::encode(&stac));
     println!("Pr[... LIKE '%Ford%'] over the approximation = {p_stac:.3}");

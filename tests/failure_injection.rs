@@ -310,15 +310,18 @@ fn staccato_blob_page(session: &Staccato, key: i64) -> PageId {
         .expect("blob id")
 }
 
-/// A label or a probability made invalid in place.
+/// A label or a probability dictionary entry, or an emission's label id,
+/// made invalid in place.
 #[derive(Debug, Clone, Copy)]
 enum Defect {
     NanProbability,
     NonUtf8Label,
+    OutOfRangeId,
 }
 
 /// Break the first emission of edge `edge` of line `key`'s stored chunk
-/// graph with `defect`. The graph must fit on one blob page.
+/// graph with `defect`: its label's or its probability's dictionary
+/// entry, or the label id in its run. The graph must fit on one blob page.
 fn break_emission(session: &Staccato, key: i64, edge: u32, defect: Defect) {
     let (_, blob) = session
         .store()
@@ -332,8 +335,16 @@ fn break_emission(session: &Staccato, key: i64, edge: u32, defect: Defect) {
     codec::decode_into_arena(&blob, &mut arena).unwrap();
     let em = arena.emissions()[arena.edges()[edge as usize].em_start as usize];
     let (at, bytes) = match defect {
-        Defect::NanProbability => (em.label_end as usize, f64::NAN.to_le_bytes().to_vec()),
+        Defect::NanProbability => {
+            // The dictionary holds the probability's bits once.
+            let bits = em.prob.to_bits().to_le_bytes();
+            let at = blob.windows(8).position(|w| w == bits).unwrap();
+            (at, f64::NAN.to_le_bytes().to_vec())
+        }
         Defect::NonUtf8Label => (em.label_start as usize, vec![0xFF]),
+        // The emission's label id, one byte wide in so small a
+        // dictionary: 255 names no label it holds.
+        Defect::OutOfRangeId => (arena.run_range(edge).start, vec![0xFF]),
     };
     let page = staccato_blob_page(session, key);
     // Blob page layout: [next u64][len u32][payload...].
@@ -369,7 +380,9 @@ fn unprojected_edge(session: &Staccato) -> (i64, u32, u32) {
 
 #[test]
 fn defect_outside_the_projection_leaves_the_probe_bit_identical() {
-    for defect in [Defect::NanProbability, Defect::NonUtf8Label] {
+    // Only a run's ids lie outside what the probe reads: the skeleton
+    // checks both dictionaries in full.
+    for defect in [Defect::OutOfRangeId] {
         let (session, _, _) = probed_session();
         let request = QueryRequest::keyword("data").num_ans(100);
         let before = session.execute(&request).expect("probe");
@@ -396,8 +409,25 @@ fn defect_outside_the_projection_leaves_the_probe_bit_identical() {
 }
 
 #[test]
-fn defect_inside_the_projection_fails_the_probe_with_a_typed_error() {
+fn dictionary_defect_fails_the_probe_wherever_its_emission_lies() {
     for defect in [Defect::NanProbability, Defect::NonUtf8Label] {
+        let (session, _, _) = probed_session();
+        let (key, outside, _) = unprojected_edge(&session);
+        break_emission(&session, key, outside, defect);
+        let request = QueryRequest::keyword("data").num_ans(100);
+        assert!(session.plan(&request).expect("plan").is_index_probe());
+        let err = session.execute(&request).unwrap_err();
+        assert!(matches!(err, QueryError::Sfa(_)), "{defect:?}: got {err:?}");
+    }
+}
+
+#[test]
+fn defect_inside_the_projection_fails_the_probe_with_a_typed_error() {
+    for defect in [
+        Defect::NanProbability,
+        Defect::NonUtf8Label,
+        Defect::OutOfRangeId,
+    ] {
         let (session, _, _) = probed_session();
         let (key, _, posted) = unprojected_edge(&session);
         break_emission(&session, key, posted, defect);
@@ -553,6 +583,108 @@ fn decoding_garbage_blobs_never_panics() {
         let garbage = vec![0xA5u8; len];
         assert!(codec::decode(&garbage).is_err());
     }
+}
+
+/// Every cut and every single-byte stomp of a FullSFA blob and of its
+/// Staccato approximation, through each entry that reads a blob: each
+/// returns `Ok` or a typed error, never a panic, and the entries agree on
+/// which blobs they accept.
+#[test]
+fn cut_or_stomped_blobs_are_refused_by_every_entry_without_a_panic() {
+    let channel = staccato::ocr::Channel::new(ChannelConfig::default());
+    let full = channel.line_to_sfa("Sec. 2", 7);
+    let stac = staccato::approx::approximate(&full, StaccatoParams::new(3, 4));
+    let mut arena = staccato::sfa::DecodeArena::new();
+    for blob in [codec::encode(&full), codec::encode(&stac)] {
+        let mut variants: Vec<Vec<u8>> = (0..blob.len()).map(|cut| blob[..cut].to_vec()).collect();
+        for pos in 0..blob.len() {
+            for stomp in [0x01, 0x80, 0xFF] {
+                let mut bad = blob.clone();
+                bad[pos] ^= stomp;
+                variants.push(bad);
+            }
+        }
+        for bad in &variants {
+            let full_entry = codec::decode_into_arena(bad, &mut arena);
+            let shallow = codec::decode_skeleton(bad, &mut arena).and_then(|()| {
+                (0..arena.edges().len() as u32)
+                    .try_for_each(|edge| codec::decode_run(bad, &mut arena, edge))
+            });
+            assert_eq!(shallow, full_entry);
+            assert_eq!(codec::decode(bad).err(), full_entry.clone().err());
+            let synopsis = staccato::query::kernel::blob_synopsis(bad);
+            assert_eq!(synopsis.err(), full_entry.err());
+        }
+    }
+}
+
+/// `sfa` in the previous blob format, `SFA1`: a little-endian `u32`
+/// header, then per edge `from`, `to` and the emission count, and per
+/// emission a `u16` label length, the label and an `f64`.
+fn sfa1_blob(sfa: &Sfa) -> Vec<u8> {
+    let mut out = b"SFA1".to_vec();
+    let header = [
+        sfa.node_count() as u32,
+        sfa.start(),
+        sfa.finish(),
+        sfa.edge_count() as u32,
+    ];
+    for v in header {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    for (_, e) in sfa.edges() {
+        for v in [e.from, e.to, e.emissions.len() as u32] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        for em in &e.emissions {
+            out.extend_from_slice(&(em.label.len() as u16).to_le_bytes());
+            out.extend_from_slice(em.label.as_bytes());
+            out.extend_from_slice(&em.prob.to_le_bytes());
+        }
+    }
+    out
+}
+
+#[test]
+fn sfa1_blob_in_a_store_is_refused_at_its_first_read() {
+    let session = tiny_session();
+    let store = session.store();
+    // A one-edge graph emitting "data base", stored in the previous format
+    // under a new key of both blob tables.
+    let mut b = SfaBuilder::new();
+    let (s, f) = (b.add_node(), b.add_node());
+    b.add_edge(s, f, vec![Emission::new("data base", 1.0)]);
+    let sfa = b.build(s, f).unwrap();
+    let old = BlobStore::put(store.db().pool(), &sfa1_blob(&sfa)).unwrap();
+    let synopsis = staccato::query::kernel::blob_synopsis(&codec::encode(&sfa)).unwrap();
+    for (table, row) in [
+        ("FullSFAData", vec![Value::Int(1_000), Value::Blob(old)]),
+        (
+            "StaccatoGraph",
+            vec![
+                Value::Int(1_000),
+                Value::Blob(old),
+                Value::Bytes(synopsis.to_vec()),
+            ],
+        ),
+    ] {
+        let (schema, heap) = store.table(table).expect("table");
+        let bytes = staccato::storage::row::encode_row(&schema, &row).unwrap();
+        heap.insert(store.db().pool(), &bytes).unwrap();
+    }
+    let request = QueryRequest::keyword("data").num_ans(100);
+    for approach in [Approach::FullSfa, Approach::Staccato] {
+        let err = session
+            .execute(&request.clone().approach(approach))
+            .unwrap_err();
+        assert!(
+            matches!(err, QueryError::Sfa(staccato::sfa::SfaError::BadMagic)),
+            "{approach:?}: got {err:?}"
+        );
+    }
+    session
+        .execute(&request.approach(Approach::Map))
+        .expect("MAP reads no blob");
 }
 
 #[test]

@@ -448,10 +448,11 @@ proptest! {
     }
 
     // The probe decodes only the runs its projection reads. On both graph
-    // strategies, with every emission probability outside the projected
-    // edges made NaN — a run the full decode would reject — the shallow
-    // projection still equals the reference over the full decode, bit for
-    // bit, and reports exactly the projected runs as decoded.
+    // strategies, with the first label id of every run outside the
+    // projected edges out of range — a run the full decode would reject —
+    // the shallow projection still equals the reference over the full
+    // decode, bit for bit, and reports exactly the projected runs as
+    // decoded.
     #[test]
     fn shallow_projection_equals_the_full_decode(
         sfa in sfa_strategy(),
@@ -474,14 +475,10 @@ proptest! {
                 let mut arena = staccato::sfa::DecodeArena::new();
                 codec::decode_into_arena(&blob, &mut arena).unwrap();
                 let mut broken = blob.clone();
-                for (eid, e) in arena.edges().iter().enumerate() {
-                    if projected.contains(&(eid as u32)) {
-                        continue;
-                    }
-                    for em in &arena.emissions()[e.em_start as usize..e.em_end as usize] {
-                        let at = em.label_end as usize;
-                        broken[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-                    }
+                for eid in (0..edge_count).filter(|eid| !projected.contains(eid)) {
+                    // The run's first label id, one byte wide in these
+                    // small dictionaries: 255 names no label they hold.
+                    broken[arena.run_range(eid).start] = 0xFF;
                 }
                 let want = start_edges
                     .iter()
@@ -502,6 +499,41 @@ proptest! {
                 prop_assert!(projected.len() as u32 == edge_count || codec::decode(&broken).is_err());
             }
         });
+    }
+
+    // A blob has one encoding: encoding is deterministic, a decoded blob
+    // re-encodes to the same bytes, and both dictionaries list each entry
+    // once in ascending order — labels by their bytes, probabilities by
+    // their bits — so an entry that sorts later lies later in the blob.
+    #[test]
+    fn sfa2_blobs_are_canonical_with_sorted_dictionaries(
+        sfa in sfa_strategy(),
+        multi in multibyte_sfa_strategy(),
+    ) {
+        for graph in [&sfa, &multi] {
+            let blob = codec::encode(graph);
+            prop_assert_eq!(&codec::encode(graph), &blob);
+            prop_assert_eq!(&codec::encode(&codec::decode(&blob).unwrap()), &blob);
+            let mut arena = staccato::sfa::DecodeArena::new();
+            codec::decode_into_arena(&blob, &mut arena).unwrap();
+            // Each distinct entry by where it lies in the blob.
+            let mut labels: Vec<_> = arena.emissions().iter().map(|em| em.label_range()).collect();
+            let mut probs: Vec<_> = arena
+                .emissions()
+                .iter()
+                .map(|em| {
+                    let bits = em.prob.to_bits();
+                    (blob.windows(8).position(|w| w == bits.to_le_bytes()).unwrap(), bits)
+                })
+                .collect();
+            labels.sort_by_key(|range| range.start);
+            labels.dedup();
+            probs.sort_unstable();
+            probs.dedup();
+            let labels: Vec<&[u8]> = labels.into_iter().map(|range| &blob[range]).collect();
+            prop_assert!(labels.windows(2).all(|w| w[0] < w[1]), "{:?}", labels);
+            prop_assert!(probs.windows(2).all(|w| w[0].1 < w[1].1), "{:?}", probs);
+        }
     }
 
     // FullSFA and Staccato blobs under random regex patterns. The

@@ -218,6 +218,43 @@ fn previous_format_record_is_refused_and_the_log_left_intact() {
     assert_eq!(log_files(), before);
 }
 
+/// A log whose one record is an `SWB2` batch — the previous format,
+/// whose blobs are `SFA1` — is refused before anything is replayed, and
+/// the log is left byte for byte as it was.
+#[test]
+fn swb2_record_is_refused_and_the_log_left_intact() {
+    let dir = TempDir::new("swb2");
+    let (db_path, wal_dir) = (dir.path().join("store.db"), dir.path().join("wal"));
+    {
+        let dataset = generate(CorpusKind::CongressActs, 4, 3);
+        let db = Database::create(&db_path, 2048).expect("create");
+        let session = Staccato::load(db, &dataset, &load_options(3)).expect("load");
+        session.checkpoint().expect("checkpoint");
+    }
+    // magic, batch_seq 1, first_key 4 (the store's tail), no documents.
+    let mut payload = b"SWB2".to_vec();
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.extend_from_slice(&4i64.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    let mut wal = Wal::create(&wal_dir, SyncPolicy::Commit).expect("wal");
+    wal.append(&payload).expect("append");
+    wal.commit().expect("commit");
+    drop(wal);
+    let segment = || {
+        std::fs::read_dir(&wal_dir)
+            .unwrap()
+            .map(|e| std::fs::read(e.unwrap().path()).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let before = segment();
+    match Staccato::recover(&db_path, &wal_dir) {
+        Err(QueryError::CorruptWal(why)) => assert!(why.contains("previous WAL format"), "{why}"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("an SWB2 record must not be replayed"),
+    }
+    assert_eq!(segment(), before);
+}
+
 /// A recovered store must be indistinguishable from one that never
 /// crashed at all — not just self-consistent.
 #[test]
