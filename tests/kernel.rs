@@ -505,12 +505,15 @@ proptest! {
     // re-encodes to the same bytes, and both dictionaries list each entry
     // once in ascending order — labels by their bytes, probabilities by
     // their bits — so an entry that sorts later lies later in the blob.
+    // A clean line, a long chain of single emissions, packs its edges
+    // as tightly as the format allows.
     #[test]
     fn sfa2_blobs_are_canonical_with_sorted_dictionaries(
         sfa in sfa_strategy(),
         multi in multibyte_sfa_strategy(),
+        line in "[a-z ]{1,200}",
     ) {
-        for graph in [&sfa, &multi] {
+        for graph in [&sfa, &multi, &Sfa::from_string(&line)] {
             let blob = codec::encode(graph);
             prop_assert_eq!(&codec::encode(graph), &blob);
             prop_assert_eq!(&codec::encode(&codec::decode(&blob).unwrap()), &blob);
