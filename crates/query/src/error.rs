@@ -33,6 +33,9 @@ pub enum QueryError {
     /// An ingest batch was rejected before logging (empty, or malformed
     /// document input).
     Ingest(String),
+    /// A reopened file's saved counters are missing or disagree with its
+    /// rows: it is not a saved store as it stood at its last save.
+    StoreMismatch(&'static str),
 }
 
 impl fmt::Display for QueryError {
@@ -59,6 +62,7 @@ impl fmt::Display for QueryError {
             }
             QueryError::CorruptWal(why) => write!(f, "corrupt write-ahead log: {why}"),
             QueryError::Ingest(why) => write!(f, "ingest rejected: {why}"),
+            QueryError::StoreMismatch(why) => write!(f, "store does not match its save: {why}"),
         }
     }
 }

@@ -1092,7 +1092,7 @@ impl Staccato {
         let (wal, records) = Wal::open(wal_dir, opts.sync)?;
         let mut max_seq = 0u64;
         let mut replayed = 0u64;
-        for payload in &records {
+        for payload in records.iter() {
             let decoded = decode_batch(payload)?;
             max_seq = max_seq.max(decoded.batch_seq);
             let committed = session.store.line_count() as i64;

@@ -111,10 +111,80 @@ pub struct RepresentationSizes {
 /// documents are built exactly like loaded ones.
 pub struct OcrStore {
     db: Database,
+    tables: Tables,
     lines: AtomicUsize,
     sizes: Mutex<RepresentationSizes>,
     opts: LoadOptions,
     channel: Channel,
+}
+
+/// The heaps and primary-key trees the write path inserts into, resolved
+/// from the catalog once per store instead of once per row.
+struct Tables {
+    master: HeapFile,
+    map: HeapFile,
+    kmap: HeapFile,
+    full_sfa: HeapFile,
+    staccato: HeapFile,
+    truth: HeapFile,
+    history: HeapFile,
+    full_sfa_pk: BTree,
+    staccato_pk: BTree,
+}
+
+impl Tables {
+    fn open(db: &Database) -> Result<Tables, QueryError> {
+        let heap = |name| -> Result<HeapFile, QueryError> { Ok(db.table(name)?.1) };
+        Ok(Tables {
+            master: heap("MasterData")?,
+            map: heap("MAPData")?,
+            kmap: heap("kMAPData")?,
+            full_sfa: heap("FullSFAData")?,
+            staccato: heap("StaccatoGraph")?,
+            truth: heap("GroundTruth")?,
+            history: heap("StaccatoHistory")?,
+            full_sfa_pk: db.index("FullSFAData_pk")?,
+            staccato_pk: db.index("StaccatoGraph_pk")?,
+        })
+    }
+}
+
+/// The store's counters as [`Database::set_meta`] keeps them: the line
+/// count, then the five [`RepresentationSizes`] fields, each a
+/// little-endian `u64`.
+const COUNTERS_LEN: usize = 48;
+
+fn encode_counters(lines: u64, s: &RepresentationSizes) -> [u8; COUNTERS_LEN] {
+    let mut out = [0u8; COUNTERS_LEN];
+    for (slot, v) in out
+        .chunks_exact_mut(8)
+        .zip([lines, s.text, s.map, s.kmap, s.full_sfa, s.staccato])
+    {
+        slot.copy_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+fn decode_counters(meta: &[u8]) -> Result<(u64, RepresentationSizes), QueryError> {
+    let counters: Vec<u64> = meta
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        .collect();
+    match counters[..] {
+        [lines, text, map, kmap, full_sfa, staccato] if meta.len() == COUNTERS_LEN => Ok((
+            lines,
+            RepresentationSizes {
+                text,
+                map,
+                kmap,
+                full_sfa,
+                staccato,
+            },
+        )),
+        _ => Err(QueryError::StoreMismatch(
+            "the file holds no saved line count and sizes",
+        )),
+    }
 }
 
 pub(crate) fn build_line(
@@ -209,17 +279,21 @@ impl OcrStore {
         });
 
         // Phase 2: sequential inserts.
-        db.create_table("MasterData", master_schema())?;
-        db.create_table("MAPData", map_schema())?;
-        db.create_table("kMAPData", kmap_schema())?;
-        db.create_table("FullSFAData", full_sfa_schema())?;
-        db.create_table("StaccatoGraph", staccato_schema())?;
-        db.create_table("GroundTruth", truth_schema())?;
-        db.create_table("StaccatoHistory", history_schema())?;
+        let s = schemas();
+        db.create_table("MasterData", s.master.clone())?;
+        db.create_table("MAPData", s.map.clone())?;
+        db.create_table("kMAPData", s.kmap.clone())?;
+        db.create_table("FullSFAData", s.full_sfa.clone())?;
+        db.create_table("StaccatoGraph", s.staccato.clone())?;
+        db.create_table("GroundTruth", s.truth.clone())?;
+        db.create_table("StaccatoHistory", s.history.clone())?;
         db.create_index("FullSFAData_pk")?;
         db.create_index("StaccatoGraph_pk")?;
+        // Each inserted line updates the counters; an empty corpus has none.
+        db.set_meta(&encode_counters(0, &RepresentationSizes::default()))?;
 
         let store = OcrStore {
+            tables: Tables::open(&db)?,
             db,
             lines: AtomicUsize::new(0),
             sizes: Mutex::new(RepresentationSizes::default()),
@@ -234,67 +308,54 @@ impl OcrStore {
         Ok(store)
     }
 
-    /// Reopen a store persisted by [`Database::save`]: recount lines
-    /// from `MasterData` and recompute the representation sizes by
-    /// rescanning every table — the catalog persists rows and blobs,
-    /// not the loader's accounting. Part of the crash-recovery path
-    /// ([`crate::Staccato::recover`]). A file whose `StaccatoGraph` rows
-    /// carry no synopsis is refused: reload it from the corpus.
+    /// Reopen a store persisted by [`Database::save`]. The line count and
+    /// the representation sizes are the ones the save wrote into the
+    /// file's metadata slot, so reopening reads a constant number of
+    /// pages whatever the store's size: no table is scanned. Part of the
+    /// crash-recovery path ([`crate::Staccato::recover`]).
+    ///
+    /// Two primary-key descents hold the count to the rows: the largest
+    /// key of `FullSFAData_pk` and of `StaccatoGraph_pk` must be the
+    /// count's last line. A tree that reaches past it holds rows that
+    /// reached the file after its last save, and one that stops short
+    /// lost rows; either is refused with [`QueryError::StoreMismatch`]
+    /// before any batch is replayed over it. A file whose
+    /// `StaccatoGraph` rows carry no synopsis, or that holds no counters,
+    /// is refused too: reload it from the corpus.
     pub fn reopen(db: Database, opts: &LoadOptions) -> Result<OcrStore, QueryError> {
-        if db.table("StaccatoGraph")?.0 != staccato_schema() {
+        if db.table("StaccatoGraph")?.0 != schemas().staccato {
             return Err(StorageError::SchemaMismatch(
                 "StaccatoGraph is not (DataKey, GraphBlob, Synopsis); reload the corpus",
             )
             .into());
         }
-        let channel = Channel::new(opts.channel.clone());
-        // Database files written before the write path existed have no
-        // history table; give them an empty one.
-        if db.table("StaccatoHistory").is_err() {
-            db.create_table("StaccatoHistory", history_schema())?;
+        let (lines, sizes) = decode_counters(&db.meta())?;
+        let tables = Tables::open(&db)?;
+        for pk in [&tables.full_sfa_pk, &tables.staccato_pk] {
+            let rows = match pk.last_key(db.pool())? {
+                None => 0,
+                Some(key) => {
+                    let key: [u8; 8] = key.try_into().map_err(|_| {
+                        QueryError::StoreMismatch("a primary key is not an 8-byte DataKey")
+                    })?;
+                    i64::from_be_bytes(key) as u64 + 1
+                }
+            };
+            if rows != lines {
+                return Err(QueryError::StoreMismatch(
+                    "a primary-key tree does not end at the saved line count: \
+                     pages written after the last save, or lost since",
+                ));
+            }
         }
-        let store = OcrStore {
+        Ok(OcrStore {
             db,
-            lines: AtomicUsize::new(0),
-            sizes: Mutex::new(RepresentationSizes::default()),
+            tables,
+            lines: AtomicUsize::new(lines as usize),
+            sizes: Mutex::new(sizes),
             opts: opts.clone(),
-            channel,
-        };
-        let mut lines = 0usize;
-        {
-            let (_, heap) = store.db.table("MasterData")?;
-            for item in heap.scan(store.db.pool()) {
-                item?;
-                lines += 1;
-            }
-        }
-        let mut sizes = RepresentationSizes::default();
-        for (_, text) in store.ground_truth_lines()? {
-            sizes.text += text.len() as u64 + 1;
-        }
-        for item in store.map_cursor()? {
-            let (_, s, _) = item?;
-            sizes.map += s.len() as u64 + 16;
-        }
-        for item in store.kmap_cursor()? {
-            let (_, strings) = item?;
-            for (s, _) in strings {
-                sizes.kmap += s.len() as u64 + 16;
-            }
-        }
-        // Blob lengths come off the chains' page headers; no blob is copied.
-        let pool = store.db.pool();
-        store.for_each_blob_row("FullSFAData", |row| {
-            sizes.full_sfa += BlobStore::len(pool, row.blob)? as u64;
-            Ok(())
-        })?;
-        store.for_each_staccato_row(|row| {
-            sizes.staccato += (BlobStore::len(pool, row.blob)? + SYNOPSIS_LEN) as u64;
-            Ok(())
-        })?;
-        store.lines.store(lines, Ordering::Release);
-        *store.sizes.lock().expect("sizes lock") = sizes;
-        Ok(store)
+            channel: Channel::new(opts.channel.clone()),
+        })
     }
 
     /// Insert one line's artifacts into every representation table and
@@ -311,6 +372,10 @@ impl OcrStore {
 
     /// [`OcrStore::insert_line_artifacts`] given the synopsis of
     /// `art.stac_blob`, for a caller that has the blob decoded already.
+    /// Keys are dense, so the line count after this line is `key + 1`:
+    /// that count and the updated sizes go into the database's metadata
+    /// slot, and whichever path saves the file next persists counters
+    /// that match its rows.
     pub(crate) fn insert_line(
         &self,
         key: i64,
@@ -319,21 +384,14 @@ impl OcrStore {
     ) -> Result<(), QueryError> {
         let pool = self.db.pool();
         let enc = staccato_storage::row::encode_row;
-        let (_, master) = self.db.table("MasterData")?;
-        let (_, map_t) = self.db.table("MAPData")?;
-        let (_, kmap_t) = self.db.table("kMAPData")?;
-        let (_, full_t) = self.db.table("FullSFAData")?;
-        let (_, stacg_t) = self.db.table("StaccatoGraph")?;
-        let (_, truth_t) = self.db.table("GroundTruth")?;
-        let full_pk = self.db.index("FullSFAData_pk")?;
-        let stacg_pk = self.db.index("StaccatoGraph_pk")?;
+        let (s, t) = (schemas(), &self.tables);
 
         let mut delta = RepresentationSizes::default();
         delta.text += art.clean.len() as u64 + 1;
-        master.insert(
+        t.master.insert(
             pool,
             &enc(
-                &master_schema(),
+                &s.master,
                 &vec![
                     Value::Int(key),
                     Value::Text(art.doc_name.clone()),
@@ -341,30 +399,30 @@ impl OcrStore {
                 ],
             )?,
         )?;
-        if let Some((s, p)) = art.kmap.first() {
-            delta.map += s.len() as u64 + 16;
-            map_t.insert(
+        if let Some((text, p)) = art.kmap.first() {
+            delta.map += text.len() as u64 + 16;
+            t.map.insert(
                 pool,
                 &enc(
-                    &map_schema(),
+                    &s.map,
                     &vec![
                         Value::Int(key),
-                        Value::Text(s.clone()),
+                        Value::Text(text.clone()),
                         Value::Float(p.ln()),
                     ],
                 )?,
             )?;
         }
-        for (rank, (s, p)) in art.kmap.iter().enumerate() {
-            delta.kmap += s.len() as u64 + 16;
-            kmap_t.insert(
+        for (rank, (text, p)) in art.kmap.iter().enumerate() {
+            delta.kmap += text.len() as u64 + 16;
+            t.kmap.insert(
                 pool,
                 &enc(
-                    &kmap_schema(),
+                    &s.kmap,
                     &vec![
                         Value::Int(key),
                         Value::Int(rank as i64),
-                        Value::Text(s.clone()),
+                        Value::Text(text.clone()),
                         Value::Float(p.ln()),
                     ],
                 )?,
@@ -372,21 +430,19 @@ impl OcrStore {
         }
         delta.full_sfa += art.full_blob.len() as u64;
         let full_blob = BlobStore::put(pool, &art.full_blob)?;
-        let rid = full_t.insert(
+        let rid = t.full_sfa.insert(
             pool,
-            &enc(
-                &full_sfa_schema(),
-                &vec![Value::Int(key), Value::Blob(full_blob)],
-            )?,
+            &enc(&s.full_sfa, &vec![Value::Int(key), Value::Blob(full_blob)])?,
         )?;
-        full_pk.insert(pool, &key.to_be_bytes(), rid.to_u64())?;
+        t.full_sfa_pk
+            .insert(pool, &key.to_be_bytes(), rid.to_u64())?;
 
         delta.staccato += (art.stac_blob.len() + SYNOPSIS_LEN) as u64;
         let stac_blob = BlobStore::put(pool, &art.stac_blob)?;
-        let rid = stacg_t.insert(
+        let rid = t.staccato.insert(
             pool,
             &enc(
-                &staccato_schema(),
+                &s.staccato,
                 &vec![
                     Value::Int(key),
                     Value::Blob(stac_blob),
@@ -394,12 +450,13 @@ impl OcrStore {
                 ],
             )?,
         )?;
-        stacg_pk.insert(pool, &key.to_be_bytes(), rid.to_u64())?;
+        t.staccato_pk
+            .insert(pool, &key.to_be_bytes(), rid.to_u64())?;
 
-        truth_t.insert(
+        t.truth.insert(
             pool,
             &enc(
-                &truth_schema(),
+                &s.truth,
                 &vec![Value::Int(key), Value::Text(art.clean.clone())],
             )?,
         )?;
@@ -410,16 +467,16 @@ impl OcrStore {
         sizes.kmap += delta.kmap;
         sizes.full_sfa += delta.full_sfa;
         sizes.staccato += delta.staccato;
+        self.db.set_meta(&encode_counters(key as u64 + 1, &sizes))?;
         Ok(())
     }
 
     /// Append one row to `StaccatoHistory`.
     pub(crate) fn insert_history(&self, row: &HistoryRow) -> Result<(), QueryError> {
-        let (schema, heap) = self.db.table("StaccatoHistory")?;
-        heap.insert(
+        self.tables.history.insert(
             self.db.pool(),
             &staccato_storage::row::encode_row(
-                &schema,
+                &schemas().history,
                 &vec![
                     Value::Int(row.data_key),
                     Value::Text(row.file_name.clone()),
@@ -783,22 +840,12 @@ fn row_key(bytes: &[u8]) -> Result<i64, QueryError> {
     Ok(i64::from_le_bytes(head.try_into().expect("len checked")))
 }
 
-fn map_schema_static() -> &'static Schema {
-    static S: std::sync::OnceLock<Schema> = std::sync::OnceLock::new();
-    S.get_or_init(map_schema)
-}
-
-fn kmap_schema_static() -> &'static Schema {
-    static S: std::sync::OnceLock<Schema> = std::sync::OnceLock::new();
-    S.get_or_init(kmap_schema)
-}
-
 /// Decode a raw `MAPData` row borrowed: `(string, prob)`, with the full
 /// [`RowReader`] validation including the trailing-bytes check. The one
 /// place a stored log-prob becomes a probability (`exp()`), so every
 /// consumer of the row sees bit-identical values.
 pub(crate) fn decode_map_row(bytes: &[u8]) -> Result<(&str, f64), QueryError> {
-    let mut r = RowReader::new(map_schema_static(), bytes);
+    let mut r = RowReader::new(&schemas().map, bytes);
     r.int()?;
     let s = r.text()?;
     let lp = r.float()?;
@@ -808,7 +855,7 @@ pub(crate) fn decode_map_row(bytes: &[u8]) -> Result<(&str, f64), QueryError> {
 
 /// Decode a raw `kMAPData` row borrowed: `(string, prob)`.
 pub(crate) fn decode_kmap_row(bytes: &[u8]) -> Result<(&str, f64), QueryError> {
-    let mut r = RowReader::new(kmap_schema_static(), bytes);
+    let mut r = RowReader::new(&schemas().kmap, bytes);
     r.int()?;
     r.int()?;
     let s = r.text()?;
@@ -920,57 +967,54 @@ impl Iterator for SfaCursor<'_> {
     }
 }
 
-fn master_schema() -> Schema {
-    Schema::new(&[
-        ("DataKey", ColumnType::Int),
-        ("DocName", ColumnType::Text),
-        ("SFANum", ColumnType::Int),
-    ])
+/// The Table 5 schemas, built once: the write path encodes every row
+/// against these, and the raw-row decoders read through them.
+struct Schemas {
+    master: Schema,
+    map: Schema,
+    kmap: Schema,
+    full_sfa: Schema,
+    staccato: Schema,
+    truth: Schema,
+    history: Schema,
 }
 
-fn map_schema() -> Schema {
-    Schema::new(&[
-        ("DataKey", ColumnType::Int),
-        ("Data", ColumnType::Text),
-        ("LogProb", ColumnType::Float),
-    ])
-}
-
-fn kmap_schema() -> Schema {
-    Schema::new(&[
-        ("DataKey", ColumnType::Int),
-        ("LineNum", ColumnType::Int),
-        ("Data", ColumnType::Text),
-        ("LogProb", ColumnType::Float),
-    ])
-}
-
-fn full_sfa_schema() -> Schema {
-    Schema::new(&[("DataKey", ColumnType::Int), ("SFABlob", ColumnType::Blob)])
-}
-
-fn staccato_schema() -> Schema {
-    Schema::new(&[
-        ("DataKey", ColumnType::Int),
-        ("GraphBlob", ColumnType::Blob),
-        ("Synopsis", ColumnType::Bytes),
-    ])
-}
-
-fn truth_schema() -> Schema {
-    Schema::new(&[("DataKey", ColumnType::Int), ("Data", ColumnType::Text)])
-}
-
-fn history_schema() -> Schema {
-    Schema::new(&[
-        ("DataKey", ColumnType::Int),
-        ("FileName", ColumnType::Text),
-        ("Provider", ColumnType::Text),
-        ("Confidence", ColumnType::Float),
-        ("ProcessingTimeMs", ColumnType::Int),
-        ("IngestedAt", ColumnType::Int),
-        ("BatchSeq", ColumnType::Int),
-    ])
+fn schemas() -> &'static Schemas {
+    static S: std::sync::OnceLock<Schemas> = std::sync::OnceLock::new();
+    S.get_or_init(|| Schemas {
+        master: Schema::new(&[
+            ("DataKey", ColumnType::Int),
+            ("DocName", ColumnType::Text),
+            ("SFANum", ColumnType::Int),
+        ]),
+        map: Schema::new(&[
+            ("DataKey", ColumnType::Int),
+            ("Data", ColumnType::Text),
+            ("LogProb", ColumnType::Float),
+        ]),
+        kmap: Schema::new(&[
+            ("DataKey", ColumnType::Int),
+            ("LineNum", ColumnType::Int),
+            ("Data", ColumnType::Text),
+            ("LogProb", ColumnType::Float),
+        ]),
+        full_sfa: Schema::new(&[("DataKey", ColumnType::Int), ("SFABlob", ColumnType::Blob)]),
+        staccato: Schema::new(&[
+            ("DataKey", ColumnType::Int),
+            ("GraphBlob", ColumnType::Blob),
+            ("Synopsis", ColumnType::Bytes),
+        ]),
+        truth: Schema::new(&[("DataKey", ColumnType::Int), ("Data", ColumnType::Text)]),
+        history: Schema::new(&[
+            ("DataKey", ColumnType::Int),
+            ("FileName", ColumnType::Text),
+            ("Provider", ColumnType::Text),
+            ("Confidence", ColumnType::Float),
+            ("ProcessingTimeMs", ColumnType::Int),
+            ("IngestedAt", ColumnType::Int),
+            ("BatchSeq", ColumnType::Int),
+        ]),
+    })
 }
 
 #[cfg(test)]

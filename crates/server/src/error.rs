@@ -48,6 +48,7 @@ impl ApiError {
             QueryError::Sfa(_) => (500, "CORRUPT_SFA"),
             QueryError::MissingRepresentation(_) => (500, "MISSING_REPRESENTATION"),
             QueryError::CorruptWal(_) => (500, "CORRUPT_WAL"),
+            QueryError::StoreMismatch(_) => (500, "STORE_MISMATCH"),
         };
         ApiError::new(status, code, e.to_string())
     }

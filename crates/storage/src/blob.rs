@@ -118,28 +118,6 @@ impl BlobStore {
         Ok(f(buf))
     }
 
-    /// Length of a blob in bytes without materializing it.
-    pub fn len(pool: &BufferPool, id: PageId) -> Result<usize, StorageError> {
-        let mut total = 0usize;
-        let mut pid = id;
-        let mut hops: u64 = 0;
-        let limit = pool.page_count() + 1;
-        while pid != NO_PAGE {
-            hops += 1;
-            if hops > limit {
-                return Err(StorageError::CorruptBlob { first_page: id });
-            }
-            let page = pool.fetch_read(pid)?;
-            let len = u32::from_le_bytes(page[8..12].try_into().expect("len")) as usize;
-            if len > BLOB_PAYLOAD {
-                return Err(StorageError::CorruptBlob { first_page: id });
-            }
-            total += len;
-            pid = u64::from_le_bytes(page[0..8].try_into().expect("len"));
-        }
-        Ok(total)
-    }
-
     /// Number of pages in a blob chain.
     pub fn page_span(pool: &BufferPool, id: PageId) -> Result<u64, StorageError> {
         let mut hops: u64 = 0;
@@ -171,7 +149,6 @@ mod tests {
         let pool = pool();
         let id = BlobStore::put(&pool, b"tiny").unwrap();
         assert_eq!(BlobStore::get(&pool, id).unwrap(), b"tiny");
-        assert_eq!(BlobStore::len(&pool, id).unwrap(), 4);
         assert_eq!(BlobStore::page_span(&pool, id).unwrap(), 1);
     }
 
@@ -182,7 +159,6 @@ mod tests {
         let data: Vec<u8> = (0..600_000u32).map(|i| (i % 251) as u8).collect();
         let id = BlobStore::put(&pool, &data).unwrap();
         assert_eq!(BlobStore::get(&pool, id).unwrap(), data);
-        assert_eq!(BlobStore::len(&pool, id).unwrap(), data.len());
         let span = BlobStore::page_span(&pool, id).unwrap();
         assert_eq!(span, data.len().div_ceil(BLOB_PAYLOAD) as u64);
         assert!(span >= 73, "a 600 kB blob must span many pages, got {span}");
@@ -193,7 +169,6 @@ mod tests {
         let pool = pool();
         let id = BlobStore::put(&pool, b"").unwrap();
         assert_eq!(BlobStore::get(&pool, id).unwrap(), Vec::<u8>::new());
-        assert_eq!(BlobStore::len(&pool, id).unwrap(), 0);
     }
 
     #[test]
@@ -229,10 +204,6 @@ mod tests {
         }
         assert!(matches!(
             BlobStore::get(&pool, id),
-            Err(StorageError::CorruptBlob { .. })
-        ));
-        assert!(matches!(
-            BlobStore::len(&pool, id),
             Err(StorageError::CorruptBlob { .. })
         ));
     }

@@ -376,6 +376,22 @@ impl BTree {
         self.scan_range(pool, prefix, hi.as_deref())
     }
 
+    /// The largest key, by one descent along the rightmost children
+    /// (O(height) pages); `None` for an empty tree. Deletion is lazy, so
+    /// a rightmost leaf emptied by deletes also reads `None`.
+    pub fn last_key(&self, pool: &BufferPool) -> Result<Option<Vec<u8>>, StorageError> {
+        let mut pid = self.root(pool)?;
+        loop {
+            let page = pool.fetch_read(pid)?;
+            let (tag, head, walk) = EntryWalk::open(pid, &page)?;
+            let last = walk.last().transpose()?;
+            if tag == LEAF {
+                return Ok(last.map(|(key, _)| key.to_vec()));
+            }
+            pid = last.map_or(head, |(_, child)| child);
+        }
+    }
+
     /// Total number of keys (walks every leaf).
     pub fn count(&self, pool: &BufferPool) -> Result<usize, StorageError> {
         Ok(self.scan_range(pool, &[], None)?.len())
@@ -636,6 +652,10 @@ mod tests {
         for w in all.windows(2) {
             assert!(w[0].0 < w[1].0, "keys out of order");
         }
+        assert_eq!(
+            t.last_key(&pool).unwrap().as_ref(),
+            all.last().map(|e| &e.0)
+        );
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The catalog: named tables and indexes bound to their root pages, plus
 //! the [`Database`] facade tying pool + catalog together.
 //!
-//! Layout: page 0 is the database anchor — magic bytes and the page id of
-//! the serialized catalog blob. [`Database::save`] rewrites the catalog
-//! blob and repoints the anchor (superseded catalog pages are leaked; a
-//! vacuum pass is future work, as it was for the paper's prototype).
+//! Layout: page 0 is the database anchor — magic bytes, the page id of
+//! the serialized catalog blob, and an opaque metadata slot
+//! ([`Database::set_meta`]) that a layer above keeps its counters in.
+//! [`Database::save`] rewrites the catalog blob and repoints the anchor
+//! (superseded catalog pages are leaked; a vacuum pass is future work, as
+//! it was for the paper's prototype) and writes the slot.
 
 use crate::blob::BlobStore;
 use crate::btree::BTree;
@@ -18,7 +20,18 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"STDB";
+const MAGIC: &[u8; 4] = b"STD2";
+
+/// The magic of files written before the anchor carried a metadata slot.
+const MAGIC_WITHOUT_META: &[u8; 4] = b"STDB";
+
+/// Anchor offsets: the catalog pointer, the slot's `u16` length, its bytes.
+const CATALOG_AT: usize = 4;
+const META_LEN_AT: usize = 12;
+const META_AT: usize = 14;
+
+/// Largest metadata slot [`Database::set_meta`] accepts.
+const MAX_META: usize = 256;
 
 /// A table's catalog entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,6 +182,9 @@ pub struct Database {
     /// [`Database::table`] caller shares its tail hint. Taken after
     /// `catalog`.
     heaps: Mutex<HashMap<String, HeapFile>>,
+    /// The metadata slot as of the last [`Database::set_meta`] (or as
+    /// opened); [`Database::save`] writes it into the anchor.
+    meta: Mutex<Vec<u8>>,
 }
 
 impl Database {
@@ -179,12 +195,13 @@ impl Database {
         debug_assert_eq!(p0, 0);
         let mut anchor = pool.fetch_write(0)?;
         anchor[0..4].copy_from_slice(MAGIC);
-        anchor[4..12].copy_from_slice(&NO_PAGE.to_le_bytes());
+        anchor[CATALOG_AT..META_LEN_AT].copy_from_slice(&NO_PAGE.to_le_bytes());
         drop(anchor);
         Ok(Database {
             pool,
             catalog: Mutex::new(Catalog::default()),
             heaps: Mutex::new(HashMap::new()),
+            meta: Mutex::new(Vec::new()),
         })
     }
 
@@ -198,17 +215,28 @@ impl Database {
         Self::bootstrap(Box::new(FileDisk::create(path)?), frames)
     }
 
-    /// Open an existing file-backed database and load its catalog.
+    /// Open an existing file-backed database and load its catalog and
+    /// metadata slot. A file written before the anchor carried the slot
+    /// is refused with [`StorageError::OldFormat`].
     pub fn open(path: impl AsRef<Path>, frames: usize) -> Result<Database, StorageError> {
         let pool = BufferPool::new(Box::new(FileDisk::open(path)?), frames);
         let anchor = pool.fetch_read(0)?;
-        if &anchor[0..4] != MAGIC {
-            return Err(StorageError::CorruptPage {
-                page: 0,
-                reason: "bad database magic",
-            });
+        match &anchor[0..4] {
+            m if m == MAGIC => {}
+            m if m == MAGIC_WITHOUT_META => {
+                return Err(StorageError::OldFormat(
+                    "the database file predates the anchor's metadata slot",
+                ))
+            }
+            _ => {
+                return Err(StorageError::CorruptPage {
+                    page: 0,
+                    reason: "bad database magic",
+                })
+            }
         }
-        let cat_blob = u64::from_le_bytes(anchor[4..12].try_into().expect("len"));
+        let cat_blob = anchored_catalog(&anchor[..]);
+        let meta = anchored_meta(&anchor[..])?.to_vec();
         drop(anchor);
         let catalog = if cat_blob == NO_PAGE {
             Catalog::default()
@@ -219,6 +247,7 @@ impl Database {
             pool,
             catalog: Mutex::new(catalog),
             heaps: Mutex::new(HashMap::new()),
+            meta: Mutex::new(meta),
         })
     }
 
@@ -300,19 +329,71 @@ impl Database {
         self.catalog.lock().indexes.keys().cloned().collect()
     }
 
-    /// Persist the catalog and flush every dirty page. The catalog is
-    /// written to a fresh blob only when it differs from the anchored one
-    /// (after DDL): an unchanged catalog costs no page.
+    /// Replace the metadata slot. It costs no page write: the next
+    /// [`Database::save`] stores it in the anchor, so a saved file always
+    /// holds the slot as it stood at that save. Errors beyond 256 bytes.
+    pub fn set_meta(&self, meta: &[u8]) -> Result<(), StorageError> {
+        if meta.len() > MAX_META {
+            return Err(StorageError::TupleTooLarge {
+                size: meta.len(),
+                max: MAX_META,
+            });
+        }
+        let mut slot = self.meta.lock();
+        slot.clear();
+        slot.extend_from_slice(meta);
+        Ok(())
+    }
+
+    /// The metadata slot: as last set, or as the opened file saved it
+    /// (empty for a new database).
+    pub fn meta(&self) -> Vec<u8> {
+        self.meta.lock().clone()
+    }
+
+    /// Persist the catalog and the metadata slot, and flush every dirty
+    /// page. The catalog is written to a fresh blob only when it differs
+    /// from the anchored one (after DDL): an unchanged catalog costs no
+    /// page. The slot lives in the anchor page itself.
     pub fn save(&self) -> Result<(), StorageError> {
         let encoded = self.catalog.lock().encode();
-        let anchored = u64::from_le_bytes(self.pool.fetch_read(0)?[4..12].try_into().expect("len"));
+        let meta = self.meta.lock().clone();
+        let (anchored, meta_saved) = {
+            let anchor = self.pool.fetch_read(0)?;
+            (
+                anchored_catalog(&anchor[..]),
+                anchored_meta(&anchor[..])? == meta,
+            )
+        };
         if anchored == NO_PAGE || BlobStore::get(&self.pool, anchored)? != encoded {
             let blob = BlobStore::put(&self.pool, &encoded)?;
             let mut anchor = self.pool.fetch_write(0)?;
-            anchor[4..12].copy_from_slice(&blob.to_le_bytes());
+            anchor[CATALOG_AT..META_LEN_AT].copy_from_slice(&blob.to_le_bytes());
+        }
+        if !meta_saved {
+            let mut anchor = self.pool.fetch_write(0)?;
+            anchor[META_LEN_AT..META_AT].copy_from_slice(&(meta.len() as u16).to_le_bytes());
+            anchor[META_AT..META_AT + meta.len()].copy_from_slice(&meta);
         }
         self.pool.flush_all()
     }
+}
+
+/// The catalog blob's page id, off the anchor page.
+fn anchored_catalog(anchor: &[u8]) -> PageId {
+    u64::from_le_bytes(anchor[CATALOG_AT..META_LEN_AT].try_into().expect("len"))
+}
+
+/// The metadata slot, off the anchor page.
+fn anchored_meta(anchor: &[u8]) -> Result<&[u8], StorageError> {
+    let len = u16::from_le_bytes(anchor[META_LEN_AT..META_AT].try_into().expect("len")) as usize;
+    if len > MAX_META {
+        return Err(StorageError::CorruptPage {
+            page: 0,
+            reason: "metadata slot longer than its limit",
+        });
+    }
+    Ok(&anchor[META_AT..META_AT + len])
 }
 
 #[cfg(test)]
@@ -463,6 +544,24 @@ mod tests {
             Database::open(&path, 16),
             Err(StorageError::CorruptPage { .. })
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn metadata_slot_persists_at_save_and_only_then() {
+        let dir = std::env::temp_dir().join(format!("staccato-db-meta-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("meta.db");
+        {
+            let db = Database::create(&path, 32).unwrap();
+            assert!(db.meta().is_empty());
+            db.set_meta(b"first").unwrap();
+            db.save().unwrap();
+            db.set_meta(b"set after the save").unwrap();
+            assert!(db.set_meta(&[0; MAX_META + 1]).is_err());
+            db.pool().flush_all().unwrap();
+        }
+        assert_eq!(Database::open(&path, 32).unwrap().meta(), b"first");
         std::fs::remove_dir_all(&dir).ok();
     }
 

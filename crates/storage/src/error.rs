@@ -25,6 +25,9 @@ pub enum StorageError {
     SchemaMismatch(&'static str),
     /// A blob chain is malformed (cycle or truncation).
     CorruptBlob { first_page: u64 },
+    /// The file was written in a format this build no longer reads; load
+    /// it again from its source.
+    OldFormat(&'static str),
 }
 
 impl fmt::Display for StorageError {
@@ -48,6 +51,7 @@ impl fmt::Display for StorageError {
             StorageError::CorruptBlob { first_page } => {
                 write!(f, "corrupt blob chain starting at page {first_page}")
             }
+            StorageError::OldFormat(what) => write!(f, "{what}; reload it from its source"),
         }
     }
 }
@@ -89,6 +93,7 @@ mod tests {
             StorageError::DuplicateObject("t".into()),
             StorageError::SchemaMismatch("short row"),
             StorageError::CorruptBlob { first_page: 5 },
+            StorageError::OldFormat("old file"),
         ];
         for c in cases {
             assert!(!c.to_string().is_empty());

@@ -46,7 +46,7 @@ pub use error::StorageError;
 pub use heap::{HeapFile, HeapScan, Rid};
 pub use pager::{BufferPool, PoolStats};
 pub use row::{ColumnType, Row, RowReader, Schema, Value};
-pub use wal::{FlushTicket, SyncPolicy, Wal, WalFlusher, WalStats};
+pub use wal::{FlushTicket, SyncPolicy, Wal, WalFlusher, WalRecords, WalStats};
 
 /// Identifier of a page on disk.
 pub type PageId = u64;

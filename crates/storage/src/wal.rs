@@ -49,12 +49,15 @@
 //! leaves exactly such a tail). The bad tail is **truncated** and any
 //! later segments are deleted, so the log ends at the last record that
 //! was fully on disk; the payloads up to that point are returned for
-//! the caller to replay. Truncation makes recovery idempotent at this
-//! layer: re-opening a recovered log finds only whole records.
+//! the caller to replay, as ranges over the segment bytes the scan read
+//! and checksummed ([`WalRecords`]), so no payload is copied again.
+//! Truncation makes recovery idempotent at this layer: re-opening a
+//! recovered log finds only whole records.
 
 use crate::error::StorageError;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -316,32 +319,36 @@ impl Wal {
 
     /// Open an existing log: scan every segment in order, truncate the
     /// torn tail (if any), and return the committed payloads together
-    /// with a handle appending after the last whole record.
+    /// with a handle appending after the last whole record. Each segment
+    /// is read into one buffer and checksummed there; the payloads are
+    /// handed out as slices of those buffers, not copied.
     pub fn open(
         dir: impl AsRef<Path>,
         policy: SyncPolicy,
-    ) -> Result<(Wal, Vec<Vec<u8>>), StorageError> {
+    ) -> Result<(Wal, WalRecords), StorageError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let segments = segment_indexes(&dir)?;
         if segments.is_empty() {
             let wal = Wal::create(&dir, policy)?;
-            return Ok((wal, Vec::new()));
+            return Ok((wal, WalRecords::default()));
         }
-        let mut payloads = Vec::new();
+        let mut records = WalRecords::default();
         let mut stats = WalStats::default();
         let mut clean = (segments[0], 0u64); // (segment, byte offset of the clean tail)
         let mut torn_at: Option<usize> = None;
         for (i, &seg) in segments.iter().enumerate() {
             let path = segment_path(&dir, seg);
             let bytes = std::fs::read(&path)?;
-            let valid = scan_segment(&bytes, &mut payloads);
-            stats.records_replayed = payloads.len() as u64;
+            let valid = scan_segment(&bytes, records.segments.len(), &mut records.payloads);
+            let len = bytes.len() as u64;
+            records.segments.push(bytes);
+            stats.records_replayed = records.len() as u64;
             clean = (seg, valid);
-            if valid < bytes.len() as u64 {
+            if valid < len {
                 // Torn or corrupt tail: truncate this segment here and
                 // drop everything after it.
-                stats.truncated_bytes += bytes.len() as u64 - valid;
+                stats.truncated_bytes += len - valid;
                 let file = OpenOptions::new().write(true).open(&path)?;
                 file.set_len(valid)?;
                 file.sync_all()?;
@@ -372,7 +379,7 @@ impl Wal {
                 appended_lsn: 0,
                 stats,
             },
-            payloads,
+            records,
         ))
     }
 
@@ -521,10 +528,39 @@ impl Wal {
     }
 }
 
-/// Scan one segment's bytes, pushing whole payloads onto `out`.
-/// Returns the offset of the first byte that is not part of a valid
-/// record (== `bytes.len()` when the segment is clean).
-fn scan_segment(bytes: &[u8], out: &mut Vec<Vec<u8>>) -> u64 {
+/// The whole records [`Wal::open`] found, in log order: the segment
+/// files as read, and each payload's place in them.
+#[derive(Debug, Default)]
+pub struct WalRecords {
+    segments: Vec<Vec<u8>>,
+    /// `(index into segments, payload byte range)` per record.
+    payloads: Vec<(usize, Range<usize>)>,
+}
+
+impl WalRecords {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.payloads.len()
+    }
+
+    /// Whether the log held no whole record.
+    pub fn is_empty(&self) -> bool {
+        self.payloads.is_empty()
+    }
+
+    /// The payloads in log order, borrowed from the segment buffers.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.payloads
+            .iter()
+            .map(|(seg, range)| &self.segments[*seg][range.clone()])
+    }
+}
+
+/// Scan one segment's bytes, recording each whole payload's range as
+/// belonging to segment `seg`. Returns the offset of the first byte that
+/// is not part of a valid record (== `bytes.len()` when the segment is
+/// clean).
+fn scan_segment(bytes: &[u8], seg: usize, out: &mut Vec<(usize, Range<usize>)>) -> u64 {
     let mut pos = 0usize;
     loop {
         let Some(header) = bytes.get(pos..pos + HEADER as usize) else {
@@ -535,14 +571,15 @@ fn scan_segment(bytes: &[u8], out: &mut Vec<Vec<u8>>) -> u64 {
         if len as u32 > MAX_RECORD {
             return pos as u64; // absurd length: corrupt frame
         }
-        let Some(payload) = bytes.get(pos + HEADER as usize..pos + HEADER as usize + len) else {
+        let payload = pos + HEADER as usize..pos + HEADER as usize + len;
+        let Some(body) = bytes.get(payload.clone()) else {
             return pos as u64; // torn payload
         };
-        if crc32(payload) != crc {
+        if crc32(body) != crc {
             return pos as u64; // bit rot or torn write inside the payload
         }
-        out.push(payload.to_vec());
-        pos += HEADER as usize + len;
+        pos = payload.end;
+        out.push((seg, payload));
     }
 }
 
@@ -709,7 +746,7 @@ mod tests {
             assert_eq!(wal.stats().fsyncs, 1);
         }
         let (wal, replayed) = Wal::open(&tmp.0, SyncPolicy::Commit).unwrap();
-        assert_eq!(replayed, payloads);
+        assert_eq!(replayed.iter().collect::<Vec<_>>(), payloads);
         assert_eq!(wal.stats().records_replayed, 20);
         assert_eq!(wal.stats().truncated_bytes, 0);
     }
@@ -729,7 +766,10 @@ mod tests {
             wal.commit().unwrap();
         }
         let (_, replayed) = Wal::open(&tmp.0, SyncPolicy::Commit).unwrap();
-        assert_eq!(replayed, vec![b"one".to_vec(), b"two".to_vec()]);
+        assert_eq!(
+            replayed.iter().collect::<Vec<_>>(),
+            vec![b"one".to_vec(), b"two".to_vec()]
+        );
     }
 
     #[test]
@@ -751,7 +791,10 @@ mod tests {
             .set_len(len - 5)
             .unwrap();
         let (wal, replayed) = Wal::open(&tmp.0, SyncPolicy::Commit).unwrap();
-        assert_eq!(replayed, vec![b"committed record".to_vec()]);
+        assert_eq!(
+            replayed.iter().collect::<Vec<_>>(),
+            vec![b"committed record".to_vec()]
+        );
         assert!(wal.stats().truncated_bytes > 0);
         // Idempotent: a second recovery finds a clean log.
         drop(wal);
@@ -777,7 +820,10 @@ mod tests {
         bytes[second_payload] ^= 0xA5;
         std::fs::write(&seg, &bytes).unwrap();
         let (_, replayed) = Wal::open(&tmp.0, SyncPolicy::Commit).unwrap();
-        assert_eq!(replayed, vec![b"good one".to_vec()]);
+        assert_eq!(
+            replayed.iter().collect::<Vec<_>>(),
+            vec![b"good one".to_vec()]
+        );
     }
 
     #[test]
@@ -941,7 +987,10 @@ mod tests {
         wal.commit().unwrap();
         drop(wal);
         let (_, replayed) = Wal::open(&tmp.0, SyncPolicy::Commit).unwrap();
-        assert_eq!(replayed, vec![b"after the checkpoint".to_vec()]);
+        assert_eq!(
+            replayed.iter().collect::<Vec<_>>(),
+            vec![b"after the checkpoint".to_vec()]
+        );
     }
 
     #[test]
