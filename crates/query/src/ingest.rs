@@ -7,31 +7,37 @@
 //! finished [per-line artifacts](crate::store) plus the history
 //! metadata. Replay therefore re-inserts exactly the bytes the
 //! original ingest inserted — recovery is byte-identical by
-//! construction and needs no OCR channel.
+//! construction, needs no OCR channel and decodes no blob: the Staccato
+//! blob's label synopsis ([`crate::kernel::blob_synopsis`]), derived
+//! once when the line was built, is logged after it.
 //!
 //! Payload layout (all integers little-endian):
 //!
 //! ```text
-//! [magic "SWB3"] [batch_seq u64] [first_key i64] [ndocs u32] docs...
+//! [magic "SWB4"] [batch_seq u64] [first_key i64] [ndocs u32] docs...
 //! doc  := meta artifacts
 //! meta := str(provider) f64(confidence) i64(processing_time_ms)
 //!         i64(ingested_at)
 //! artifacts := str(doc_name) i64(sfa_num) str(clean)
 //!              u32(nk) [str f64]*nk          -- k-MAP strings
 //!              bytes(full_blob) bytes(stac_blob)  -- SFA2 blobs
+//!              synopsis                      -- SYNOPSIS_LEN bytes, no length
 //! str/bytes := u32 length + payload
 //! ```
 //!
-//! The two previous formats are refused, before any batch is replayed,
-//! with a [`QueryError::CorruptWal`] that says so: `SWB2`, the same layout
-//! carrying `SFA1` blobs, and `SWB1`, which also logged one row per
-//! Staccato chunk string after the blobs. No reader for either is kept,
-//! and the log is left as it is. A store whose blobs are `SFA1` is
-//! refused too (at the first read of a blob, [`staccato_sfa::SfaError::BadMagic`]),
-//! so such a store is rebuilt from its source rather than recovered.
+//! The three previous formats are refused, before any batch is replayed,
+//! with a [`QueryError::CorruptWal`] that says so: `SWB3`, this layout
+//! without the synopsis; `SWB2`, that layout carrying `SFA1` blobs; and
+//! `SWB1`, which also logged one row per Staccato chunk string after the
+//! blobs. No reader for any of them is kept, and the log is left as it
+//! is. A store whose blobs are `SFA1` is refused too (at the first read
+//! of a blob, [`staccato_sfa::SfaError::BadMagic`]), so such a store is
+//! rebuilt from its source rather than recovered.
 
 use crate::error::QueryError;
+use crate::kernel::SYNOPSIS_LEN;
 use crate::store::LineArtifacts;
+use std::borrow::Cow;
 
 /// One document handed to [`crate::Staccato::ingest`].
 #[derive(Debug, Clone)]
@@ -164,25 +170,26 @@ pub struct IngestStats {
     pub background_checkpoints: u64,
 }
 
-/// A fully built batch: what the WAL logs and replay decodes.
-pub(crate) struct DecodedBatch {
+/// A fully built batch: what the WAL logs and replay decodes. Decoded,
+/// its strings and blobs borrow from the record.
+pub(crate) struct DecodedBatch<'a> {
     pub(crate) batch_seq: u64,
     pub(crate) first_key: i64,
-    pub(crate) docs: Vec<DecodedDoc>,
+    pub(crate) docs: Vec<DecodedDoc<'a>>,
 }
 
 /// One document's artifacts plus history metadata.
-pub(crate) struct DecodedDoc {
-    pub(crate) art: LineArtifacts,
-    pub(crate) provider: String,
+pub(crate) struct DecodedDoc<'a> {
+    pub(crate) art: LineArtifacts<'a>,
+    pub(crate) provider: Cow<'a, str>,
     pub(crate) confidence: f64,
     pub(crate) processing_time_ms: i64,
     pub(crate) ingested_at: i64,
 }
 
-const MAGIC: &[u8; 4] = b"SWB3";
+const MAGIC: &[u8; 4] = b"SWB4";
 
-pub(crate) fn encode_batch(batch: &DecodedBatch) -> Vec<u8> {
+pub(crate) fn encode_batch(batch: &DecodedBatch<'_>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&batch.batch_seq.to_le_bytes());
@@ -204,17 +211,19 @@ pub(crate) fn encode_batch(batch: &DecodedBatch) -> Vec<u8> {
         }
         put_bytes(&mut out, &art.full_blob);
         put_bytes(&mut out, &art.stac_blob);
+        out.extend_from_slice(&art.synopsis);
     }
     out
 }
 
-pub(crate) fn decode_batch(bytes: &[u8]) -> Result<DecodedBatch, QueryError> {
+pub(crate) fn decode_batch(bytes: &[u8]) -> Result<DecodedBatch<'_>, QueryError> {
     let mut r = Reader { bytes, pos: 0 };
     let magic = r.take(4)?;
-    if magic == b"SWB1" || magic == b"SWB2" {
+    if matches!(magic, b"SWB1" | b"SWB2" | b"SWB3") {
         return Err(QueryError::CorruptWal(
-            "batch written in a previous WAL format (SWB1 or SWB2, whose blobs are SFA1): \
-             reload the store from its source; this binary reads SFA2 stores only",
+            "batch written in a previous WAL format (SWB1, SWB2 or SWB3, which log no \
+             synopsis): recover it with the binary that wrote it, or reload the store \
+             from its source",
         ));
     }
     if magic != MAGIC {
@@ -243,8 +252,12 @@ pub(crate) fn decode_batch(bytes: &[u8]) -> Result<DecodedBatch, QueryError> {
             let p = r.f64()?;
             kmap.push((s, p));
         }
-        let full_blob = r.bytes()?.to_vec();
-        let stac_blob = r.bytes()?.to_vec();
+        let full_blob = r.bytes()?.into();
+        let stac_blob = r.bytes()?.into();
+        let synopsis = r
+            .take(SYNOPSIS_LEN)?
+            .try_into()
+            .expect("SYNOPSIS_LEN bytes");
         docs.push(DecodedDoc {
             art: LineArtifacts {
                 doc_name,
@@ -253,6 +266,7 @@ pub(crate) fn decode_batch(bytes: &[u8]) -> Result<DecodedBatch, QueryError> {
                 kmap,
                 full_blob,
                 stac_blob,
+                synopsis,
             },
             provider,
             confidence,
@@ -306,9 +320,9 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
-    fn string(&mut self) -> Result<String, QueryError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, QueryError> {
         std::str::from_utf8(self.bytes()?)
-            .map(str::to_string)
+            .map(Cow::Borrowed)
             .map_err(|_| QueryError::CorruptWal("non-UTF-8 string in batch"))
     }
 }
@@ -356,7 +370,7 @@ pub(crate) fn like_match(pattern: &str, text: &str) -> bool {
 mod tests {
     use super::*;
 
-    fn sample_batch() -> DecodedBatch {
+    fn sample_batch() -> DecodedBatch<'static> {
         DecodedBatch {
             batch_seq: 42,
             first_key: 100,
@@ -366,8 +380,9 @@ mod tests {
                     sfa_num: 7,
                     clean: "selinger access path".into(),
                     kmap: vec![("selinger".into(), 0.5), ("sel1nger".into(), 0.25)],
-                    full_blob: vec![1, 2, 3, 4],
-                    stac_blob: vec![9, 8],
+                    full_blob: vec![1, 2, 3, 4].into(),
+                    stac_blob: vec![9, 8].into(),
+                    synopsis: std::array::from_fn(|i| i as u8),
                 },
                 provider: "tesseract".into(),
                 confidence: 0.93,
@@ -394,12 +409,15 @@ mod tests {
         assert_eq!(doc.art.kmap, batch.docs[0].art.kmap);
         assert_eq!(doc.art.full_blob, vec![1, 2, 3, 4]);
         assert_eq!(doc.art.stac_blob, vec![9, 8]);
+        assert_eq!(doc.art.synopsis, batch.docs[0].art.synopsis);
     }
 
     #[test]
     fn truncated_or_garbled_payloads_are_rejected() {
         let bytes = encode_batch(&sample_batch());
-        for cut in [0, 3, 10, bytes.len() - 1] {
+        // The synopsis is the record's last SYNOPSIS_LEN bytes.
+        let in_synopsis = bytes.len() - SYNOPSIS_LEN / 2;
+        for cut in [0, 3, 10, in_synopsis, bytes.len() - 1] {
             assert!(
                 decode_batch(&bytes[..cut]).is_err(),
                 "cut at {cut} must fail"
@@ -408,7 +426,7 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(decode_batch(&wrong_magic).is_err());
-        for magic in [b"SWB1", b"SWB2"] {
+        for magic in [b"SWB1", b"SWB2", b"SWB3"] {
             let mut previous_format = bytes.clone();
             previous_format[..4].copy_from_slice(magic);
             assert!(matches!(

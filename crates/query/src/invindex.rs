@@ -164,10 +164,9 @@ pub fn blob_postings<'s>(
 
 impl PostingScratch {
     /// Decode `blob` into the arena [`InvertedIndex::extend_with_line`]
-    /// reads, and lend it for the caller's other uses of the decode.
-    pub(crate) fn decode(&mut self, blob: &[u8]) -> Result<&DecodeArena, SfaError> {
-        decode_into_arena(blob, &mut self.arena)?;
-        Ok(&self.arena)
+    /// reads: one decode serves every registered index.
+    pub(crate) fn decode(&mut self, blob: &[u8]) -> Result<(), SfaError> {
+        decode_into_arena(blob, &mut self.arena)
     }
 }
 
@@ -247,14 +246,29 @@ pub fn line_postings(trie: &Trie, sfa: &Sfa) -> Vec<(TermId, Posting)> {
         .to_vec()
 }
 
+/// The catalog names of index `name`'s two B+-trees: postings, dictionary.
+fn tree_names(name: &str) -> [String; 2] {
+    [format!("{name}_postings"), format!("{name}_dict")]
+}
+
+/// Drop the catalog entries of the trees [`build_index`] made under
+/// `name`, if the store has them, so it can build under that name again.
+/// Their pages are not reclaimed.
+pub(crate) fn forget_index(store: &OcrStore, name: &str) {
+    for tree in tree_names(name) {
+        store.db().drop_index(&tree);
+    }
+}
+
 /// Build the inverted index over the Staccato representation.
 ///
 /// Creates two B+-trees in the store's database: `<name>_postings` and
 /// `<name>_dict` (dictionary membership, so probes can tell "no matches"
 /// apart from "term not indexed").
 pub fn build_index(store: &OcrStore, trie: &Trie, name: &str) -> Result<InvertedIndex, QueryError> {
-    let postings = store.create_index(&format!("{name}_postings"))?;
-    let dict = store.create_index(&format!("{name}_dict"))?;
+    let [postings, dict] = tree_names(name);
+    let postings = store.create_index(&postings)?;
+    let dict = store.create_index(&dict)?;
     let pool = store.db().pool();
     for tid in 0..trie.term_count() as u32 {
         dict.insert(pool, trie.term(tid).as_bytes(), 1)?;

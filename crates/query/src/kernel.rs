@@ -142,10 +142,8 @@ pub fn blob_synopsis(blob: &[u8]) -> Result<[u8; SYNOPSIS_LEN], SfaError> {
     })
 }
 
-/// [`blob_synopsis`] of `blob` read off `arena`, which holds its decode:
-/// the ingest path derives the synopsis from the one decode that also
-/// feeds index extension.
-pub(crate) fn decoded_synopsis(arena: &DecodeArena, blob: &[u8]) -> [u8; SYNOPSIS_LEN] {
+/// [`blob_synopsis`] of `blob` read off `arena`, which holds its decode.
+fn decoded_synopsis(arena: &DecodeArena, blob: &[u8]) -> [u8; SYNOPSIS_LEN] {
     let mut words = [0u64; 4 + 64];
     words[..4].copy_from_slice(&arena.label_bytes());
     let pairs = &mut words[4..];

@@ -49,8 +49,7 @@ use crate::ingest::{
     decode_batch, encode_batch, like_match, DecodedBatch, DecodedDoc, DocumentInput, HistoryRow,
     IngestBatch, IngestReceipt, IngestStats,
 };
-use crate::invindex::{build_index, exec_index_probe, InvertedIndex, PostingScratch};
-use crate::kernel::decoded_synopsis;
+use crate::invindex::{build_index, exec_index_probe, forget_index, InvertedIndex, PostingScratch};
 use crate::plan::{
     plan_request, render_explain, render_explain_analyze, ExecStats, Plan, QueryRequest,
     WalCounters,
@@ -406,6 +405,9 @@ impl Staccato {
     /// Returns the number of postings inserted. Names must be unique per
     /// session; re-registering one errors with
     /// [`QueryError::DuplicateIndex`] instead of shadowing the original.
+    /// A name registered by an earlier session over the same file (before
+    /// a reopen or a recovery) is rebuilt: the registry is not saved, so
+    /// its old trees are unreachable, and their pages stay so.
     ///
     /// Registration serializes on the registration latch (so two threads
     /// cannot race the same name), builds the index off to the side —
@@ -426,6 +428,10 @@ impl Staccato {
         if current.iter().any(|r| r.name == name) {
             return Err(QueryError::DuplicateIndex(name.to_string()));
         }
+        // The registry lives in the session only, so trees the file holds
+        // under this name were built by an earlier session and no session
+        // can reach them: the rebuild takes their names.
+        forget_index(&self.store, name);
         let index = build_index(&self.store, trie, name)?;
         let postings = index.posting_count();
         let mut next = Vec::with_capacity(current.len() + 1);
@@ -877,14 +883,14 @@ impl Staccato {
                         Some(sfa) => build_line_from_sfa(opts, sfa, &d.text)?,
                         None => {
                             let key = first_key + i as i64;
-                            build_line(self.store.channel(), opts, &d.text, key as u64)
+                            build_line(self.store.channel(), opts, &d.text, key as u64)?
                         }
                     };
-                    art.doc_name = d.name.clone();
+                    art.doc_name = d.name.clone().into();
                     art.sfa_num = 0;
                     Ok(DecodedDoc {
                         art,
-                        provider: d.provider.clone(),
+                        provider: d.provider.clone().into(),
                         confidence: d.confidence,
                         processing_time_ms: d.processing_time_ms,
                         ingested_at,
@@ -977,7 +983,7 @@ impl Staccato {
     /// under the apply latch's write side — the atomic-visibility point
     /// of the write path. Caller holds the writer lock and its turn
     /// (ingest), or has the session to itself (replay).
-    fn apply_decoded(&self, batch: &DecodedBatch) -> Result<(), QueryError> {
+    fn apply_decoded(&self, batch: &DecodedBatch<'_>) -> Result<(), QueryError> {
         let _apply = self.applies.write();
         // Snapshot clone: posting extension does page I/O and must not
         // hold the registry's read latch. A registration racing this
@@ -989,15 +995,18 @@ impl Staccato {
         let mut scratch = PostingScratch::default();
         for (i, doc) in batch.docs.iter().enumerate() {
             let key = batch.first_key + i as i64;
-            // One decode of the Staccato blob yields its synopsis and
-            // feeds every index's extension.
+            // The build derived the synopsis, so the blob is decoded only
+            // for the postings of a registered index (a recovering session
+            // has none): once per line, before any of its rows is inserted.
             let blob = &doc.art.stac_blob;
-            let synopsis = decoded_synopsis(scratch.decode(blob)?, blob);
-            self.store.insert_line(key, &doc.art, &synopsis)?;
+            if !indexes.is_empty() {
+                scratch.decode(blob)?;
+            }
+            self.store.insert_line(key, &doc.art)?;
             self.store.insert_history(&HistoryRow {
                 data_key: key,
-                file_name: doc.art.doc_name.clone(),
-                provider: doc.provider.clone(),
+                file_name: doc.art.doc_name.to_string(),
+                provider: doc.provider.to_string(),
                 confidence: doc.confidence,
                 processing_time_ms: doc.processing_time_ms,
                 ingested_at: doc.ingested_at,
@@ -1749,7 +1758,7 @@ mod tests {
         };
         assert_eq!(blob(&s), blob(&lone));
         let opts = s.store().load_options();
-        let at_12 = build_line(s.store().channel(), opts, "the Senate shall convene", 12);
+        let at_12 = build_line(s.store().channel(), opts, "the Senate shall convene", 12).unwrap();
         assert_ne!(at_12.full_blob, blob(&s));
         // And the sequence stays dense.
         let next = s.ingest(doc()).unwrap();

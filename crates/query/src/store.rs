@@ -20,9 +20,12 @@
 //! graph can emit — the set of label bytes and a 64 × 64 matrix of
 //! byte-class bigrams ([`blob_synopsis`]) — that sits in the heap row, so
 //! a filescan decides most lines (tier 0 of the scan kernel) without
-//! fetching their blob. `insert_line_artifacts` derives it from the blob
-//! being stored, so load, ingest and WAL replay write identical rows; a
-//! store whose `StaccatoGraph` lacks the column is refused at reopen.
+//! fetching their blob. The construction pipeline derives it from the
+//! blob it builds, once per line and outside every latch, and carries it
+//! in the line's `LineArtifacts`; the WAL logs it with the blob, so
+//! load, ingest and replay insert identical rows and replay decodes no
+//! blob. A store whose `StaccatoGraph` lacks the column is refused at
+//! reopen.
 //!
 //! The paper's Table 5 also has a `StaccatoData` table of per-chunk
 //! top-k strings. The `StaccatoGraph` blob already holds every chunk's
@@ -44,6 +47,7 @@ use staccato_storage::{
     BTree, BlobStore, BufferPool, ColumnType, Database, HeapFile, HeapScan, PageId, Rid, RowReader,
     Schema, StorageError, Value,
 };
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -75,14 +79,17 @@ impl Default for LoadOptions {
 
 /// Per-line artifacts produced by the construction pipeline. The WAL
 /// logs these verbatim (see [`crate::ingest`]) so replay re-inserts
-/// rows without re-running the channel.
-pub(crate) struct LineArtifacts {
-    pub(crate) doc_name: String,
+/// rows without re-running the channel or decoding a blob. The build
+/// owns its fields; replay borrows them from the log it read.
+pub(crate) struct LineArtifacts<'a> {
+    pub(crate) doc_name: Cow<'a, str>,
     pub(crate) sfa_num: i64,
-    pub(crate) clean: String,
-    pub(crate) kmap: Vec<(String, f64)>,
-    pub(crate) full_blob: Vec<u8>,
-    pub(crate) stac_blob: Vec<u8>,
+    pub(crate) clean: Cow<'a, str>,
+    pub(crate) kmap: Vec<(Cow<'a, str>, f64)>,
+    pub(crate) full_blob: Cow<'a, [u8]>,
+    pub(crate) stac_blob: Cow<'a, [u8]>,
+    /// [`blob_synopsis`] of `stac_blob`.
+    pub(crate) synopsis: [u8; SYNOPSIS_LEN],
 }
 
 /// Byte sizes of each representation after loading (Table 2 / §5.5).
@@ -192,7 +199,7 @@ pub(crate) fn build_line(
     opts: &LoadOptions,
     line: &str,
     line_id: u64,
-) -> LineArtifacts {
+) -> Result<LineArtifacts<'static>, QueryError> {
     let sfa = channel.line_to_sfa(line, line_id);
     line_artifacts(opts, &sfa, line)
 }
@@ -208,7 +215,7 @@ pub(crate) fn build_line_from_sfa(
     opts: &LoadOptions,
     sfa: &Sfa,
     line: &str,
-) -> Result<LineArtifacts, QueryError> {
+) -> Result<LineArtifacts<'static>, QueryError> {
     if let Some((id, _)) = sfa
         .edges()
         .find(|(_, e)| e.emissions.iter().all(|em| em.prob == 0.0))
@@ -217,24 +224,30 @@ pub(crate) fn build_line_from_sfa(
             "SFA edge {id} has no emission of positive probability"
         )));
     }
-    Ok(line_artifacts(opts, sfa, line))
+    line_artifacts(opts, sfa, line)
 }
 
-fn line_artifacts(opts: &LoadOptions, sfa: &Sfa, line: &str) -> LineArtifacts {
+fn line_artifacts(
+    opts: &LoadOptions,
+    sfa: &Sfa,
+    line: &str,
+) -> Result<LineArtifacts<'static>, QueryError> {
     let kmap = k_best_paths(sfa, opts.kmap_k)
         .into_iter()
-        .map(|p| (p.string, p.prob))
+        .map(|p| (p.string.into(), p.prob))
         .collect::<Vec<_>>();
     let full_blob = codec::encode(sfa);
     let stac_blob = codec::encode(&approximate(sfa, opts.staccato));
-    LineArtifacts {
-        doc_name: String::new(),
+    let synopsis = blob_synopsis(&stac_blob)?;
+    Ok(LineArtifacts {
+        doc_name: Cow::Borrowed(""),
         sfa_num: 0,
-        clean: line.to_string(),
+        clean: line.to_string().into(),
         kmap,
-        full_blob,
-        stac_blob,
-    }
+        full_blob: full_blob.into(),
+        stac_blob: stac_blob.into(),
+        synopsis,
+    })
 }
 
 impl OcrStore {
@@ -261,7 +274,8 @@ impl OcrStore {
             .collect();
         let par = opts.parallelism.max(1);
         let chunk = work.len().div_ceil(par).max(1);
-        let mut artifacts: Vec<Option<LineArtifacts>> = Vec::with_capacity(work.len());
+        let mut artifacts: Vec<Option<Result<LineArtifacts, QueryError>>> =
+            Vec::with_capacity(work.len());
         artifacts.resize_with(work.len(), || None);
         std::thread::scope(|scope| {
             for (slice, out) in work.chunks(chunk).zip(artifacts.chunks_mut(chunk)) {
@@ -269,10 +283,11 @@ impl OcrStore {
                 let opts_ref = &opts;
                 scope.spawn(move || {
                     for ((doc, sfanum, id, text), slot) in slice.iter().zip(out.iter_mut()) {
-                        let mut art = build_line(channel, opts_ref, text, *id);
-                        art.doc_name = doc.clone();
-                        art.sfa_num = *sfanum;
-                        *slot = Some(art);
+                        *slot = Some(build_line(channel, opts_ref, text, *id).map(|mut art| {
+                            art.doc_name = doc.clone().into();
+                            art.sfa_num = *sfanum;
+                            art
+                        }));
                     }
                 });
             }
@@ -301,8 +316,7 @@ impl OcrStore {
             channel,
         };
         for (key, art) in artifacts.into_iter().enumerate() {
-            let art = art.expect("every line built");
-            store.insert_line_artifacts(key as i64, &art)?;
+            store.insert_line(key as i64, &art.expect("every line built")?)?;
         }
         store.lines.store(work.len(), Ordering::Release);
         Ok(store)
@@ -361,27 +375,11 @@ impl OcrStore {
     /// Insert one line's artifacts into every representation table and
     /// fold its bytes into the size accounting. Shared by the bulk
     /// loader, live ingest, and WAL replay, so all three produce
-    /// byte-identical stores.
-    pub(crate) fn insert_line_artifacts(
-        &self,
-        key: i64,
-        art: &LineArtifacts,
-    ) -> Result<(), QueryError> {
-        self.insert_line(key, art, &blob_synopsis(&art.stac_blob)?)
-    }
-
-    /// [`OcrStore::insert_line_artifacts`] given the synopsis of
-    /// `art.stac_blob`, for a caller that has the blob decoded already.
-    /// Keys are dense, so the line count after this line is `key + 1`:
-    /// that count and the updated sizes go into the database's metadata
-    /// slot, and whichever path saves the file next persists counters
-    /// that match its rows.
-    pub(crate) fn insert_line(
-        &self,
-        key: i64,
-        art: &LineArtifacts,
-        synopsis: &[u8; SYNOPSIS_LEN],
-    ) -> Result<(), QueryError> {
+    /// byte-identical stores; it decodes no blob. Keys are dense, so the
+    /// line count after this line is `key + 1`: that count and the
+    /// updated sizes go into the database's metadata slot, and whichever
+    /// path saves the file next persists counters that match its rows.
+    pub(crate) fn insert_line(&self, key: i64, art: &LineArtifacts) -> Result<(), QueryError> {
         let pool = self.db.pool();
         let enc = staccato_storage::row::encode_row;
         let (s, t) = (schemas(), &self.tables);
@@ -394,7 +392,7 @@ impl OcrStore {
                 &s.master,
                 &vec![
                     Value::Int(key),
-                    Value::Text(art.doc_name.clone()),
+                    Value::Text(art.doc_name.to_string()),
                     Value::Int(art.sfa_num),
                 ],
             )?,
@@ -407,7 +405,7 @@ impl OcrStore {
                     &s.map,
                     &vec![
                         Value::Int(key),
-                        Value::Text(text.clone()),
+                        Value::Text(text.to_string()),
                         Value::Float(p.ln()),
                     ],
                 )?,
@@ -422,7 +420,7 @@ impl OcrStore {
                     &vec![
                         Value::Int(key),
                         Value::Int(rank as i64),
-                        Value::Text(text.clone()),
+                        Value::Text(text.to_string()),
                         Value::Float(p.ln()),
                     ],
                 )?,
@@ -446,7 +444,7 @@ impl OcrStore {
                 &vec![
                     Value::Int(key),
                     Value::Blob(stac_blob),
-                    Value::Bytes(synopsis.to_vec()),
+                    Value::Bytes(art.synopsis.to_vec()),
                 ],
             )?,
         )?;
@@ -457,7 +455,7 @@ impl OcrStore {
             pool,
             &enc(
                 &s.truth,
-                &vec![Value::Int(key), Value::Text(art.clean.clone())],
+                &vec![Value::Int(key), Value::Text(art.clean.to_string())],
             )?,
         )?;
 
@@ -1155,8 +1153,8 @@ mod tests {
         };
         let store = tiny_store();
         assert_eq!(store.sizes().staccato, expected(&store));
-        let art = build_line(&store.channel, &store.opts, "an added line", 99);
-        store.insert_line_artifacts(12, &art).unwrap();
+        let art = build_line(&store.channel, &store.opts, "an added line", 99).unwrap();
+        store.insert_line(12, &art).unwrap();
         assert_eq!(store.sizes().staccato, expected(&store));
         let loaded = store.sizes();
         let OcrStore { db, opts, .. } = store;

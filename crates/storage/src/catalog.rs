@@ -309,6 +309,12 @@ impl Database {
         Ok(tree)
     }
 
+    /// Remove an index's catalog entry, returning whether there was one.
+    /// Its pages are not reclaimed: no name reaches them any more.
+    pub fn drop_index(&self, name: &str) -> bool {
+        self.catalog.lock().indexes.remove(name).is_some()
+    }
+
     /// Look up an index.
     pub fn index(&self, name: &str) -> Result<BTree, StorageError> {
         let cat = self.catalog.lock();
@@ -441,6 +447,19 @@ mod tests {
             db.create_index("i"),
             Err(StorageError::DuplicateObject(_))
         ));
+    }
+
+    #[test]
+    fn dropped_index_name_is_free_again() {
+        let db = Database::in_memory(32).unwrap();
+        let old = db.create_index("i").unwrap();
+        old.insert(db.pool(), b"k", 1).unwrap();
+        assert!(db.drop_index("i"));
+        assert!(!db.drop_index("i"));
+        assert!(matches!(db.index("i"), Err(StorageError::NoSuchObject(_))));
+        let new = db.create_index("i").unwrap();
+        assert_ne!(new.meta_page(), old.meta_page());
+        assert_eq!(db.index("i").unwrap().get(db.pool(), b"k").unwrap(), None);
     }
 
     #[test]

@@ -71,9 +71,18 @@ impl Disk for MemDisk {
 }
 
 /// A single-file device, one page per `PAGE_SIZE` slice of the file.
+///
+/// [`Disk::allocate`] only counts the page. The file grows to every
+/// allocated page with one `set_len` at the first write or
+/// [`Disk::sync`] that needs it, so no write extends the file and a run
+/// of allocations costs no `ftruncate` each. An allocated page the file
+/// does not reach yet reads as zeros, as the extension would.
 pub struct FileDisk {
     file: File,
+    /// Pages allocated, written or not.
     pages: u64,
+    /// Pages the file holds (`len <= pages`).
+    len: u64,
 }
 
 impl FileDisk {
@@ -85,7 +94,11 @@ impl FileDisk {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(FileDisk { file, pages: 0 })
+        Ok(FileDisk {
+            file,
+            pages: 0,
+            len: 0,
+        })
     }
 
     /// Open an existing database file.
@@ -98,9 +111,11 @@ impl FileDisk {
                 reason: "file length is not a multiple of the page size",
             });
         }
+        let pages = len / PAGE_SIZE as u64;
         Ok(FileDisk {
             file,
-            pages: len / PAGE_SIZE as u64,
+            pages,
+            len: pages,
         })
     }
 
@@ -110,11 +125,25 @@ impl FileDisk {
         }
         Ok(())
     }
+
+    /// Extend the file to every allocated page in one `set_len`; the
+    /// extension reads as zeros.
+    fn grow(&mut self) -> Result<(), StorageError> {
+        if self.len < self.pages {
+            self.file.set_len(self.pages * PAGE_SIZE as u64)?;
+            self.len = self.pages;
+        }
+        Ok(())
+    }
 }
 
 impl Disk for FileDisk {
     fn read_page(&mut self, pid: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
         self.check(pid)?;
+        if pid >= self.len {
+            buf.fill(0);
+            return Ok(());
+        }
         self.file.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
         self.file.read_exact(buf)?;
         Ok(())
@@ -122,20 +151,21 @@ impl Disk for FileDisk {
 
     fn write_page(&mut self, pid: PageId, buf: &[u8]) -> Result<(), StorageError> {
         self.check(pid)?;
+        if pid >= self.len {
+            self.grow()?;
+        }
         self.file.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
         self.file.write_all(buf)?;
         Ok(())
     }
 
-    /// Extend the file by one page with `set_len`, writing no bytes: the
-    /// extension reads as zeros. The buffer pool installs the page as a
+    /// Count the page, touching no file: the buffer pool installs it as a
     /// zeroed dirty frame ([`crate::BufferPool::allocate`]), so its
-    /// bytes reach the file at eviction or at the next flush.
+    /// bytes reach the file at eviction or at the next flush, which grows
+    /// the file first.
     fn allocate(&mut self) -> Result<PageId, StorageError> {
-        let pid = self.pages;
-        self.file.set_len((pid + 1) * PAGE_SIZE as u64)?;
         self.pages += 1;
-        Ok(pid)
+        Ok(self.pages - 1)
     }
 
     fn page_count(&self) -> u64 {
@@ -143,6 +173,7 @@ impl Disk for FileDisk {
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
+        self.grow()?;
         self.file.sync_data()?;
         Ok(())
     }
@@ -200,6 +231,89 @@ mod tests {
             assert_eq!(out[PAGE_SIZE - 1], 0xCD);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fresh database file under the temp dir, and its length.
+    fn temp_file(tag: &str) -> (std::path::PathBuf, impl Fn() -> u64) {
+        let path =
+            std::env::temp_dir().join(format!("staccato-disk-{tag}-{}.db", std::process::id()));
+        let probe = path.clone();
+        (path, move || std::fs::metadata(&probe).unwrap().len())
+    }
+
+    #[test]
+    fn filedisk_allocate_leaves_the_file_length_unchanged() {
+        let (path, file_len) = temp_file("alloc");
+        let mut d = FileDisk::create(&path).unwrap();
+        for n in 0..3 {
+            assert_eq!(d.allocate().unwrap(), n);
+            assert_eq!(file_len(), 0);
+        }
+        assert_eq!(d.page_count(), 3);
+        // Allocated and never written: zeros, though the file is empty.
+        let mut out = vec![0xFFu8; PAGE_SIZE];
+        d.read_page(2, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0));
+        assert!(matches!(
+            d.read_page(3, &mut out),
+            Err(StorageError::PageOutOfBounds(3))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn filedisk_first_write_back_grows_the_file_to_every_allocated_page() {
+        let (path, file_len) = temp_file("grow");
+        let page = PAGE_SIZE as u64;
+        {
+            let mut d = FileDisk::create(&path).unwrap();
+            for _ in 0..4 {
+                d.allocate().unwrap();
+            }
+            let mut buf = vec![0u8; PAGE_SIZE];
+            buf[0] = 0x5A;
+            d.write_page(1, &buf).unwrap();
+            assert_eq!(file_len(), 4 * page, "one step to every allocated page");
+            d.write_page(3, &buf).unwrap();
+            assert_eq!(file_len(), 4 * page);
+            // Pages 0 and 2 were allocated and never written.
+            let mut out = vec![0xFFu8; PAGE_SIZE];
+            for pid in [0, 2] {
+                d.read_page(pid, &mut out).unwrap();
+                assert!(out.iter().all(|&b| b == 0), "page {pid}");
+            }
+            d.allocate().unwrap();
+            assert_eq!(file_len(), 4 * page);
+        }
+        // The fifth page never reached the file: a reopen counts four.
+        let mut d = FileDisk::open(&path).unwrap();
+        assert_eq!(d.page_count(), 4);
+        let mut out = vec![0u8; PAGE_SIZE];
+        d.read_page(3, &mut out).unwrap();
+        assert_eq!(out[0], 0x5A);
+        d.read_page(2, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn filedisk_sync_grows_the_file_to_every_allocated_page() {
+        let (path, file_len) = temp_file("sync");
+        {
+            let mut d = FileDisk::create(&path).unwrap();
+            for _ in 0..3 {
+                d.allocate().unwrap();
+            }
+            assert_eq!(file_len(), 0);
+            d.sync().unwrap();
+            assert_eq!(file_len(), 3 * PAGE_SIZE as u64);
+        }
+        let mut d = FileDisk::open(&path).unwrap();
+        assert_eq!(d.page_count(), 3);
+        let mut out = vec![0xFFu8; PAGE_SIZE];
+        d.read_page(2, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -9,11 +9,17 @@
 //! (the record the crash interrupted) is truncated, not replayed.
 
 use staccato::approx::StaccatoParams;
-use staccato::ocr::{generate, ChannelConfig, CorpusKind};
+use staccato::automata::Trie;
+use staccato::ocr::{generate, ChannelConfig, CorpusKind, Dataset};
+use staccato::query::kernel::{blob_synopsis, SYNOPSIS_LEN};
 use staccato::query::store::LoadOptions;
 use staccato::query::{QueryError, RecoverOptions};
-use staccato::storage::{Database, Wal};
-use staccato::{Answer, DocumentInput, HistoryRow, IngestBatch, Staccato, SyncPolicy};
+use staccato::storage::{BlobStore, Database, RowReader, Wal};
+use staccato::{
+    Answer, Approach, DocumentInput, HistoryRow, IngestBatch, PlanPreference, QueryRequest,
+    Staccato, SyncPolicy,
+};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 struct TempDir(PathBuf);
@@ -513,4 +519,230 @@ fn saving_an_unchanged_database_does_not_grow_its_file() {
     let index = db.index("Claims_pk").expect("index persisted");
     assert_eq!(index.get(db.pool(), b"k").expect("get"), Some(7));
     assert_eq!(db.table_names(), vec!["Claims".to_string()]);
+}
+
+/// A log whose one record is an `SWB3` batch — the previous format,
+/// which logged no synopsis — is refused before anything is replayed,
+/// and the log is left byte for byte as it was.
+#[test]
+fn swb3_record_is_refused_and_the_log_left_intact() {
+    let dir = TempDir::new("swb3");
+    let (db_path, wal_dir) = (dir.path().join("store.db"), dir.path().join("wal"));
+    {
+        let dataset = generate(CorpusKind::CongressActs, 4, 3);
+        let db = Database::create(&db_path, 2048).expect("create");
+        let session = Staccato::load(db, &dataset, &load_options(3)).expect("load");
+        session.checkpoint().expect("checkpoint");
+    }
+    // magic, batch_seq 1, first_key 4 (the store's tail), no documents.
+    let mut payload = b"SWB3".to_vec();
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.extend_from_slice(&4i64.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    let mut wal = Wal::create(&wal_dir, SyncPolicy::Commit).expect("wal");
+    wal.append(&payload).expect("append");
+    wal.commit().expect("commit");
+    drop(wal);
+    let segment = || {
+        std::fs::read_dir(&wal_dir)
+            .unwrap()
+            .map(|e| std::fs::read(e.unwrap().path()).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let before = segment();
+    match Staccato::recover(&db_path, &wal_dir) {
+        Err(QueryError::CorruptWal(why)) => assert!(why.contains("previous WAL format"), "{why}"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("an SWB3 record must not be replayed"),
+    }
+    assert_eq!(segment(), before);
+}
+
+fn recover_options(opts: &LoadOptions) -> RecoverOptions {
+    RecoverOptions {
+        pool_frames: 2048,
+        load: opts.clone(),
+        sync: SyncPolicy::Commit,
+    }
+}
+
+/// Load `dataset` into a file-backed store under `dir`, checkpoint it,
+/// attach a WAL and ingest `batches`; the session is dropped without a
+/// checkpoint, the shape a crash leaves.
+fn crash_after(dir: &Path, dataset: &Dataset, opts: &LoadOptions, batches: &[IngestBatch]) {
+    let db = Database::create(dir.join("store.db"), 2048).expect("create");
+    let session = Staccato::load(db, dataset, opts).expect("load");
+    session.checkpoint().expect("checkpoint");
+    session
+        .attach_wal(&dir.join("wal"), SyncPolicy::Commit)
+        .expect("attach");
+    for batch in batches {
+        session.ingest(batch.clone()).expect("ingest");
+    }
+}
+
+/// A record whose CRC holds but whose payload stops inside its last
+/// document's synopsis is a corrupt log, not a torn tail: `recover`
+/// refuses it with `CorruptWal` and does not panic.
+#[test]
+fn record_cut_inside_its_synopsis_is_refused() {
+    let dir = TempDir::new("cutsyn");
+    let opts = load_options(3);
+    crash_after(
+        dir.path(),
+        &generate(CorpusKind::CongressActs, 4, 3),
+        &opts,
+        &[batch(1)],
+    );
+    let (wal, records) = Wal::open(dir.path().join("wal"), SyncPolicy::Commit).expect("open");
+    drop(wal);
+    assert_eq!(records.len(), 1);
+    let payload = records.iter().next().expect("one record");
+    // The record ends with its last document's synopsis.
+    let cut = &payload[..payload.len() - SYNOPSIS_LEN / 2];
+    let cut_dir = dir.path().join("cut");
+    let mut wal = Wal::create(&cut_dir, SyncPolicy::Commit).expect("wal");
+    wal.append(cut).expect("append");
+    wal.commit().expect("commit");
+    drop(wal);
+    match Staccato::recover_with(
+        &dir.path().join("store.db"),
+        &cut_dir,
+        &recover_options(&opts),
+    ) {
+        Err(QueryError::CorruptWal(_)) => {}
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a cut record must not be replayed"),
+    }
+}
+
+/// Every `StaccatoGraph` row as `(DataKey, blob bytes, synopsis)`. The
+/// rows' blob page ids depend on what else each store allocated, so the
+/// blob is compared by its bytes.
+fn staccato_rows(session: &Staccato) -> Vec<(i64, Vec<u8>, Vec<u8>)> {
+    let db = session.store().db();
+    let (schema, heap) = db.table("StaccatoGraph").expect("table");
+    heap.scan(db.pool())
+        .map(|row| {
+            let (_, bytes) = row.expect("row");
+            let mut r = RowReader::new(&schema, &bytes);
+            let key = r.int().expect("key");
+            let blob = BlobStore::get(db.pool(), r.blob().expect("blob")).expect("blob bytes");
+            let synopsis = r.bytes().expect("synopsis").to_vec();
+            r.finish().expect("three columns");
+            (key, blob, synopsis)
+        })
+        .collect()
+}
+
+/// The synopsis is derived once, when a line is built, and travels with
+/// it: the same lines loaded, ingested live, and rebuilt by replay give
+/// the same `StaccatoGraph` rows, and each row's synopsis is the one its
+/// blob defines.
+#[test]
+fn load_ingest_and_replay_store_the_same_staccato_rows() {
+    let dir = TempDir::new("provenance");
+    let opts = load_options(4);
+    let dataset = generate(CorpusKind::CongressActs, 8, 4);
+    let empty = Dataset {
+        docs: Vec::new(),
+        ..dataset.clone()
+    };
+    // The channel is seeded by the line's key on both paths, so the
+    // ingested keys 0..8 are built like the loaded lines.
+    let lines: Vec<&str> = dataset.lines().map(|(_, _, text)| text).collect();
+    let batches: Vec<IngestBatch> = lines
+        .chunks(4)
+        .map(|chunk| IngestBatch {
+            docs: chunk
+                .iter()
+                .map(|text| DocumentInput::new("line.png", *text))
+                .collect(),
+        })
+        .collect();
+
+    let loaded =
+        Staccato::load(Database::in_memory(2048).expect("db"), &dataset, &opts).expect("load");
+    let live = Staccato::load(Database::in_memory(2048).expect("db"), &empty, &opts).expect("load");
+    for batch in &batches {
+        live.ingest(batch.clone()).expect("ingest");
+    }
+    crash_after(dir.path(), &empty, &opts, &batches);
+    let replayed = Staccato::recover_with(
+        &dir.path().join("store.db"),
+        &dir.path().join("wal"),
+        &recover_options(&opts),
+    )
+    .expect("recover");
+    assert_eq!(replayed.ingest_stats().replays, 2);
+
+    let rows = staccato_rows(&loaded);
+    assert_eq!(rows.len(), 8);
+    for (path, session) in [("live ingest", &live), ("replay", &replayed)] {
+        let other = staccato_rows(session);
+        assert_eq!(other.len(), rows.len(), "{path}");
+        for (a, b) in rows.iter().zip(&other) {
+            assert!(a == b, "{path}: line {} differs from the loaded one", a.0);
+        }
+    }
+    for (key, blob, synopsis) in &rows {
+        assert_eq!(
+            synopsis[..],
+            blob_synopsis(blob).expect("blob decodes")[..],
+            "line {key}"
+        );
+    }
+}
+
+/// The index registry is not saved, so a recovered session registers
+/// its indexes again. The file still names the earlier session's trees;
+/// registration rebuilds under the same name, and the rebuilt index
+/// answers like a filescan, replayed lines included.
+#[test]
+fn index_registered_again_after_recovery_answers_like_a_filescan() {
+    let dir = TempDir::new("reindex");
+    let (db_path, wal_dir) = (dir.path().join("store.db"), dir.path().join("wal"));
+    let opts = load_options(5);
+    let trie = Trie::build(["public", "senate"]);
+    {
+        let dataset = generate(CorpusKind::CongressActs, 12, 5);
+        let db = Database::create(&db_path, 2048).expect("create");
+        let session = Staccato::load(db, &dataset, &opts).expect("load");
+        session.register_index(&trie, "inv").expect("index");
+        session.checkpoint().expect("checkpoint");
+        session
+            .attach_wal(&wal_dir, SyncPolicy::Commit)
+            .expect("attach");
+        session.ingest(batch(1)).expect("ingest");
+    }
+    let recovered =
+        Staccato::recover_with(&db_path, &wal_dir, &recover_options(&opts)).expect("recover");
+    assert_eq!(recovered.ingest_stats().replays, 1);
+    recovered
+        .register_index(&trie, "inv")
+        .expect("register again after recovery");
+    assert!(matches!(
+        recovered.register_index(&trie, "inv"),
+        Err(QueryError::DuplicateIndex(name)) if name == "inv"
+    ));
+    let keys = |answers: &[Answer]| answers.iter().map(|a| a.data_key).collect::<BTreeSet<_>>();
+    for pattern in ["Public", "Senate"] {
+        let request = QueryRequest::regex(pattern)
+            .approach(Approach::Staccato)
+            .num_ans(10_000);
+        let probe = recovered.execute(&request).expect("probe");
+        assert!(probe.plan.is_index_probe(), "{pattern}");
+        let scan = recovered
+            .execute(&request.plan_preference(PlanPreference::ForceFileScan))
+            .expect("filescan");
+        assert_eq!(keys(&probe.answers), keys(&scan.answers), "{pattern}");
+        if pattern == "Public" {
+            // Key 12 is the replayed batch's first document.
+            assert!(
+                keys(&scan.answers).contains(&12),
+                "{:?}",
+                keys(&scan.answers)
+            );
+        }
+    }
 }
